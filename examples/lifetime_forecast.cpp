@@ -9,7 +9,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "common/logging.hh"
 #include "sim/experiment.hh"
@@ -17,33 +16,17 @@
 using namespace hllc;
 using hybrid::PolicyKind;
 
-namespace
-{
-
-PolicyKind
-parsePolicy(const char *name)
-{
-    static const std::pair<const char *, PolicyKind> table[] = {
-        { "BH", PolicyKind::Bh },           { "BH_CP", PolicyKind::BhCp },
-        { "CA", PolicyKind::Ca },           { "CA_RWR", PolicyKind::CaRwr },
-        { "CP_SD", PolicyKind::CpSd },      { "CP_SD_Th", PolicyKind::CpSdTh },
-        { "LHybrid", PolicyKind::LHybrid }, { "TAP", PolicyKind::Tap },
-    };
-    for (const auto &[label, kind] : table) {
-        if (std::strcmp(name, label) == 0)
-            return kind;
-    }
-    fatal("unknown policy '%s'", name);
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
     setLogLevel(LogLevel::Warn);
-    const PolicyKind policy =
-        argc > 1 ? parsePolicy(argv[1]) : PolicyKind::CpSd;
+    const auto parsed =
+        argc > 1 ? hybrid::policyFromName(argv[1]) : PolicyKind::CpSd;
+    if (!parsed)
+        fatal("unknown policy '%s'", argv[1]);
+    const PolicyKind policy = *parsed;
+    if (policy == PolicyKind::SramOnly)
+        fatal("policy SRAM has no NVM part, so no lifetime to forecast");
     const std::size_t num_mixes =
         argc > 2 ? static_cast<std::size_t>(std::atoi(argv[2])) : 10;
 

@@ -5,11 +5,10 @@
  *
  * Usage: quickstart [policy]
  *   policy: BH | BH_CP | CA | CA_RWR | CP_SD | CP_SD_Th | LHybrid | TAP
- *           (default CP_SD)
+ *           | SRAM (default CP_SD)
  */
 
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 
 #include "common/logging.hh"
@@ -17,45 +16,26 @@
 
 using namespace hllc;
 
-namespace
-{
-
-hybrid::PolicyKind
-parsePolicy(const char *name)
-{
-    using hybrid::PolicyKind;
-    static const std::pair<const char *, PolicyKind> table[] = {
-        { "BH", PolicyKind::Bh },         { "BH_CP", PolicyKind::BhCp },
-        { "CA", PolicyKind::Ca },         { "CA_RWR", PolicyKind::CaRwr },
-        { "CP_SD", PolicyKind::CpSd },    { "CP_SD_Th", PolicyKind::CpSdTh },
-        { "LHybrid", PolicyKind::LHybrid }, { "TAP", PolicyKind::Tap },
-        { "SRAM", PolicyKind::SramOnly },
-    };
-    for (const auto &[label, kind] : table) {
-        if (std::strcmp(name, label) == 0)
-            return kind;
-    }
-    fatal("unknown policy '%s'", name);
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
-    const hybrid::PolicyKind policy =
-        argc > 1 ? parsePolicy(argv[1]) : hybrid::PolicyKind::CpSd;
+    const auto policy = argc > 1 ? hybrid::policyFromName(argv[1])
+                                 : hybrid::PolicyKind::CpSd;
+    if (!policy)
+        fatal("unknown policy '%s'", argv[1]);
 
     // 1. A Table IV system (HLLC_SCALE-scaled), running mix 1.
     const sim::SystemConfig config = sim::SystemConfig::tableIV();
     const workload::MixSpec &mix = workload::tableVMixes().front();
-    sim::System system(config, mix, policy);
+    sim::System system(config, mix, *policy);
 
+    // The LLC actually built: the SRAM bound makes every way SRAM.
+    const hybrid::HybridLlcConfig &geometry = system.llc().config();
     std::printf("hllc quickstart: %s on %s (%u-set LLC, %uw SRAM + %uw "
                 "NVM)\n",
                 std::string(system.llc().policy().name()).c_str(),
-                mix.name.c_str(), config.llcSets, config.sramWays,
-                config.nvmWays);
+                mix.name.c_str(), geometry.numSets, geometry.sramWays,
+                geometry.nvmWays);
 
     // 2. Run the four cores.
     system.run(config.refsPerCore);

@@ -12,6 +12,7 @@ using hybrid::AccessOutcome;
 using hybrid::LlcEvent;
 using hybrid::LlcEventType;
 using hybrid::Part;
+using hybrid::PolicyKind;
 using hybrid::ReuseClass;
 
 std::string
@@ -66,11 +67,59 @@ toString(const std::vector<DecisionRecord> &records)
     return out;
 }
 
+GoldenPolicy
+goldenPolicy(PolicyKind kind, const hybrid::PolicyParams &params)
+{
+    const bool cpsd = kind == PolicyKind::CpSd || kind == PolicyKind::CpSdTh;
+    const bool ca_rwr = kind == PolicyKind::CaRwr || cpsd;
+
+    GoldenPolicy p;
+    p.compressed = kind == PolicyKind::BhCp || kind == PolicyKind::Ca ||
+                   ca_rwr;
+    p.global = kind == PolicyKind::SramOnly || kind == PolicyKind::Bh ||
+               kind == PolicyKind::BhCp;
+    p.migrateReadReuse = ca_rwr;
+    p.loopBlockSram = kind == PolicyKind::LHybrid;
+    p.dueling = cpsd;
+    if (kind == PolicyKind::CpSdTh) {
+        p.thPercent = params.thPercent;
+        p.twPercent = params.twPercent;
+    }
+    return p;
+}
+
+Part
+goldenChoosePart(PolicyKind kind, const hybrid::PolicyParams &params,
+                 const hybrid::InsertContext &ctx)
+{
+    const bool small = ctx.ecbBytes <= ctx.cpth;
+    const bool clean = !ctx.dirty;
+    const bool read_reused = ctx.reuse == ReuseClass::Read;
+    const bool write_reused = ctx.reuse == ReuseClass::Write;
+
+    if (goldenPolicy(kind, params).global)
+        return Part::Sram;
+    if (kind == PolicyKind::Ca)
+        return small ? Part::Nvm : Part::Sram;
+    if (kind == PolicyKind::LHybrid)
+        return clean && read_reused ? Part::Nvm : Part::Sram;
+    if (kind == PolicyKind::Tap) {
+        const bool thrashing = ctx.hits >= params.tapThreshold;
+        return clean && !write_reused && thrashing ? Part::Nvm
+                                                   : Part::Sram;
+    }
+    // CA_RWR, CP_SD, CP_SD_Th.
+    if (read_reused)
+        return Part::Nvm;
+    if (write_reused)
+        return Part::Sram;
+    return small ? Part::Nvm : Part::Sram;
+}
+
 GoldenLlc::GoldenLlc(const hybrid::HybridLlcConfig &config,
                      GoldenOptions options)
     : config_(config), options_(options),
-      policy_(hybrid::InsertionPolicy::create(config.policy,
-                                              config.params)),
+      policy_(goldenPolicy(config.policy, config.params)),
       sets_(config.numSets,
             std::vector<Way>(config.totalWays()))
 {
@@ -80,11 +129,10 @@ GoldenLlc::GoldenLlc(const hybrid::HybridLlcConfig &config,
     HLLC_ASSERT(config.replacement == hybrid::ReplacementKind::Lru,
                 "the golden model only covers LRU replacement");
 
-    if (policy_->usesSetDueling()) {
+    if (policy_.dueling) {
         dueling_ = std::make_unique<hybrid::SetDueling>(
             config.numSets, compression::cpthCandidates(),
-            config.epochCycles, policy_->thPercent(),
-            policy_->twPercent());
+            config.epochCycles, policy_.thPercent, policy_.twPercent);
     }
 }
 
@@ -107,7 +155,7 @@ GoldenLlc::storedSize(std::uint32_t w, unsigned ecb) const
 {
     // SRAM always holds raw blocks; NVM holds the ECB when the policy
     // compresses, raw frames otherwise.
-    if (isNvmWay(w) && policy_->usesCompression())
+    if (isNvmWay(w) && policy_.compressed)
         return ecb;
     return static_cast<unsigned>(blockBytes);
 }
@@ -278,7 +326,7 @@ GoldenLlc::insert(Addr block, bool dirty, unsigned ecb,
         block, dirty, ecb, classOf(block), hitsOf(block), set, cpth,
     };
 
-    if (policy_->globalReplacement()) {
+    if (policy_.global) {
         // BH / BH_CP / SRAM bounds: one LRU over every way.
         const int w = victimWay(set, 0, config_.totalWays());
         if (w < 0) {
@@ -290,7 +338,7 @@ GoldenLlc::insert(Addr block, bool dirty, unsigned ecb,
         return;
     }
 
-    Part part = policy_->choosePart(ctx);
+    Part part = goldenChoosePart(config_.policy, config_.params, ctx);
 
     if (part == Part::Nvm) {
         const int w = config_.nvmWays == 0
@@ -321,7 +369,7 @@ GoldenLlc::insert(Addr block, bool dirty, unsigned ecb,
     }
 
     if (w < 0) {
-        if (policy_->lhybridSramReplacement()) {
+        if (policy_.loopBlockSram) {
             // LHybrid: migrate the MRU loop-block to NVM to free its
             // frame; otherwise evict the plain LRU (paper Sec. II-C).
             int lb = -1;
@@ -344,7 +392,7 @@ GoldenLlc::insert(Addr block, bool dirty, unsigned ecb,
             w = victimWay(set, 0, config_.sramWays);
             HLLC_ASSERT(w >= 0);
             const Way &victim = sets_[set][static_cast<std::uint32_t>(w)];
-            if (policy_->migrateReadReuseOnSramEviction() && victim.valid &&
+            if (policy_.migrateReadReuse && victim.valid &&
                 classOf(victim.blockNum) == ReuseClass::Read) {
                 // CA_RWR: read-reused SRAM victims move to NVM instead
                 // of leaving the LLC (paper Sec. IV-B).

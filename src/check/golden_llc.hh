@@ -15,10 +15,12 @@
  * covers the degenerate configurations the differential checker drives
  * (compression off, SRAM-only, pristine NVM frames, LRU replacement),
  * where frame-capacity constraints never bind and (Fit-)LRU collapses
- * to plain LRU. Policy steering (choosePart) and Set Dueling are pure
- * components shared with the fast LLC — they are cross-checked by their
- * own unit suites; what this model independently re-derives is every
- * piece of cache mechanics layered around them.
+ * to plain LRU. Policy steering and the five structural policy traits
+ * are re-derived here from the paper's tables (goldenPolicy,
+ * goldenChoosePart) rather than read from hybrid::InsertionPolicy, so a
+ * steering bug in either copy shows up as a divergence. Set Dueling is
+ * the one component still shared with the fast LLC; it is cross-checked
+ * by its own unit suite.
  */
 
 #ifndef HLLC_CHECK_GOLDEN_LLC_HH
@@ -35,6 +37,33 @@
 
 namespace hllc::check
 {
+
+/**
+ * The golden model's own reading of a policy's structure: the Table III
+ * traits and the Set Dueling winner rule (Sec. IV-D).
+ */
+struct GoldenPolicy
+{
+    bool compressed = false;        //!< NVM stores ECBs (byte disabling)
+    bool global = false;            //!< one LRU over every way
+    bool migrateReadReuse = false;  //!< read-reused SRAM victims go to NVM
+    bool loopBlockSram = false;     //!< LHybrid: free SRAM via loop-block
+    bool dueling = false;           //!< Set Dueling selects the CPth
+    double thPercent = 0.0;         //!< winner rule Th (CP_SD_Th only)
+    double twPercent = 5.0;         //!< winner rule Tw (CP_SD_Th only)
+};
+
+/** Traits of @p kind, written straight from paper Table III. */
+GoldenPolicy goldenPolicy(hybrid::PolicyKind kind,
+                          const hybrid::PolicyParams &params);
+
+/**
+ * Part the block of @p ctx enters under @p kind: Table II for the CA_RWR
+ * family, Sec. II-C for LHybrid and TAP, Sec. IV-A for CA.
+ */
+hybrid::Part goldenChoosePart(hybrid::PolicyKind kind,
+                              const hybrid::PolicyParams &params,
+                              const hybrid::InsertContext &ctx);
 
 /**
  * Fault-injection knobs for mutation-testing the checker itself: a
@@ -143,7 +172,7 @@ class GoldenLlc
 
     hybrid::HybridLlcConfig config_;
     GoldenOptions options_;
-    std::unique_ptr<hybrid::InsertionPolicy> policy_;
+    GoldenPolicy policy_;
     std::unique_ptr<hybrid::SetDueling> dueling_;
     std::vector<std::vector<Way>> sets_;
     std::map<Addr, Reuse> reuse_;

@@ -1,11 +1,6 @@
 #include "hybrid/insertion_policy.hh"
 
 #include "common/logging.hh"
-#include "hybrid/policy_bh.hh"
-#include "hybrid/policy_ca.hh"
-#include "hybrid/policy_cpsd.hh"
-#include "hybrid/policy_lhybrid.hh"
-#include "hybrid/policy_tap.hh"
 
 namespace hllc::hybrid
 {
@@ -13,54 +8,36 @@ namespace hllc::hybrid
 std::string_view
 policyName(PolicyKind kind)
 {
-    switch (kind) {
-      case PolicyKind::SramOnly:
-        return "SRAM";
-      case PolicyKind::Bh:
-        return "BH";
-      case PolicyKind::BhCp:
-        return "BH_CP";
-      case PolicyKind::Ca:
-        return "CA";
-      case PolicyKind::CaRwr:
-        return "CA_RWR";
-      case PolicyKind::CpSd:
-        return "CP_SD";
-      case PolicyKind::CpSdTh:
-        return "CP_SD_Th";
-      case PolicyKind::LHybrid:
-        return "LHybrid";
-      case PolicyKind::Tap:
-        return "TAP";
-    }
-    return "?";
+    const auto i = static_cast<std::size_t>(kind);
+    return i < policyTable.size() ? policyTable[i].name : "?";
 }
 
-std::unique_ptr<InsertionPolicy>
-InsertionPolicy::create(PolicyKind kind, const PolicyParams &params)
+std::optional<PolicyKind>
+policyFromName(std::string_view name)
 {
-    switch (kind) {
-      case PolicyKind::SramOnly:
-        return std::make_unique<SramOnlyPolicy>();
-      case PolicyKind::Bh:
-        return std::make_unique<BhPolicy>();
-      case PolicyKind::BhCp:
-        return std::make_unique<BhCpPolicy>();
-      case PolicyKind::Ca:
-        return std::make_unique<CaPolicy>(params.fixedCpth);
-      case PolicyKind::CaRwr:
-        return std::make_unique<CaRwrPolicy>(params.fixedCpth);
-      case PolicyKind::CpSd:
-        return std::make_unique<CpSdPolicy>();
-      case PolicyKind::CpSdTh:
-        return std::make_unique<CpSdThPolicy>(params.thPercent,
-                                              params.twPercent);
-      case PolicyKind::LHybrid:
-        return std::make_unique<LHybridPolicy>();
-      case PolicyKind::Tap:
-        return std::make_unique<TapPolicy>(params.tapThreshold);
+    for (const PolicyTraits &row : policyTable) {
+        if (row.name == name)
+            return row.kind;
     }
-    panic("unknown policy kind %d", static_cast<int>(kind));
+    return std::nullopt;
+}
+
+namespace
+{
+
+const PolicyTraits &
+traitsOf(PolicyKind kind)
+{
+    const auto i = static_cast<std::size_t>(kind);
+    HLLC_ASSERT(i < policyTable.size(), "unknown policy kind %zu", i);
+    return policyTable[i];
+}
+
+} // namespace
+
+InsertionPolicy::InsertionPolicy(PolicyKind kind, const PolicyParams &params)
+    : traits_(traitsOf(kind)), params_(params)
+{
 }
 
 } // namespace hllc::hybrid

@@ -8,6 +8,7 @@
 #define HLLC_HYBRID_TYPES_HH
 
 #include <cstdint>
+#include <optional>
 #include <string_view>
 
 #include "common/types.hh"
@@ -54,6 +55,9 @@ enum class PolicyKind : std::uint8_t
 
 /** Printable name of a policy (matches the paper's labels). */
 std::string_view policyName(PolicyKind kind);
+
+/** Inverse of policyName(); nullopt for any other string. */
+std::optional<PolicyKind> policyFromName(std::string_view name);
 
 /** One LLC-level request, as recorded in traces and replayed. */
 struct LlcEvent

@@ -9,24 +9,6 @@
 namespace hllc::serve
 {
 
-std::optional<hybrid::PolicyKind>
-policyFromName(const std::string &name)
-{
-    using hybrid::PolicyKind;
-    static const std::pair<const char *, PolicyKind> table[] = {
-        { "BH", PolicyKind::Bh },           { "BH_CP", PolicyKind::BhCp },
-        { "CA", PolicyKind::Ca },           { "CA_RWR", PolicyKind::CaRwr },
-        { "CP_SD", PolicyKind::CpSd },      { "CP_SD_Th", PolicyKind::CpSdTh },
-        { "LHybrid", PolicyKind::LHybrid }, { "TAP", PolicyKind::Tap },
-        { "SRAM", PolicyKind::SramOnly },
-    };
-    for (const auto &[label, kind] : table) {
-        if (name == label)
-            return kind;
-    }
-    return std::nullopt;
-}
-
 Evaluator::Evaluator(const sim::SystemConfig &config,
                      const EvalLimits &limits)
     : config_(config), limits_(limits)

@@ -44,7 +44,7 @@ struct EvalLimits
 };
 
 /** Resolve a wire policy name; nullopt for unknown names. */
-std::optional<hybrid::PolicyKind> policyFromName(const std::string &name);
+using hybrid::policyFromName;
 
 class Evaluator
 {

@@ -32,9 +32,11 @@ using compression::Ce;
 using compression::CeInfo;
 using hybrid::PolicyKind;
 
-/** The policy set the fast-path acceptance gate runs on (fig. 10a). */
+/** Every policy: each takes its own branch of the steering switch. */
 constexpr PolicyKind kFastPathPolicies[] = {
-    PolicyKind::Bh, PolicyKind::Ca, PolicyKind::CpSd, PolicyKind::LHybrid,
+    PolicyKind::SramOnly, PolicyKind::Bh,     PolicyKind::BhCp,
+    PolicyKind::Ca,       PolicyKind::CaRwr,  PolicyKind::CpSd,
+    PolicyKind::CpSdTh,   PolicyKind::LHybrid, PolicyKind::Tap,
 };
 
 constexpr DegenerateMode kAllModes[] = {
@@ -55,8 +57,8 @@ smallConfig(PolicyKind policy)
 }
 
 // A long fuzzed trace (scaled from the 1M-event acceptance run so the
-// suite stays fast) replayed through the SoA tag store, PolicyEngine
-// static dispatch and inline Set Dueling accessors must agree with the
+// suite stays fast) replayed through the SoA tag store, the inline
+// policy switch and inline Set Dueling accessors must agree with the
 // brute-force golden shadow decision-for-decision.
 TEST(FastPath, LargeFuzzedTraceMatchesGoldenShadow)
 {

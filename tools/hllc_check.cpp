@@ -79,31 +79,18 @@ usage(const char *prog)
     return 2;
 }
 
-PolicyKind
-parsePolicy(const std::string &name)
-{
-    static const std::pair<const char *, PolicyKind> table[] = {
-        { "BH", PolicyKind::Bh },           { "BH_CP", PolicyKind::BhCp },
-        { "CA", PolicyKind::Ca },           { "CA_RWR", PolicyKind::CaRwr },
-        { "CP_SD", PolicyKind::CpSd },      { "CP_SD_Th", PolicyKind::CpSdTh },
-        { "LHybrid", PolicyKind::LHybrid }, { "TAP", PolicyKind::Tap },
-        { "SRAM", PolicyKind::SramOnly },
-    };
-    for (const auto &[label, kind] : table) {
-        if (name == label)
-            return kind;
-    }
-    fatal("unknown policy '%s'", name.c_str());
-}
-
 std::vector<PolicyKind>
 parsePolicyList(const std::string &arg)
 {
     std::vector<PolicyKind> policies;
     std::stringstream stream(arg);
     std::string token;
-    while (std::getline(stream, token, ','))
-        policies.push_back(parsePolicy(token));
+    while (std::getline(stream, token, ',')) {
+        const auto kind = hybrid::policyFromName(token);
+        if (!kind)
+            fatal("unknown policy '%s'", token.c_str());
+        policies.push_back(*kind);
+    }
     if (policies.empty())
         fatal("empty policy list '%s'", arg.c_str());
     return policies;
@@ -221,8 +208,7 @@ runDiffGolden(const Options &opt)
         for (DegenerateMode mode : opt.modes) {
             const check::GoldenDiffResult diff =
                 check::diffGolden(trace, llc, mode, golden);
-            const std::string_view policy_name =
-                hybrid::InsertionPolicy::create(policy, llc.params)->name();
+            const std::string_view policy_name = hybrid::policyName(policy);
             if (diff.ok()) {
                 std::printf("ok   %-8s %-15s (%llu events)\n",
                             std::string(policy_name).c_str(),

@@ -38,31 +38,18 @@ using hybrid::PolicyKind;
 namespace
 {
 
-PolicyKind
-parsePolicy(const std::string &name)
-{
-    static const std::pair<const char *, PolicyKind> table[] = {
-        { "BH", PolicyKind::Bh },           { "BH_CP", PolicyKind::BhCp },
-        { "CA", PolicyKind::Ca },           { "CA_RWR", PolicyKind::CaRwr },
-        { "CP_SD", PolicyKind::CpSd },      { "CP_SD_Th", PolicyKind::CpSdTh },
-        { "LHybrid", PolicyKind::LHybrid }, { "TAP", PolicyKind::Tap },
-        { "SRAM", PolicyKind::SramOnly },
-    };
-    for (const auto &[label, kind] : table) {
-        if (name == label)
-            return kind;
-    }
-    fatal("unknown policy '%s'", name.c_str());
-}
-
 std::vector<PolicyKind>
 parsePolicyList(const char *arg)
 {
     std::vector<PolicyKind> policies;
     std::stringstream stream(arg);
     std::string token;
-    while (std::getline(stream, token, ','))
-        policies.push_back(parsePolicy(token));
+    while (std::getline(stream, token, ',')) {
+        const auto kind = hybrid::policyFromName(token);
+        if (!kind)
+            fatal("unknown policy '%s'", token.c_str());
+        policies.push_back(*kind);
+    }
     if (policies.empty())
         fatal("empty policy list '%s'", arg);
     return policies;
