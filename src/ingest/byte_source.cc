@@ -54,7 +54,8 @@ MemorySource::read(std::uint8_t *out, std::size_t n)
 {
     const std::size_t left = bytes_.size() - pos_;
     const std::size_t take = n < left ? n : left;
-    std::memcpy(out, bytes_.data() + pos_, take);
+    if (take != 0) // an empty buffer's data() may be null
+        std::memcpy(out, bytes_.data() + pos_, take);
     pos_ += take;
     return take;
 }

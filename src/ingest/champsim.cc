@@ -95,10 +95,6 @@ convertChampSim(ByteSource &source, const ConvertOptions &options,
                       " to <= 1");
     }
 
-    PayloadSynth synth(
-        workload::ContentMix::fromClassFractions(options.hcrFraction,
-                                                 options.lcrFraction),
-        options.seed);
     replay::LlcTrace trace;
     ConvertStats local;
 
@@ -150,7 +146,6 @@ convertChampSim(ByteSource &source, const ConvertOptions &options,
                 ++local.dropped;
                 continue;
             }
-            event.ecbBytes = synth.ecbOf(event.blockNum);
             trace.append(event);
             if (options.maxEvents != 0 &&
                 trace.size() >= options.maxEvents) {
@@ -169,6 +164,13 @@ convertChampSim(ByteSource &source, const ConvertOptions &options,
                       formatU64(champSimRecordBytes) + " bytes)");
     }
 
+    // Every record is decoded and validated before any payload is
+    // synthesized; the ECBs are then filled in one batch.
+    PayloadSynth synth(
+        workload::ContentMix::fromClassFractions(options.hcrFraction,
+                                                 options.lcrFraction),
+        options.seed);
+    synth.fillEcbs(trace.mutableEvents());
     synthesizeCaptureMeta(trace, options.mixName);
     local.events = trace.size();
     local.distinctBlocks = synth.distinctBlocks();

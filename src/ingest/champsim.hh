@@ -85,7 +85,10 @@ struct ConvertStats
  * Decode a CRC2 record stream into an LlcTrace: Load/Prefetch become
  * GetS, Rfo becomes GetX, Writeback becomes PutDirty; each event's ECB
  * size comes from deterministic payload synthesis (payload_synth.hh)
- * keyed by @p options.seed and the block number. Per-core capture
+ * keyed by @p options.seed and the block number. Every record is
+ * decoded and validated first; the ECBs are then filled in one
+ * PayloadSynth::fillEcbs pass on defaultJobs() workers, which cannot
+ * change a byte of the output. Per-core capture
  * metadata is synthesized from the observed demand counts so the
  * timing-dependent replay paths (forecast, resume diffs) stay
  * non-vacuous. Throws IoError on any malformed input.

@@ -77,14 +77,15 @@ class CoreCache
     std::unordered_map<Addr, Entry> map_;
 };
 
-/** Event sink: application touches filtered into LLC events. */
+/**
+ * Event sink: application touches filtered into LLC events. ECB sizes
+ * are left for one PayloadSynth::fillEcbs pass over the finished trace.
+ */
 class World
 {
   public:
-    World(const ScenarioOptions &options, double hcr, double lcr)
-        : target_(options.events),
-          synth_(workload::ContentMix::fromClassFractions(hcr, lcr),
-                 options.seed)
+    explicit World(const ScenarioOptions &options)
+        : target_(options.events)
     {
         // One sixteenth of the targeted LLC capacity of private cache
         // per core: small enough that warm working sets spill to the
@@ -128,12 +129,10 @@ class World
         e.blockNum = block;
         e.type = type;
         e.core = core;
-        e.ecbBytes = synth_.ecbOf(block);
         trace_.append(e);
     }
 
     std::uint64_t target_;
-    PayloadSynth synth_;
     replay::LlcTrace trace_;
     std::vector<CoreCache> l2_;
 };
@@ -350,15 +349,18 @@ generateScenario(const std::string &name, const ScenarioOptions &options)
     for (const Family &family : families) {
         if (family.name != name)
             continue;
-        // entropy-hostile is compression-hostile by definition; the
-        // other families honour the requested content mix.
-        World world(options,
-                    family.forceIncompressible ? 0.0
-                                               : options.hcrFraction,
-                    family.forceIncompressible ? 0.0
-                                               : options.lcrFraction);
+        World world(options);
         family.gen(options, world);
         replay::LlcTrace trace = world.takeTrace();
+        // entropy-hostile is compression-hostile by definition; the
+        // other families honour the requested content mix.
+        const bool hostile = family.forceIncompressible;
+        PayloadSynth synth(
+            workload::ContentMix::fromClassFractions(
+                hostile ? 0.0 : options.hcrFraction,
+                hostile ? 0.0 : options.lcrFraction),
+            options.seed);
+        synth.fillEcbs(trace.mutableEvents());
         synthesizeCaptureMeta(trace, name);
         return trace;
     }

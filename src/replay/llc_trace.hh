@@ -16,6 +16,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -51,6 +52,8 @@ class LlcTrace
     void append(const hybrid::LlcEvent &event) { events_.push_back(event); }
 
     const std::vector<hybrid::LlcEvent> &events() const { return events_; }
+    /** In-place access for batch fills of a field (e.g. ECB sizes). */
+    std::span<hybrid::LlcEvent> mutableEvents() { return events_; }
     std::size_t size() const { return events_.size(); }
 
     TraceMeta &meta() { return meta_; }

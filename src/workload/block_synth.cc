@@ -192,20 +192,30 @@ synthesizeOnce(Ce target, Xoshiro256StarStar &rng)
 BlockData
 synthesizeBlock(Ce target, std::uint64_t seed)
 {
+    return synthesizeBlockWithEcb(target, seed).data;
+}
+
+SynthesizedBlock
+synthesizeBlockWithEcb(Ce target, std::uint64_t seed)
+{
     Xoshiro256StarStar rng(mix64(seed));
     const unsigned want = compression::ecbSize(target);
 
+    SynthesizedBlock block;
     for (int attempt = 0; attempt < 8; ++attempt) {
-        BlockData data = synthesizeOnce(target, rng);
-        if (BdiCompressor::compress(data).ecbBytes == want)
-            return data;
+        block.data = synthesizeOnce(target, rng);
+        block.ecbBytes = BdiCompressor::compress(block.data).ecbBytes;
+        if (block.ecbBytes == want)
+            return block;
     }
     // Statistically unreachable for the constructions above; fall back to
-    // the last attempt rather than looping forever.
+    // one more attempt rather than looping forever.
     warn("synthesizeBlock: could not hit target CE %s for seed %llu",
          std::string(ceInfo(target).name).c_str(),
          static_cast<unsigned long long>(seed));
-    return synthesizeOnce(target, rng);
+    block.data = synthesizeOnce(target, rng);
+    block.ecbBytes = BdiCompressor::compress(block.data).ecbBytes;
+    return block;
 }
 
 } // namespace hllc::workload

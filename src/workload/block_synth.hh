@@ -54,11 +54,26 @@ class ContentMix
     std::array<double, compression::numCe> cumulative_;
 };
 
+/** Synthesized contents plus the BDI verdict on exactly those bytes. */
+struct SynthesizedBlock
+{
+    BlockData data{};
+    unsigned ecbBytes = 0; //!< BDI ECB size of @c data
+};
+
 /**
  * Produce contents whose best BDI encoding is @p target.
  * Deterministic in (target, seed).
  */
 BlockData synthesizeBlock(compression::Ce target, std::uint64_t seed);
+
+/**
+ * synthesizeBlock() together with the BDI ECB size of the returned
+ * contents, taken from the compression the verification loop already
+ * ran (so callers need not compress the same 64 bytes again).
+ */
+SynthesizedBlock synthesizeBlockWithEcb(compression::Ce target,
+                                        std::uint64_t seed);
 
 } // namespace hllc::workload
 

@@ -330,6 +330,24 @@ TEST(IngestFixture, CommittedFixtureConvertsVerifiesAndPassesGolden)
     std::remove(manifest.c_str());
 }
 
+TEST(IngestFixture, CommittedFixtureConvertsToThePinnedTrace)
+{
+    // Run-against-run determinism cannot catch a deterministic change
+    // in the synthesized ECBs; the committed conversion (default
+    // ConvertOptions, see tests/corpus/README.md) can.
+    const std::string corpus(HLLC_TESTS_CORPUS_DIR);
+    const std::string out = "/tmp/hllc_test_ingest_pinned.hlt";
+    const std::string manifest = check::manifestPathFor(out);
+    ingest::convertChampSimFile(corpus + "/champsim_seed1.ct", out, {});
+    EXPECT_EQ(serial::readFileBytes(out),
+              serial::readFileBytes(corpus + "/champsim_seed1.hlt"));
+    EXPECT_EQ(serial::readFileBytes(manifest),
+              serial::readFileBytes(corpus +
+                                    "/champsim_seed1.hlt.manifest"));
+    std::remove(out.c_str());
+    std::remove(manifest.c_str());
+}
+
 TEST(IngestFixture, GzipContainerConvertsIdenticallyToRaw)
 {
     const auto fixture = ingest::synthesizeChampSimFixture(256, 5);

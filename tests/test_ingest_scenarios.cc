@@ -117,6 +117,49 @@ TEST(IngestScenarios, GenerationIsDeterministicInTheSeed)
     }
 }
 
+/** FNV-1a over every event's (block, type, ecb, core) bytes. */
+std::uint64_t
+eventDigest(const replay::LlcTrace &trace)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const auto feed = [&h](std::uint64_t v, int bytes) {
+        for (int i = 0; i < bytes; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+    };
+    for (const hybrid::LlcEvent &e : trace.events()) {
+        feed(e.blockNum, 8);
+        feed(static_cast<std::uint64_t>(e.type), 1);
+        feed(e.ecbBytes, 1);
+        feed(e.core, 1);
+    }
+    return h;
+}
+
+TEST(IngestScenarios, EveryFamilyMatchesItsPinnedDigest)
+{
+    // Pinned once from the generator; a change to any family's block
+    // stream or synthesized ECBs shows up here, which the run-against-
+    // run determinism test above cannot see.
+    const std::vector<std::pair<std::string, std::uint64_t>> pinned = {
+        { "kv-server", 0x703d207f3ad146d6ULL },
+        { "graph-analytics", 0xd62fbeb0e8f6410aULL },
+        { "analytics-scan", 0x7fb0a1c41d96f5f8ULL },
+        { "thrash", 0x270bd5d165f4cb45ULL },
+        { "multi-tenant", 0x6f25b720da3417fbULL },
+        { "phase-shift", 0x191e0119387b5485ULL },
+        { "entropy-hostile", 0xb97b1503f6b08f70ULL },
+    };
+    ASSERT_EQ(pinned.size(), ingest::scenarioCatalog().size());
+    for (const auto &[name, digest] : pinned) {
+        const std::uint64_t got = eventDigest(
+            ingest::generateScenario(name, smallOptions(4'000, 11)));
+        EXPECT_EQ(got, digest)
+            << name << ": 0x" << std::hex << got << std::dec;
+    }
+}
+
 TEST(IngestScenarios, WrittenTracesRoundTripWithVerifiedManifests)
 {
     const std::string out = "/tmp/hllc_test_scenario_manifest.hlt";

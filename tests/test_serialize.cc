@@ -284,8 +284,11 @@ class TraceCorpus : public ::testing::Test
         // deliberately torn/bit-flipped images the loader must reject
         std::FILE *f = std::fopen(path(), "wb");
         ASSERT_NE(f, nullptr);
-        ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f),
-                  bytes.size());
+        // An empty vector's data() may be null, which fwrite rejects.
+        if (!bytes.empty()) {
+            ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f),
+                      bytes.size());
+        }
         std::fclose(f);
     }
 };
