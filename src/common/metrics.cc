@@ -411,7 +411,6 @@ phaseName(Phase phase)
     switch (phase) {
       case Phase::Compression: return "compression";
       case Phase::FaultMapAge: return "fault_map";
-      case Phase::Replacement: return "replacement";
       case Phase::CheckpointWrite: return "checkpoint_write";
       case Phase::Count: break;
     }

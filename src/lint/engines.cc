@@ -1,46 +1,21 @@
-#include "analysis/engines.hh"
+#include "lint/engines.hh"
 
 #include <algorithm>
 #include <cctype>
 #include <deque>
+#include <functional>
 
-#include "lint/lint.hh"
-
-namespace hllc::analysis
+namespace hllc::lint
 {
 
 namespace
 {
 
-using lint::Finding;
-
-bool
-startsWith(const std::string &s, const std::string &prefix)
-{
-    return s.rfind(prefix, 0) == 0;
-}
-
-bool
-endsWith(const std::string &s, const std::string &suffix)
-{
-    return s.size() >= suffix.size() &&
-           s.compare(s.size() - suffix.size(), suffix.size(), suffix) ==
-               0;
-}
-
-/** Path without its extension, for the `.cc includes its .hh` pair. */
-std::string
-stemOf(const std::string &path)
-{
-    const std::size_t dot = path.rfind('.');
-    return dot == std::string::npos ? path : path.substr(0, dot);
-}
-
 void
 report(std::vector<Finding> &findings, const std::string &file,
        int line, const char *rule, std::string message)
 {
-    findings.push_back({ file, line, rule, std::move(message), "" });
+    findings.push_back({ file, line, rule, std::move(message) });
 }
 
 /** (file index, function index) key into the call graph. */
@@ -87,7 +62,7 @@ checkFailpointCoverage(const TreeIndex &tree,
     for (const FileIndex &file : tree.files) {
         // Tests may probe synthetic names on purpose; they neither
         // anchor a catalog entry nor get name-drift checked.
-        if (startsWith(file.path, "tests/"))
+        if (file.path.starts_with("tests/"))
             continue;
         for (const FailpointSite &site : file.failpoints) {
             site_names.insert(site.name);
@@ -139,7 +114,7 @@ checkFailpointCoverage(const TreeIndex &tree,
         for (const IdentRef &ref : file.refs) {
             if (ref.line < fn.bodyBegin || ref.line > fn.bodyEnd)
                 continue;
-            const auto it = by_name.find(file.symbols[ref.sym]);
+            const auto it = by_name.find(ref.name);
             if (it == by_name.end())
                 continue;
             for (const FnKey &callee : it->second) {
@@ -151,8 +126,8 @@ checkFailpointCoverage(const TreeIndex &tree,
 
     for (std::size_t f = 0; f < tree.files.size(); ++f) {
         const FileIndex &file = tree.files[f];
-        if (startsWith(file.path, "src/common/serialize.") ||
-            startsWith(file.path, "tests/")) {
+        if (file.path.starts_with("src/common/serialize.") ||
+            file.path.starts_with("tests/")) {
             continue;
         }
         for (const SyscallSite &site : file.syscalls) {
@@ -204,7 +179,7 @@ checkLockDiscipline(const TreeIndex &tree,
             visible_paths.insert("src/" + inc.path);
 
         for (const IdentRef &ref : file.refs) {
-            const std::string &name = file.symbols[ref.sym];
+            const std::string &name = ref.name;
             const auto decls = by_name.find(name);
             if (decls == by_name.end() || ref.qualified)
                 continue;
@@ -285,20 +260,14 @@ checkRngDiscipline(const TreeIndex &tree,
     static const char *const rule = "rng-discipline";
 
     for (const FileIndex &file : tree.files) {
-        if (startsWith(file.path, "src/common/rng."))
+        // The seeding contract binds the stream-scoped layers only.
+        if (!file.path.starts_with("src/sim/") &&
+            !file.path.starts_with("src/serve/") &&
+            !file.path.starts_with("src/ingest/")) {
             continue;
-        const bool stream_scoped = startsWith(file.path, "src/sim/") ||
-                                   startsWith(file.path, "src/serve/") ||
-                                   startsWith(file.path, "src/ingest/");
+        }
         for (const RngSite &site : file.rngSites) {
-            if (site.banned) {
-                report(findings, file.path, site.line, rule,
-                       "'" + site.name + "' outside common/rng: all"
-                       " randomness must flow through the"
-                       " Xoshiro256StarStar stream tree");
-                continue;
-            }
-            if (stream_scoped && !seedDerived(site.seedIdents)) {
+            if (!seedDerived(site.seedIdents)) {
                 report(findings, file.path, site.line, rule,
                        "Xoshiro256StarStar here is not seeded from"
                        " childStream/childSeed/fork or a seed-derived"
@@ -313,10 +282,28 @@ checkRngDiscipline(const TreeIndex &tree,
 //  schema-drift                                                    //
 // ---------------------------------------------------------------- //
 
+/**
+ * The authoritative exporter for each documented schema. Hardcoded —
+ * like lint/rules.cc layerDeps() — so that a stray string literal
+ * `"hllc-stats-v1"` in a test or in the torture driver's output
+ * matcher can never be mistaken for an exporter.
+ */
+const std::map<std::string, std::string> &
+schemaExporters()
+{
+    static const std::map<std::string, std::string> exporters = {
+        { "hllc-stats-v1", "src/common/metrics.cc" },
+        { "hllc-bench-v1", "bench/bench_micro.cpp" },
+        { "hllc-serve-bench-v1", "tools/hllc_loadgen.cpp" },
+        { "hllc-ingest-v1", "tools/hllc_ingest.cpp" },
+        { "hllc-failures-v1", "src/sim/resilience.cc" },
+        { "hllc-lint-v1", "src/lint/lint.cc" },
+    };
+    return exporters;
+}
+
 void
-checkSchemaDrift(const TreeIndex &tree,
-                 const std::map<std::string, std::set<std::string>>
-                     &tables,
+checkSchemaDrift(const TreeIndex &tree, const SchemaTables &tables,
                  std::vector<Finding> &findings)
 {
     static const char *const rule = "schema-drift";
@@ -361,82 +348,63 @@ checkSchemaDrift(const TreeIndex &tree,
 //  include-graph                                                   //
 // ---------------------------------------------------------------- //
 
+/**
+ * Include cycles among project headers: a cyclic header pair cannot
+ * both be self-contained. Sources are graph leaves; edges to headers
+ * outside the walked tree are ignored.
+ */
 void
 checkIncludeGraph(const TreeIndex &tree, std::vector<Finding> &findings)
 {
-    static const char *const rule = "include-graph";
-
-    std::map<std::string, std::vector<std::string>> header_graph;
+    std::map<std::string, std::vector<std::string>> graph;
     for (const FileIndex &file : tree.files) {
-        if (!endsWith(file.path, ".hh"))
+        if (!file.path.ends_with(".hh"))
             continue;
-        std::vector<std::string> edges;
+        std::vector<std::string> &edges = graph[file.path];
         for (const IncludeRef &inc : file.includes)
             edges.push_back("src/" + inc.path);
-        header_graph[file.path] = std::move(edges);
     }
-    lint::checkIncludeCycles(header_graph, findings);
 
-    for (const FileIndex &file : tree.files) {
-        const std::set<std::string> used = file.identifierSet();
-        for (const IncludeRef &inc : file.includes) {
-            const std::string resolved = "src/" + inc.path;
-            const FileIndex *header = tree.byPath(resolved);
-            if (header == nullptr || header == &file)
-                continue;
-            if (stemOf(resolved) == stemOf(file.path))
-                continue; // a .cc always includes its own header
-            bool any_decl = false;
-            bool any_used = false;
-            for (const Declaration &decl : header->decls) {
-                any_decl = true;
-                if (used.count(decl.name) != 0) {
-                    any_used = true;
-                    break;
+    enum class Color { White, Grey, Black };
+    std::map<std::string, Color> color;
+    std::vector<std::string> stack;
+    const std::function<void(const std::string &)> visit =
+        [&](const std::string &node) {
+            color[node] = Color::Grey;
+            stack.push_back(node);
+            for (const std::string &next : graph[node]) {
+                if (graph.find(next) == graph.end())
+                    continue;
+                const Color c = color.count(next) != 0 ? color[next]
+                                                       : Color::White;
+                if (c == Color::White) {
+                    visit(next);
+                } else if (c == Color::Grey) {
+                    std::string chain = next;
+                    for (auto it = std::find(stack.begin(), stack.end(),
+                                             next) + 1;
+                         it != stack.end(); ++it) {
+                        chain += " -> " + *it;
+                    }
+                    report(findings, node, 1, "include-graph",
+                           "include cycle: " + chain + " -> " + next);
                 }
             }
-            // A header providing nothing the indexer can see is given
-            // the benefit of the doubt.
-            if (any_decl && !any_used) {
-                report(findings, file.path, inc.line, rule,
-                       "include of \"" + inc.path + "\" is unused:"
-                       " none of the names it declares are referenced"
-                       " in this file");
-            }
-        }
+            stack.pop_back();
+            color[node] = Color::Black;
+        };
+    for (const auto &entry : graph) {
+        if (color.count(entry.first) == 0)
+            visit(entry.first);
     }
 }
 
 } // anonymous namespace
 
-const FileIndex *
-TreeIndex::byPath(const std::string &path) const
-{
-    for (const FileIndex &file : files) {
-        if (file.path == path)
-            return &file;
-    }
-    return nullptr;
-}
-
-const std::map<std::string, std::string> &
-schemaExporters()
-{
-    static const std::map<std::string, std::string> exporters = {
-        { "hllc-stats-v1", "src/common/metrics.cc" },
-        { "hllc-bench-v1", "bench/bench_micro.cpp" },
-        { "hllc-serve-bench-v1", "tools/hllc_loadgen.cpp" },
-        { "hllc-ingest-v1", "tools/hllc_ingest.cpp" },
-        { "hllc-failures-v1", "src/sim/resilience.cc" },
-        { "hllc-lint-v1", "src/lint/lint.cc" },
-    };
-    return exporters;
-}
-
-std::map<std::string, std::set<std::string>>
+SchemaTables
 parseSchemaTables(const std::string &text)
 {
-    std::map<std::string, std::set<std::string>> tables;
+    SchemaTables tables;
     static const std::string marker = "schema-keys:";
 
     std::vector<std::string> lines;
@@ -452,7 +420,7 @@ parseSchemaTables(const std::string &text)
     lines.push_back(std::move(current));
 
     for (std::size_t i = 0; i < lines.size(); ++i) {
-        if (lines[i].rfind(marker, 0) != 0)
+        if (!lines[i].starts_with(marker))
             continue;
         std::string schema = lines[i].substr(marker.size());
         schema.erase(0, schema.find_first_not_of(" \t"));
@@ -463,7 +431,7 @@ parseSchemaTables(const std::string &text)
         std::set<std::string> &keys = tables[schema];
         for (std::size_t j = i + 1; j < lines.size(); ++j) {
             const std::string &line = lines[j];
-            if (line.empty() || line.rfind("```", 0) == 0)
+            if (line.empty() || line.starts_with("```"))
                 break;
             std::string word;
             for (char c : line + " ") {
@@ -481,23 +449,15 @@ parseSchemaTables(const std::string &text)
 }
 
 std::vector<Finding>
-runSemanticEngines(const TreeIndex &tree,
-                   const std::map<std::string, std::set<std::string>>
-                       &schemaTables,
-                   const lint::Options &rules)
+runSemanticEngines(const TreeIndex &tree, const SchemaTables &schemaTables)
 {
     std::vector<Finding> findings;
-    if (rules.ruleEnabled("failpoint-coverage"))
-        checkFailpointCoverage(tree, findings);
-    if (rules.ruleEnabled("lock-discipline"))
-        checkLockDiscipline(tree, findings);
-    if (rules.ruleEnabled("rng-discipline"))
-        checkRngDiscipline(tree, findings);
-    if (rules.ruleEnabled("schema-drift"))
-        checkSchemaDrift(tree, schemaTables, findings);
-    if (rules.ruleEnabled("include-graph"))
-        checkIncludeGraph(tree, findings);
+    checkFailpointCoverage(tree, findings);
+    checkLockDiscipline(tree, findings);
+    checkRngDiscipline(tree, findings);
+    checkSchemaDrift(tree, schemaTables, findings);
+    checkIncludeGraph(tree, findings);
     return findings;
 }
 
-} // namespace hllc::analysis
+} // namespace hllc::lint

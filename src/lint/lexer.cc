@@ -136,7 +136,7 @@ lexRawString(Cursor &cur)
 /**
  * Consume a user-defined-literal suffix directly after a string or char
  * literal (`"x"_sv`, `'c'_w`, `"s"s`). Without this the suffix would
- * surface as a stray Identifier token, which the analysis indexer would
+ * surface as a stray Identifier token, which the indexer would
  * mistake for a reference.
  */
 std::string

@@ -3,14 +3,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
-#include <functional>
 #include <iterator>
 #include <map>
-#include <set>
 
 #include "common/error.hh"
 #include "common/numfmt.hh"
 #include "common/serialize.hh"
+#include "lint/engines.hh"
 
 namespace fs = std::filesystem;
 
@@ -34,13 +33,6 @@ readFile(const fs::path &path)
     const std::vector<std::uint8_t> bytes =
         serial::readFileBytes(path.string());
     return std::string(bytes.begin(), bytes.end());
-}
-
-/** `file|rule|line-text` — see formatBaseline(). */
-std::string
-baselineKey(const Finding &finding)
-{
-    return finding.file + "|" + finding.rule + "|" + finding.lineText;
 }
 
 /** JSON string escaping for the report emitter. */
@@ -68,6 +60,38 @@ jsonEscape(const std::string &text)
         }
     }
     return out;
+}
+
+/**
+ * The semantic engines over @p tree, then one waiver filter over the
+ * token and semantic findings alike (a `suppression` finding is never
+ * waivable). Sorted by file then line.
+ */
+std::vector<Finding>
+checkTree(const TreeIndex &tree, const SchemaTables &schemaTables)
+{
+    std::vector<Finding> all;
+    for (const FileIndex &file : tree.files)
+        all.insert(all.end(), file.findings.begin(), file.findings.end());
+    std::vector<Finding> semantic = runSemanticEngines(tree, schemaTables);
+    all.insert(all.end(), std::make_move_iterator(semantic.begin()),
+               std::make_move_iterator(semantic.end()));
+
+    std::erase_if(all, [&](const Finding &finding) {
+        const FileIndex *file = tree.byPath(finding.file);
+        return finding.rule != "suppression" && file != nullptr &&
+               std::any_of(file->waivers.begin(), file->waivers.end(),
+                           [&](const Waiver &waiver) {
+                               return waiver.covers(finding.rule,
+                                                    finding.line);
+                           });
+    });
+    std::stable_sort(all.begin(), all.end(),
+                     [](const Finding &a, const Finding &b) {
+                         return a.file != b.file ? a.file < b.file
+                                                 : a.line < b.line;
+                     });
+    return all;
 }
 
 } // anonymous namespace
@@ -114,135 +138,33 @@ collectLintFiles(const std::string &root_str,
     return files;
 }
 
-void
-checkIncludeCycles(
-    const std::map<std::string, std::vector<std::string>> &graph,
-    std::vector<Finding> &findings)
-{
-    enum class Color { White, Grey, Black };
-    std::map<std::string, Color> color;
-    std::vector<std::string> stack;
-
-    const std::function<void(const std::string &)> visit =
-        [&](const std::string &node) {
-            color[node] = Color::Grey;
-            stack.push_back(node);
-            const auto edges = graph.find(node);
-            if (edges != graph.end()) {
-                for (const std::string &next : edges->second) {
-                    if (graph.find(next) == graph.end())
-                        continue;
-                    const Color c = color.count(next) != 0
-                        ? color[next] : Color::White;
-                    if (c == Color::White) {
-                        visit(next);
-                    } else if (c == Color::Grey) {
-                        std::string chain = next;
-                        for (auto it = std::find(stack.begin(),
-                                                 stack.end(), next);
-                             it != stack.end(); ++it) {
-                            if (*it != next)
-                                chain += " -> " + *it;
-                        }
-                        chain += " -> " + next;
-                        findings.push_back(
-                            { node, 1, "include-graph",
-                              "include cycle: " + chain, "" });
-                    }
-                }
-            }
-            stack.pop_back();
-            color[node] = Color::Black;
-        };
-
-    for (const auto &entry : graph) {
-        if (color.count(entry.first) == 0 ||
-            color[entry.first] == Color::White) {
-            visit(entry.first);
-        }
-    }
-}
-
-void
-subtractBaseline(const std::string &baselineText, RunResult &result)
-{
-    std::multiset<std::string> baseline;
-    std::string line;
-    for (std::size_t i = 0; i <= baselineText.size(); ++i) {
-        if (i == baselineText.size() || baselineText[i] == '\n') {
-            if (!line.empty() && line[0] != '#')
-                baseline.insert(line);
-            line.clear();
-        } else if (baselineText[i] != '\r') {
-            line += baselineText[i];
-        }
-    }
-    std::vector<Finding> kept;
-    for (Finding &finding : result.findings) {
-        const auto it = baseline.find(baselineKey(finding));
-        if (it != baseline.end()) {
-            baseline.erase(it);
-            ++result.baselined;
-        } else {
-            kept.push_back(std::move(finding));
-        }
-    }
-    result.findings = std::move(kept);
-    result.staleBaseline = baseline.size();
-}
-
 RunResult
-lintTree(const std::string &root, const RunOptions &options)
+analyzeTree(const std::string &root, const std::vector<std::string> &paths)
 {
-    RunResult result;
     const fs::path root_path = root.empty() ? fs::path(".")
                                             : fs::path(root);
-    const std::vector<std::string> files =
-        collectLintFiles(root, options.paths);
+    TreeIndex tree;
+    for (const std::string &file : collectLintFiles(root, paths))
+        tree.files.push_back(indexFile(file, readFile(root_path / file)));
 
-    std::map<std::string, std::vector<std::string>> include_graph;
-    for (const std::string &file : files) {
-        const std::string content = readFile(root_path / file);
-        std::vector<Finding> found =
-            lintSource(file, content, options.rules);
-        result.findings.insert(result.findings.end(),
-                               std::make_move_iterator(found.begin()),
-                               std::make_move_iterator(found.end()));
-        ++result.filesScanned;
-        // Only headers participate in cycles; sources are graph leaves.
-        if (file.size() > 3 &&
-            file.compare(file.size() - 3, 3, ".hh") == 0) {
-            std::vector<std::string> edges;
-            for (const std::string &inc : projectIncludes(content))
-                edges.push_back("src/" + inc);
-            include_graph[file] = std::move(edges);
-        }
-    }
-    if (options.rules.ruleEnabled("include-graph"))
-        checkIncludeCycles(include_graph, result.findings);
+    SchemaTables schema_tables;
+    const fs::path experiments = root_path / "EXPERIMENTS.md";
+    std::error_code ec;
+    if (fs::is_regular_file(experiments, ec))
+        schema_tables = parseSchemaTables(readFile(experiments));
 
-    if (!options.baselinePath.empty()) {
-        subtractBaseline(readFile(root_path / options.baselinePath),
-                         result);
-    }
-
-    std::stable_sort(result.findings.begin(), result.findings.end(),
-                     [](const Finding &a, const Finding &b) {
-                         return a.file != b.file ? a.file < b.file
-                                                 : a.line < b.line;
-                     });
+    RunResult result;
+    result.findings = checkTree(tree, schema_tables);
+    result.filesScanned = tree.files.size();
     return result;
 }
 
-std::string
-formatBaseline(const std::vector<Finding> &findings)
+std::vector<Finding>
+lintSource(const std::string &path, const std::string &content)
 {
-    std::string out =
-        "# hllc_lint baseline: file|rule|offending line text.\n"
-        "# Regenerate with: hllc_lint --write-baseline <this file>\n";
-    for (const Finding &finding : findings)
-        out += baselineKey(finding) + "\n";
-    return out;
+    TreeIndex tree;
+    tree.files.push_back(indexFile(path, content));
+    return checkTree(tree, {});
 }
 
 std::string
@@ -256,14 +178,7 @@ formatText(const RunResult &result)
                ": [" + finding.rule + "] " + finding.message + "\n";
     }
     out += formatU64(result.findings.size()) + " finding(s) in " +
-           formatU64(result.filesScanned) + " file(s)";
-    if (result.baselined != 0)
-        out += ", " + formatU64(result.baselined) + " baselined";
-    if (result.staleBaseline != 0) {
-        out += ", " + formatU64(result.staleBaseline) +
-               " stale baseline entr(y/ies)";
-    }
-    out += "\n";
+           formatU64(result.filesScanned) + " file(s)\n";
     return out;
 }
 
@@ -278,9 +193,6 @@ formatJson(const RunResult &result)
 
     std::string out = "{\n  \"schema\": \"hllc-lint-v1\",\n";
     out += "  \"files_scanned\": " + formatU64(result.filesScanned) +
-           ",\n";
-    out += "  \"baselined\": " + formatU64(result.baselined) + ",\n";
-    out += "  \"stale_baseline\": " + formatU64(result.staleBaseline) +
            ",\n";
     out += "  \"counts\": {";
     bool first = true;

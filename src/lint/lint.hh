@@ -1,21 +1,19 @@
 /**
  * @file
- * The `hllc_lint` driver: tree walking, the cross-file include graph,
- * baseline handling and the text/JSON reporters.
+ * The `hllc_lint` driver: tree walking, one pass per file, the
+ * cross-file engines, waivers and the text/JSON reporters.
  *
- * The per-file engines live in lint/rules.hh; this layer adds what
- * needs more than one file: walking `src/ tools/ bench/ tests/
- * examples/`, detecting include cycles among project headers, and
- * subtracting a checked-in baseline so pre-existing findings can be
- * burned down without blocking CI. Baseline entries fingerprint the
- * offending line's text, not its number, so unrelated edits above a
- * waived line do not resurrect it.
+ * analyzeTree() walks `src/ tools/ bench/ tests/ examples/` (or the
+ * requested paths) and runs the per-file pass (lint/index.hh) over
+ * each file: one lex, from which the token rules run, the waivers are
+ * collected and the index is built. The semantic engines
+ * (lint/engines.hh) then run over the merged index, and one waiver
+ * filter covers token and semantic findings alike.
  */
 
 #ifndef HLLC_LINT_LINT_HH
 #define HLLC_LINT_LINT_HH
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -24,68 +22,40 @@
 namespace hllc::lint
 {
 
-/** A whole-run configuration. */
-struct RunOptions
-{
-    /** Rule enablement forwarded to lintSource(). */
-    Options rules;
-    /**
-     * Directories (or single files) to lint, relative to the root.
-     * Empty means the project default: src tools bench tests examples.
-     */
-    std::vector<std::string> paths;
-    /** Baseline file path ("" = no baseline). */
-    std::string baselinePath;
-};
-
 /** Outcome of linting a tree. */
 struct RunResult
 {
-    /** Findings after suppressions and baseline subtraction. */
+    /** Findings after waivers, sorted by file then line. */
     std::vector<Finding> findings;
-    /** How many findings the baseline absorbed. */
-    std::size_t baselined = 0;
-    /** Baseline entries that matched nothing (stale, worth pruning). */
-    std::size_t staleBaseline = 0;
     std::size_t filesScanned = 0;
 };
 
 /**
- * Lint every C++ source below @p root limited to @p options.paths.
- * Throws hllc::IoError when the root, a requested path, or the baseline
- * file cannot be read.
- */
-RunResult lintTree(const std::string &root, const RunOptions &options);
-
-/**
  * Sorted, de-duplicated repo-relative paths of every lintable C++ file
- * under @p paths (empty = the project default set). Shared with the
- * analysis/ driver so both walk the identical file set.
+ * under @p paths (empty = the project default set). Throws
+ * hllc::IoError when a requested path does not exist.
  */
 std::vector<std::string>
 collectLintFiles(const std::string &root,
                  const std::vector<std::string> &paths);
 
 /**
- * Report include cycles among project headers under rule
- * `include-graph`: a cyclic header pair cannot both be self-contained.
- * @p graph maps each header to the project headers it includes
- * (resolved paths; edges to nodes absent from the graph are ignored).
+ * Lint every C++ source below @p root limited to @p paths (empty =
+ * the project default set), under every rule. `<root>/EXPERIMENTS.md`,
+ * when present, supplies the schema-drift tables. Throws
+ * hllc::IoError when the root or a requested path cannot be read.
  */
-void checkIncludeCycles(
-    const std::map<std::string, std::vector<std::string>> &graph,
-    std::vector<Finding> &findings);
+RunResult analyzeTree(const std::string &root,
+                      const std::vector<std::string> &paths = {});
 
 /**
- * Subtract the checked-in baseline (text of the baseline file) from
- * @p result: matched findings are dropped and counted in `baselined`,
- * unmatched baseline entries in `staleBaseline`.
+ * Lint one translation unit as a one-file tree: @p path is the
+ * repo-relative path (it selects which rules apply and the expected
+ * include-guard name), @p content the file's text. Findings come back
+ * after waivers, sorted by line.
  */
-void subtractBaseline(const std::string &baselineText,
-                      RunResult &result);
-
-/** One `file|rule|line-text` baseline line per finding. */
-std::string formatBaseline(const std::vector<Finding> &findings);
+std::vector<Finding> lintSource(const std::string &path,
+                                const std::string &content);
 
 /** Human-readable report: `file:line: [rule] message`. */
 std::string formatText(const RunResult &result);

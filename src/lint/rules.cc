@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <map>
-#include <set>
-
-#include "lint/lexer.hh"
 
 namespace hllc::lint
 {
@@ -19,9 +16,9 @@ const char *const kAtomicRename = "atomic-rename";
 const char *const kLocale = "locale";
 const char *const kNoExit = "no-exit-in-library";
 const char *const kHeaderHygiene = "header-hygiene";
-// Semantic rules: engines live in analysis/engines.cc, but the names
-// are registered here so waivers, --no-rule and the JSON counts treat
-// them exactly like the token-level rules.
+// Semantic rules: engines live in lint/engines.cc, but the names are
+// registered here so waivers and the JSON counts treat them exactly
+// like the token-level rules.
 const char *const kFailpointCoverage = "failpoint-coverage";
 const char *const kLockDiscipline = "lock-discipline";
 const char *const kRngDiscipline = "rng-discipline";
@@ -30,30 +27,17 @@ const char *const kIncludeGraph = "include-graph";
 const char *const kSuppression = "suppression";
 
 bool
-startsWith(const std::string &s, const std::string &prefix)
-{
-    return s.rfind(prefix, 0) == 0;
-}
-
-bool
-endsWith(const std::string &s, const std::string &suffix)
-{
-    return s.size() >= suffix.size() &&
-           s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-bool
 isHeaderPath(const std::string &path)
 {
-    return endsWith(path, ".hh") || endsWith(path, ".h") ||
-           endsWith(path, ".hpp");
+    return path.ends_with(".hh") || path.ends_with(".h") ||
+           path.ends_with(".hpp");
 }
 
 /** The src/ module a path belongs to ("" when not under src/). */
 std::string
 moduleOf(const std::string &path)
 {
-    if (!startsWith(path, "src/"))
+    if (!path.starts_with("src/"))
         return "";
     const std::size_t slash = path.find('/', 4);
     if (slash == std::string::npos)
@@ -75,7 +59,6 @@ layerDeps()
         { "fault", { "common" } },
         { "cache", { "common" } },
         { "lint", { "common" } },
-        { "analysis", { "common", "lint" } },
         { "hybrid", { "common", "cache", "compression", "fault" } },
         { "workload", { "common", "compression" } },
         { "replay",
@@ -108,7 +91,7 @@ layerDeps()
 std::string
 expectedGuard(const std::string &path)
 {
-    std::string stem = startsWith(path, "src/") ? path.substr(4) : path;
+    std::string stem = path.starts_with("src/") ? path.substr(4) : path;
     const std::size_t dot = stem.rfind('.');
     if (dot != std::string::npos)
         stem = stem.substr(0, dot);
@@ -122,112 +105,29 @@ expectedGuard(const std::string &path)
     return guard + "_HH";
 }
 
-/** Trimmed copy of 1-based line @p line of @p content. */
-std::string
-lineAt(const std::vector<std::string> &lines, int line)
-{
-    if (line < 1 || static_cast<std::size_t>(line) > lines.size())
-        return "";
-    std::string s = lines[static_cast<std::size_t>(line) - 1];
-    const auto notspace = [](char c) {
-        return !std::isspace(static_cast<unsigned char>(c));
-    };
-    s.erase(s.begin(), std::find_if(s.begin(), s.end(), notspace));
-    s.erase(std::find_if(s.rbegin(), s.rend(), notspace).base(), s.end());
-    return s;
-}
-
-std::vector<std::string>
-splitLines(const std::string &content)
-{
-    std::vector<std::string> lines;
-    std::string current;
-    for (char c : content) {
-        if (c == '\n') {
-            lines.push_back(std::move(current));
-            current.clear();
-        } else if (c != '\r') {
-            current += c;
-        }
-    }
-    lines.push_back(std::move(current));
-    return lines;
-}
-
-/**
- * A token stream with the comments filtered out (rules reason about
- * code tokens by index) but kept on the side for suppressions.
- */
-struct CodeView
-{
-    std::vector<Token> code;
-    std::vector<Token> comments;
-
-    explicit CodeView(std::vector<Token> tokens)
-    {
-        for (Token &tok : tokens) {
-            if (tok.kind == TokKind::Comment)
-                comments.push_back(std::move(tok));
-            else
-                code.push_back(std::move(tok));
-        }
-    }
-
-    bool isPunct(std::size_t i, char c) const
-    {
-        return i < code.size() && code[i].kind == TokKind::Punct &&
-               code[i].text.size() == 1 && code[i].text[0] == c;
-    }
-    bool isIdent(std::size_t i, const char *text) const
-    {
-        return i < code.size() && code[i].kind == TokKind::Identifier &&
-               code[i].text == text;
-    }
-
-    /** tokens[i] reached via `.` or `->` (a member, not the std one). */
-    bool memberAccessBefore(std::size_t i) const
-    {
-        if (i >= 1 && isPunct(i - 1, '.'))
-            return true;
-        return i >= 2 && isPunct(i - 2, '-') && isPunct(i - 1, '>');
-    }
-
-    /** tokens[i] qualified as `<ns>::tokens[i]`; "" when unqualified. */
-    std::string qualifierBefore(std::size_t i) const
-    {
-        if (i >= 3 && isPunct(i - 1, ':') && isPunct(i - 2, ':') &&
-            code[i - 3].kind == TokKind::Identifier) {
-            return code[i - 3].text;
-        }
-        return "";
-    }
-
-    bool callAfter(std::size_t i) const { return isPunct(i + 1, '('); }
-};
-
 /** Context shared by the per-file rule engines. */
 struct FileLint
 {
     const std::string &path;
     const CodeView &view;
-    const std::vector<std::string> &lines;
-    std::vector<Finding> findings;
+    std::vector<Finding> &findings;
 
     void
     report(const char *rule, int line, std::string message)
     {
-        findings.push_back(
-            { path, line, rule, std::move(message), lineAt(lines, line) });
+        findings.push_back({ path, line, rule, std::move(message) });
     }
 };
 
 void
 checkDeterminism(FileLint &ctx)
 {
-    if (startsWith(ctx.path, "src/common/rng."))
+    if (ctx.path.starts_with("src/common/rng."))
         return;
-    // Engine types are banned wherever they appear; plain functions only
-    // when actually called (an identifier named `rand` is legal).
+    // The project's one RNG ban list (rng-discipline only checks how
+    // Xoshiro256StarStar is seeded). Engine types are banned wherever
+    // they appear; plain functions only when actually called (an
+    // identifier named `rand` is legal).
     static const std::set<std::string> engines = {
         "random_device", "mt19937",      "mt19937_64",
         "default_random_engine",         "minstd_rand",
@@ -279,7 +179,7 @@ checkDeterminism(FileLint &ctx)
 void
 checkAtomicIo(FileLint &ctx)
 {
-    if (startsWith(ctx.path, "src/common/serialize."))
+    if (ctx.path.starts_with("src/common/serialize."))
         return;
     static const std::set<std::string> types = { "ofstream", "wofstream",
                                                  "fstream" };
@@ -309,7 +209,7 @@ checkAtomicRename(FileLint &ctx)
     // serialize.cc owns the rename(2) that commits an atomic write (and
     // fsyncs the parent directory afterwards); everywhere else a raw
     // rename publishes a file whose durability is unknown.
-    if (startsWith(ctx.path, "src/common/serialize."))
+    if (ctx.path.starts_with("src/common/serialize."))
         return;
     static const std::set<std::string> calls = { "rename", "renameat",
                                                  "renameat2" };
@@ -334,7 +234,7 @@ checkAtomicRename(FileLint &ctx)
 void
 checkLocale(FileLint &ctx)
 {
-    if (startsWith(ctx.path, "src/common/numfmt."))
+    if (ctx.path.starts_with("src/common/numfmt."))
         return;
     static const std::set<std::string> calls = {
         "to_string", "setprecision", "stod",   "stof",   "stold",
@@ -362,8 +262,8 @@ checkNoExitInLibrary(FileLint &ctx)
 {
     // Only library code: CLI mains (tools/bench/examples) and tests may
     // terminate the process. logging owns the sanctioned sinks.
-    if (!startsWith(ctx.path, "src/") ||
-        startsWith(ctx.path, "src/common/logging.")) {
+    if (!ctx.path.starts_with("src/") ||
+        ctx.path.starts_with("src/common/logging.")) {
         return;
     }
     static const std::set<std::string> calls = {
@@ -387,7 +287,7 @@ checkNoExitInLibrary(FileLint &ctx)
 }
 
 void
-checkHeaderHygiene(FileLint &ctx, const std::vector<Token> &all_tokens)
+checkHeaderHygiene(FileLint &ctx)
 {
     const CodeView &v = ctx.view;
     const bool header = isHeaderPath(ctx.path);
@@ -396,29 +296,23 @@ checkHeaderHygiene(FileLint &ctx, const std::vector<Token> &all_tokens)
         // Include guard: the first two directives must be
         // #ifndef/#define of the path-derived name.
         const std::string want = expectedGuard(ctx.path);
-        std::vector<const Token *> directives;
-        for (const Token &tok : all_tokens) {
-            if (tok.kind == TokKind::Directive)
-                directives.push_back(&tok);
-        }
-        if (directives.size() < 2 ||
-            directives[0]->text != "ifndef" ||
-            directives[1]->text != "define" ||
-            directives[1]->payload != directives[0]->payload) {
+        const std::vector<Token> &directives = v.directives;
+        if (directives.size() < 2 || directives[0].text != "ifndef" ||
+            directives[1].text != "define" ||
+            directives[1].payload != directives[0].payload) {
             ctx.report(kHeaderHygiene,
-                       directives.empty() ? 1 : directives[0]->line,
+                       directives.empty() ? 1 : directives[0].line,
                        "header must open with the include guard"
                        " #ifndef/#define " + want);
-        } else if (directives[0]->payload != want) {
-            ctx.report(kHeaderHygiene, directives[0]->line,
-                       "include guard '" + directives[0]->payload +
+        } else if (directives[0].payload != want) {
+            ctx.report(kHeaderHygiene, directives[0].line,
+                       "include guard '" + directives[0].payload +
                        "' does not match the path-derived name '" +
                        want + "'");
         }
-        for (const Token *dir : directives) {
-            if (dir->text == "pragma" &&
-                startsWith(dir->payload, "once")) {
-                ctx.report(kHeaderHygiene, dir->line,
+        for (const Token &dir : directives) {
+            if (dir.text == "pragma" && dir.payload.starts_with("once")) {
+                ctx.report(kHeaderHygiene, dir.line,
                            "#pragma once: this project uses named"
                            " include guards (" + want + ")");
             }
@@ -439,8 +333,8 @@ checkHeaderHygiene(FileLint &ctx, const std::vector<Token> &all_tokens)
         return; // tools/bench/tests/examples may include anything
     const auto &deps = layerDeps();
     const auto self = deps.find(module);
-    for (const Token &tok : all_tokens) {
-        if (tok.kind != TokKind::Directive || tok.text != "include")
+    for (const Token &tok : v.directives) {
+        if (tok.text != "include")
             continue;
         const std::string &arg = tok.payload;
         if (arg.size() < 2 || arg.front() != '"')
@@ -473,47 +367,92 @@ checkHeaderHygiene(FileLint &ctx, const std::vector<Token> &all_tokens)
     }
 }
 
-/**
- * Parse suppression comments. A waiver covers its own line(s); when the
- * comment stands alone on its line it also covers the next line.
- * Malformed waivers (no justification, unknown rule) are reported when
- * @p ctx is non-null; parseWaivers() passes null because lintSource()
- * already reported them once.
- */
+} // anonymous namespace
+
+const std::vector<std::string> &
+allRules()
+{
+    static const std::vector<std::string> rules = {
+        kDeterminism,    kAtomicIo,      kAtomicRename,
+        kLocale,         kNoExit,        kHeaderHygiene,
+        kFailpointCoverage, kLockDiscipline, kRngDiscipline,
+        kSchemaDrift,    kIncludeGraph,  kSuppression,
+    };
+    return rules;
+}
+
+CodeView::CodeView(std::vector<Token> tokens)
+{
+    for (Token &tok : tokens) {
+        if (tok.kind == TokKind::Comment)
+            comments.push_back(std::move(tok));
+        else if (tok.kind == TokKind::Directive)
+            directives.push_back(std::move(tok));
+        else
+            code.push_back(std::move(tok));
+    }
+}
+
+std::size_t
+CodeView::matchParen(std::size_t open) const
+{
+    int depth = 0;
+    for (std::size_t i = open; i < code.size(); ++i) {
+        if (isPunct(i, '('))
+            ++depth;
+        else if (isPunct(i, ')') && --depth == 0)
+            return i + 1;
+    }
+    return code.size();
+}
+
+void
+checkTokenRules(const std::string &path, const CodeView &view,
+                std::vector<Finding> &findings)
+{
+    FileLint ctx{ path, view, findings };
+    checkDeterminism(ctx);
+    checkAtomicIo(ctx);
+    checkAtomicRename(ctx);
+    checkLocale(ctx);
+    checkNoExitInLibrary(ctx);
+    checkHeaderHygiene(ctx);
+}
+
 std::vector<Waiver>
-collectWaivers(const CodeView &view, std::size_t line_count,
-               FileLint *ctx, const Options &options)
+collectWaivers(const std::string &path, const CodeView &view,
+               std::vector<Finding> &findings)
 {
     static const std::string marker = "hllc-lint:";
+    FileLint ctx{ path, view, findings };
+    // Lines holding code; a directive line counts (a waiver above an
+    // #include covers it).
+    std::set<int> code_lines;
+    for (const Token &tok : view.code)
+        code_lines.insert(tok.line);
+    for (const Token &tok : view.directives)
+        code_lines.insert(tok.line);
+
     std::vector<Waiver> out;
     for (const Token &comment : view.comments) {
         const std::size_t at = comment.text.find(marker);
         if (at == std::string::npos)
             continue;
         std::size_t pos = at + marker.size();
-        const auto skipSpace = [&] {
-            while (pos < comment.text.size() &&
-                   std::isspace(
-                       static_cast<unsigned char>(comment.text[pos]))) {
-                ++pos;
-            }
-        };
-        skipSpace();
+        while (pos < comment.text.size() &&
+               std::isspace(static_cast<unsigned char>(comment.text[pos])))
+            ++pos;
         if (comment.text.compare(pos, 6, "allow(") != 0) {
-            if (ctx != nullptr) {
-                ctx->report(kSuppression, comment.line,
-                            "malformed waiver; expected 'hllc-lint:"
-                            " allow(RULE) JUSTIFICATION'");
-            }
+            ctx.report(kSuppression, comment.line,
+                       "malformed waiver; expected 'hllc-lint:"
+                       " allow(RULE) JUSTIFICATION'");
             continue;
         }
         pos += 6;
         const std::size_t close = comment.text.find(')', pos);
         if (close == std::string::npos) {
-            if (ctx != nullptr) {
-                ctx->report(kSuppression, comment.line,
-                            "unterminated 'allow(' in waiver");
-            }
+            ctx.report(kSuppression, comment.line,
+                       "unterminated 'allow(' in waiver");
             continue;
         }
         // Prose quoting the waiver syntax ("allow(RULE)", angle-bracket
@@ -540,11 +479,9 @@ collectWaivers(const CodeView &view, std::size_t line_count,
             if (c == ',' || c == ')') {
                 if (std::find(allRules().begin(), allRules().end(),
                               name) == allRules().end()) {
-                    if (ctx != nullptr) {
-                        ctx->report(kSuppression, comment.line,
-                                    "waiver names unknown rule '" +
-                                    name + "'");
-                    }
+                    ctx.report(kSuppression, comment.line,
+                               "waiver names unknown rule '" + name +
+                               "'");
                 } else {
                     sup.rules.insert(name);
                 }
@@ -553,122 +490,25 @@ collectWaivers(const CodeView &view, std::size_t line_count,
                 name += c;
             }
         }
-        std::string justification = comment.text.substr(close + 1);
-        const auto notspace = [](char c) {
-            return !std::isspace(static_cast<unsigned char>(c));
-        };
-        justification.erase(justification.begin(),
-                            std::find_if(justification.begin(),
-                                         justification.end(), notspace));
-        if (justification.empty() && ctx != nullptr &&
-            options.ruleEnabled(kSuppression)) {
-            ctx->report(kSuppression, comment.line,
-                        "waiver needs a justification after allow(...)");
+        const std::string justification = comment.text.substr(close + 1);
+        if (std::all_of(justification.begin(), justification.end(),
+                        [](char c) {
+                            return std::isspace(
+                                static_cast<unsigned char>(c));
+                        })) {
+            ctx.report(kSuppression, comment.line,
+                       "waiver needs a justification after allow(...)");
         }
         // A comment sharing its line with code waives that line. A
         // standalone comment (possibly continued over further comment
         // lines) waives the next line that holds code.
-        std::set<int> code_lines;
-        for (const Token &code : view.code)
-            code_lines.insert(code.line);
         if (code_lines.count(comment.line) == 0) {
-            int line = sup.lastLine + 1;
-            const int limit = static_cast<int>(line_count);
-            while (line < limit && code_lines.count(line) == 0)
-                ++line;
-            sup.lastLine = line;
+            const auto next = code_lines.upper_bound(sup.lastLine);
+            if (next != code_lines.end())
+                sup.lastLine = *next;
         }
         if (!sup.rules.empty())
             out.push_back(std::move(sup));
-    }
-    return out;
-}
-
-} // anonymous namespace
-
-const std::vector<std::string> &
-allRules()
-{
-    static const std::vector<std::string> rules = {
-        kDeterminism,    kAtomicIo,      kAtomicRename,
-        kLocale,         kNoExit,        kHeaderHygiene,
-        kFailpointCoverage, kLockDiscipline, kRngDiscipline,
-        kSchemaDrift,    kIncludeGraph,  kSuppression,
-    };
-    return rules;
-}
-
-bool
-Options::ruleEnabled(const std::string &rule) const
-{
-    return std::find(disabledRules.begin(), disabledRules.end(), rule) ==
-           disabledRules.end();
-}
-
-std::vector<Finding>
-lintSource(const std::string &path, const std::string &content,
-           const Options &options)
-{
-    const std::vector<Token> tokens = lex(content);
-    const CodeView view(tokens);
-    const std::vector<std::string> lines = splitLines(content);
-    FileLint ctx{ path, view, lines, {} };
-
-    if (options.ruleEnabled(kDeterminism))
-        checkDeterminism(ctx);
-    if (options.ruleEnabled(kAtomicIo))
-        checkAtomicIo(ctx);
-    if (options.ruleEnabled(kAtomicRename))
-        checkAtomicRename(ctx);
-    if (options.ruleEnabled(kLocale))
-        checkLocale(ctx);
-    if (options.ruleEnabled(kNoExit))
-        checkNoExitInLibrary(ctx);
-    if (options.ruleEnabled(kHeaderHygiene))
-        checkHeaderHygiene(ctx, tokens);
-
-    const std::vector<Waiver> waivers =
-        collectWaivers(view, lines.size(), &ctx, options);
-    std::vector<Finding> kept;
-    for (Finding &finding : ctx.findings) {
-        bool waived = false;
-        for (const Waiver &sup : waivers) {
-            if (finding.rule != kSuppression &&
-                sup.covers(finding.rule, finding.line)) {
-                waived = true;
-                break;
-            }
-        }
-        if (!waived)
-            kept.push_back(std::move(finding));
-    }
-    std::stable_sort(kept.begin(), kept.end(),
-                     [](const Finding &a, const Finding &b) {
-                         return a.line < b.line;
-                     });
-    return kept;
-}
-
-std::vector<Waiver>
-parseWaivers(const std::string &content)
-{
-    const CodeView view(lex(content));
-    return collectWaivers(view, splitLines(content).size(), nullptr,
-                          Options{});
-}
-
-std::vector<std::string>
-projectIncludes(const std::string &content)
-{
-    std::vector<std::string> out;
-    for (const Token &tok : lex(content)) {
-        if (tok.kind != TokKind::Directive || tok.text != "include")
-            continue;
-        if (tok.payload.size() >= 2 && tok.payload.front() == '"' &&
-            tok.payload.back() == '"') {
-            out.push_back(
-                tok.payload.substr(1, tok.payload.size() - 2));
-        }
     }
     return out;
 }

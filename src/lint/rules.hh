@@ -1,13 +1,16 @@
 /**
  * @file
- * The project-invariant rules `hllc_lint` enforces.
+ * The project-invariant rules `hllc_lint` enforces, and the per-file
+ * token view they run over.
  *
- * Each rule encodes a contract an earlier PR established the hard way
- * (see DESIGN.md §11 for the rule → bug mapping):
+ * Each rule encodes a contract an earlier change established the hard
+ * way (see DESIGN.md §11 for the rule → bug mapping). Six rules are
+ * token-local and run here, per file:
  *
- *  - `determinism`: no ambient randomness (rand(), std::random_device,
- *    time(nullptr) seeding, thread-id-derived values) outside
- *    common/rng — grid results must be byte-identical for any --jobs.
+ *  - `determinism`: no ambient randomness (the std engines,
+ *    rand()-family calls, time(nullptr) seeding, thread-id-derived
+ *    values) outside common/rng — grid results must be byte-identical
+ *    for any --jobs.
  *  - `atomic-io`: no raw std::ofstream/fopen file creation outside
  *    common/serialize — everything written goes through
  *    writeFileAtomic so a crash never leaves a torn file.
@@ -24,23 +27,9 @@
  *    `using namespace` in headers, and module includes that respect
  *    the CMake layering DAG.
  *
- * Five further rules are semantic: they need the whole-tree symbol
- * index built by src/analysis, so only their names live here (the
- * engines are in analysis/engines.hh):
- *
- *  - `failpoint-coverage`: fallible syscall wrapper sites must be
- *    reachable from a compiled-in HLLC_FAILPOINT, and failpoint name
- *    literals must exactly match the closed catalog in
- *    common/failpoint.cc.
- *  - `lock-discipline`: HLLC_GUARDED_BY(m) fields may only be touched
- *    under a MutexLock on m (the GCC-side stand-in for Clang's
- *    -Wthread-safety).
- *  - `rng-discipline`: RNG construction outside common/rng must be
- *    seeded through childStream/childSeed/fork, never ad hoc.
- *  - `schema-drift`: JSON keys in the hllc-*-v1 exporters must match
- *    the schema tables in EXPERIMENTS.md.
- *  - `include-graph`: no include cycles among project headers, no
- *    includes whose declared names the includer never references.
+ * Five rules are semantic: they run over the merged tree index
+ * (lint/engines.hh) — `failpoint-coverage`, `lock-discipline`,
+ * `rng-discipline`, `schema-drift` and `include-graph`.
  *
  * Findings can be waived inline with
  * `// hllc-lint: allow(<rule>[,<rule>...]) <justification>` on the
@@ -55,6 +44,8 @@
 #include <string>
 #include <vector>
 
+#include "lint/lexer.hh"
+
 namespace hllc::lint
 {
 
@@ -65,39 +56,59 @@ struct Finding
     int line = 0;     //!< 1-based
     std::string rule;
     std::string message;
-    /**
-     * The offending source line, whitespace-trimmed: the baseline
-     * fingerprint, stable across unrelated edits above the line.
-     */
-    std::string lineText;
 };
 
 /** Every rule name, in reporting order. */
 const std::vector<std::string> &allRules();
 
-/** Rule enablement (all on by default). */
-struct Options
+/**
+ * One file's token stream split three ways: code tokens (the rules and
+ * the indexer reason about them by index), preprocessor directives,
+ * and comments (where the waivers live).
+ */
+struct CodeView
 {
-    std::vector<std::string> disabledRules;
+    std::vector<Token> code;
+    std::vector<Token> directives;
+    std::vector<Token> comments;
 
-    bool ruleEnabled(const std::string &rule) const;
+    explicit CodeView(std::vector<Token> tokens);
+
+    bool isPunct(std::size_t i, char c) const
+    {
+        return i < code.size() && code[i].kind == TokKind::Punct &&
+               code[i].text.size() == 1 && code[i].text[0] == c;
+    }
+    /** An identifier at @p i (spelled @p text, when given). */
+    bool isIdent(std::size_t i, const char *text = nullptr) const
+    {
+        return i < code.size() && code[i].kind == TokKind::Identifier &&
+               (text == nullptr || code[i].text == text);
+    }
+
+    /** code[i] reached via `.` or `->` (a member, not the std one). */
+    bool memberAccessBefore(std::size_t i) const
+    {
+        if (i >= 1 && isPunct(i - 1, '.'))
+            return true;
+        return i >= 2 && isPunct(i - 2, '-') && isPunct(i - 1, '>');
+    }
+
+    /** code[i] qualified as `<ns>::code[i]`; "" when unqualified. */
+    std::string qualifierBefore(std::size_t i) const
+    {
+        if (i >= 3 && isPunct(i - 1, ':') && isPunct(i - 2, ':') &&
+            isIdent(i - 3)) {
+            return code[i - 3].text;
+        }
+        return "";
+    }
+
+    bool callAfter(std::size_t i) const { return isPunct(i + 1, '('); }
+
+    /** Index just past the `)` matching the `(` at @p open. */
+    std::size_t matchParen(std::size_t open) const;
 };
-
-/**
- * Lint one translation unit. @p path is the repo-relative path (it
- * selects which rules apply and the expected include-guard name);
- * @p content is the file's text. Suppression comments are honoured;
- * findings come back sorted by line.
- */
-std::vector<Finding> lintSource(const std::string &path,
-                                const std::string &content,
-                                const Options &options = {});
-
-/**
- * Project-internal `#include "..."` targets of @p content, for the
- * cross-file include-graph checks in lint.hh.
- */
-std::vector<std::string> projectIncludes(const std::string &content);
 
 /**
  * One `hllc-lint: allow(...)` waiver and the line range it covers (a
@@ -118,12 +129,21 @@ struct Waiver
 };
 
 /**
- * The well-formed waivers of @p content, for layers (like analysis/)
- * that produce findings of their own and must honour the same inline
- * suppressions lintSource() applies. Malformed waivers are not
- * reported here — lintSource() owns the `suppression` rule.
+ * Run the six token-local rules over one file. @p path is the
+ * repo-relative path (it selects which rules apply and the expected
+ * include-guard name). Findings are not yet filtered by waivers.
  */
-std::vector<Waiver> parseWaivers(const std::string &content);
+void checkTokenRules(const std::string &path, const CodeView &view,
+                     std::vector<Finding> &findings);
+
+/**
+ * The well-formed waivers of one file. Malformed waivers (no
+ * justification, unknown rule) are appended to @p findings under rule
+ * `suppression`.
+ */
+std::vector<Waiver> collectWaivers(const std::string &path,
+                                   const CodeView &view,
+                                   std::vector<Finding> &findings);
 
 } // namespace hllc::lint
 

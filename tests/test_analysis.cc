@@ -1,10 +1,9 @@
 /**
  * @file
- * Semantic-analysis tests: per-engine mutation corpora (each bad
- * snippet must yield exactly ONE finding at the right file and line),
- * the clean counterparts, suppression/baseline semantics for the five
- * semantic rules, the incremental cache, the FileIndex serialization
- * round-trip and the SARIF report shape.
+ * Semantic-rule tests: per-engine mutation corpora (each bad snippet
+ * must yield exactly ONE finding of its rule at the right file and
+ * line), the clean counterparts, waiver semantics for the five
+ * semantic rules, and the whole-tree self-checks.
  *
  * Every corpus snippet lives in a C++ string literal so the linter —
  * which also scans tests/ — sees them as string tokens and stays quiet
@@ -20,12 +19,9 @@
 #include <vector>
 #include <unistd.h>
 
-#include "analysis/analysis.hh"
-#include "analysis/engines.hh"
-#include "analysis/index.hh"
-#include "common/error.hh"
 #include "common/numfmt.hh"
 #include "common/serialize.hh"
+#include "lint/engines.hh"
 #include "lint/lint.hh"
 
 namespace
@@ -64,29 +60,15 @@ class TempTree
     fs::path root_;
 };
 
-/** Options with every rule disabled except @p rule. */
-lint::Options
-only(const std::string &rule)
-{
-    lint::Options options;
-    for (const std::string &name : lint::allRules()) {
-        if (name != rule)
-            options.disabledRules.push_back(name);
-    }
-    return options;
-}
-
+/** The findings of rule @p rule from linting the tree's src/. */
 lint::RunResult
-runRule(const TempTree &tree, const std::string &rule,
-        analysis::RunStats *stats = nullptr,
-        const std::string &cache = "", const std::string &baseline = "")
+runRule(const TempTree &tree, const std::string &rule)
 {
-    analysis::RunOptions options;
-    options.rules = only(rule);
-    options.paths = { "src" };
-    options.cachePath = cache;
-    options.baselinePath = baseline;
-    return analysis::analyzeTree(tree.rootStr(), options, stats);
+    lint::RunResult result = lint::analyzeTree(tree.rootStr(), { "src" });
+    std::erase_if(result.findings, [&](const lint::Finding &finding) {
+        return finding.rule != rule;
+    });
+    return result;
 }
 
 /** The catalog fixture: allFailpoints() with "cache.io" (+ extras). */
@@ -242,16 +224,30 @@ TEST(AnalysisLock, UnrelatedSameNameWithoutIncludeIsNotFlagged)
 
 TEST(AnalysisRng, BannedEngineIsExactlyOneFinding)
 {
+    // Under every rule, each banned source is reported once, by
+    // determinism; rng-discipline only owns the Xoshiro seeding check.
     TempTree tree;
-    tree.add("src/cache/r.cc",
-             "void f() { std::mt19937 gen; gen(); }\n");
+    tree.add("src/sim/r.cc",
+             "void f() {\n"
+             "    std::mt19937 gen;\n"
+             "    int x = rand();\n"
+             "    rng::Xoshiro256StarStar r(12345);\n"
+             "}\n");
 
-    const lint::RunResult result = runRule(tree, "rng-discipline");
-    ASSERT_EQ(result.findings.size(), 1u);
-    EXPECT_EQ(result.findings[0].file, "src/cache/r.cc");
-    EXPECT_EQ(result.findings[0].line, 1);
+    const lint::RunResult result =
+        lint::analyzeTree(tree.rootStr(), { "src" });
+    ASSERT_EQ(result.findings.size(), 3u);
+    EXPECT_EQ(result.findings[0].file, "src/sim/r.cc");
+    EXPECT_EQ(result.findings[0].line, 2);
+    EXPECT_EQ(result.findings[0].rule, "determinism");
     EXPECT_NE(result.findings[0].message.find("mt19937"),
               std::string::npos);
+    EXPECT_EQ(result.findings[1].line, 3);
+    EXPECT_EQ(result.findings[1].rule, "determinism");
+    EXPECT_NE(result.findings[1].message.find("rand()"),
+              std::string::npos);
+    EXPECT_EQ(result.findings[2].line, 4);
+    EXPECT_EQ(result.findings[2].rule, "rng-discipline");
 }
 
 TEST(AnalysisRng, AdHocXoshiroSeedInSimIsExactlyOneFinding)
@@ -355,7 +351,7 @@ TEST(AnalysisSchema, MatchingTableIsClean)
 
 TEST(AnalysisSchema, ParseSchemaTablesShape)
 {
-    const auto tables = analysis::parseSchemaTables(
+    const auto tables = lint::parseSchemaTables(
         "intro prose\n"
         "schema-keys: hllc-stats-v1\n"
         "schema cells\n"
@@ -378,34 +374,6 @@ TEST(AnalysisSchema, ParseSchemaTablesShape)
 // include-graph
 // --------------------------------------------------------------------
 
-TEST(AnalysisInclude, UnusedIncludeIsExactlyOneFinding)
-{
-    TempTree tree;
-    tree.add("src/cache/used.hh", "struct Foo { int x; };\n");
-    tree.add("src/cache/unused.hh", "struct Bar { int y; };\n");
-    tree.add("src/cache/user.cc",
-             "#include \"cache/used.hh\"\n"
-             "#include \"cache/unused.hh\"\n"
-             "Foo makeFoo() { return Foo{}; }\n");
-
-    const lint::RunResult result = runRule(tree, "include-graph");
-    ASSERT_EQ(result.findings.size(), 1u);
-    EXPECT_EQ(result.findings[0].file, "src/cache/user.cc");
-    EXPECT_EQ(result.findings[0].line, 2);
-    EXPECT_NE(result.findings[0].message.find("cache/unused.hh"),
-              std::string::npos);
-}
-
-TEST(AnalysisInclude, OwnHeaderIsExemptFromUnusedCheck)
-{
-    TempTree tree;
-    tree.add("src/cache/impl.hh", "struct Impl { int z; };\n");
-    tree.add("src/cache/impl.cc",
-             "#include \"cache/impl.hh\"\n"
-             "int unrelated() { return 0; }\n");
-    EXPECT_TRUE(runRule(tree, "include-graph").findings.empty());
-}
-
 TEST(AnalysisInclude, HeaderCycleIsReported)
 {
     TempTree tree;
@@ -427,8 +395,8 @@ TEST(AnalysisInclude, HeaderCycleIsReported)
 TEST(AnalysisSuppression, InlineWaiverCoversSemanticFindings)
 {
     TempTree tree;
-    tree.add("src/cache/r.cc",
-             "void f() { std::mt19937 g; g(); }"
+    tree.add("src/sim/s.cc",
+             "void f() { rng::Xoshiro256StarStar r(12345); }"
              " // hllc-lint: allow(rng-discipline) corpus\n");
     EXPECT_TRUE(runRule(tree, "rng-discipline").findings.empty());
 }
@@ -447,8 +415,8 @@ TEST(AnalysisSuppression, StandaloneWaiverCoversNextLine)
 TEST(AnalysisSuppression, WaiverForOtherRuleDoesNotCover)
 {
     TempTree tree;
-    tree.add("src/cache/r.cc",
-             "void f() { std::mt19937 g; g(); }"
+    tree.add("src/sim/s.cc",
+             "void f() { rng::Xoshiro256StarStar r(12345); }"
              " // hllc-lint: allow(determinism) wrong rule\n");
     EXPECT_EQ(runRule(tree, "rng-discipline").findings.size(), 1u);
 }
@@ -463,186 +431,15 @@ TEST(AnalysisSuppression, WaiversCoverLockAndIncludeRules)
              "    // hllc-lint: allow(lock-discipline) corpus\n"
              "    void bad() { hits_ = 2; }\n"
              "};\n");
-    tree.add("src/cache/used.hh", "struct Foo { int x; };\n");
-    tree.add("src/cache/user.cc",
-             "// hllc-lint: allow(include-graph) re-export\n"
-             "#include \"cache/used.hh\"\n"
-             "int unrelated() { return 0; }\n");
+    // A cycle is reported at line 1 of a header on it.
+    tree.add("src/cache/a.hh",
+             "#include \"cache/b.hh\" // hllc-lint: allow(include-graph)"
+             " corpus\n");
+    tree.add("src/cache/b.hh",
+             "#include \"cache/a.hh\" // hllc-lint: allow(include-graph)"
+             " corpus\n");
     EXPECT_TRUE(runRule(tree, "lock-discipline").findings.empty());
     EXPECT_TRUE(runRule(tree, "include-graph").findings.empty());
-}
-
-TEST(AnalysisSuppression, BaselineAbsorbsAndReportsStale)
-{
-    TempTree tree;
-    tree.add("src/cache/r.cc",
-             "void f() { std::mt19937 g; g(); }\n");
-
-    lint::RunResult first = runRule(tree, "rng-discipline");
-    ASSERT_EQ(first.findings.size(), 1u);
-    // Semantic findings must carry the line-text fingerprint so the
-    // baseline stays stable across unrelated edits above them.
-    EXPECT_EQ(first.findings[0].lineText,
-              "void f() { std::mt19937 g; g(); }");
-
-    const std::string baseline =
-        lint::formatBaseline(first.findings) +
-        "src/cache/gone.cc|rng-discipline|stale entry\n";
-    tree.add("lint.baseline", baseline);
-
-    const lint::RunResult second =
-        runRule(tree, "rng-discipline", nullptr, "", "lint.baseline");
-    EXPECT_TRUE(second.findings.empty());
-    EXPECT_EQ(second.baselined, 1u);
-    EXPECT_EQ(second.staleBaseline, 1u);
-}
-
-// --------------------------------------------------------------------
-// Incremental cache.
-// --------------------------------------------------------------------
-
-TEST(AnalysisCache, WarmRunHitsEveryFileAndKeepsFindings)
-{
-    TempTree tree;
-    tree.add("src/cache/a.cc", "int a() { return 1; }\n");
-    tree.add("src/cache/b.cc", "void f() { std::mt19937 g; g(); }\n");
-    const std::string cache = tree.rootStr() + "/.cache";
-
-    analysis::RunStats cold, warm;
-    const lint::RunResult first =
-        runRule(tree, "rng-discipline", &cold, cache);
-    EXPECT_EQ(cold.filesIndexed, 2u);
-    EXPECT_EQ(cold.cacheHits, 0u);
-    ASSERT_EQ(first.findings.size(), 1u);
-
-    const lint::RunResult second =
-        runRule(tree, "rng-discipline", &warm, cache);
-    EXPECT_EQ(warm.cacheHits, 2u);
-    ASSERT_EQ(second.findings.size(), 1u);
-    EXPECT_EQ(second.findings[0].file, first.findings[0].file);
-    EXPECT_EQ(second.findings[0].line, first.findings[0].line);
-}
-
-TEST(AnalysisCache, EditedFileMissesOnlyItself)
-{
-    TempTree tree;
-    tree.add("src/cache/a.cc", "int a() { return 1; }\n");
-    tree.add("src/cache/b.cc", "int b() { return 2; }\n");
-    const std::string cache = tree.rootStr() + "/.cache";
-
-    runRule(tree, "rng-discipline", nullptr, cache);
-    tree.add("src/cache/a.cc", "int a() { return 42; }\n");
-
-    analysis::RunStats stats;
-    runRule(tree, "rng-discipline", &stats, cache);
-    EXPECT_EQ(stats.cacheHits, 1u);
-}
-
-TEST(AnalysisCache, RuleSetChangeInvalidatesTheCache)
-{
-    TempTree tree;
-    tree.add("src/cache/a.cc", "int a() { return 1; }\n");
-    const std::string cache = tree.rootStr() + "/.cache";
-
-    runRule(tree, "rng-discipline", nullptr, cache);
-    analysis::RunStats stats;
-    runRule(tree, "lock-discipline", &stats, cache);
-    EXPECT_EQ(stats.cacheHits, 0u);
-}
-
-TEST(AnalysisCache, CorruptCacheIsDiscardedNotTrusted)
-{
-    TempTree tree;
-    tree.add("src/cache/a.cc", "int a() { return 1; }\n");
-    const std::string cache = tree.rootStr() + "/.cache";
-
-    runRule(tree, "rng-discipline", nullptr, cache);
-    const std::string junk = "not a container";
-    serial::writeFileAtomic(cache, junk.data(), junk.size());
-
-    analysis::RunStats stats;
-    const lint::RunResult result =
-        runRule(tree, "rng-discipline", &stats, cache);
-    EXPECT_EQ(stats.cacheHits, 0u);
-    EXPECT_TRUE(result.findings.empty());
-}
-
-TEST(AnalysisCache, TokenLevelFindingsReplayFromCache)
-{
-    TempTree tree;
-    tree.add("src/cache/bad.cc", "int g() { return rand(); }\n");
-    const std::string cache = tree.rootStr() + "/.cache";
-
-    const lint::RunResult first =
-        runRule(tree, "determinism", nullptr, cache);
-    ASSERT_EQ(first.findings.size(), 1u);
-
-    analysis::RunStats stats;
-    const lint::RunResult second =
-        runRule(tree, "determinism", &stats, cache);
-    EXPECT_EQ(stats.cacheHits, 1u);
-    ASSERT_EQ(second.findings.size(), 1u);
-    EXPECT_EQ(second.findings[0].rule, "determinism");
-    EXPECT_EQ(second.findings[0].line, first.findings[0].line);
-}
-
-// --------------------------------------------------------------------
-// FileIndex serialization.
-// --------------------------------------------------------------------
-
-TEST(AnalysisIndex, EncodeDecodeRoundTrip)
-{
-    const std::string source =
-        "#include \"cache/reg.hh\"\n"
-        "struct Reg {\n"
-        "    Mutex mutex_;\n"
-        "    int hits_ HLLC_GUARDED_BY(mutex_);\n"
-        "};\n"
-        "void g() { HLLC_FAILPOINT(\"cache.io\"); ::open(\"f\", 0); }\n";
-    const analysis::FileIndex index =
-        analysis::buildFileIndex("src/cache/x.cc", source);
-
-    serial::Encoder enc;
-    analysis::encodeFileIndex(enc, index);
-    serial::Decoder dec(enc.bytes());
-    const analysis::FileIndex back = analysis::decodeFileIndex(dec);
-
-    EXPECT_EQ(back.path, index.path);
-    EXPECT_EQ(back.contentHash, index.contentHash);
-    EXPECT_EQ(back.symbols, index.symbols);
-    EXPECT_EQ(back.refs.size(), index.refs.size());
-    ASSERT_EQ(back.includes.size(), 1u);
-    EXPECT_EQ(back.includes[0].path, "cache/reg.hh");
-    ASSERT_EQ(back.guardedFields.size(), 1u);
-    EXPECT_EQ(back.guardedFields[0].name, "hits_");
-    EXPECT_EQ(back.guardedFields[0].mutex, "mutex_");
-    ASSERT_EQ(back.failpoints.size(), 1u);
-    EXPECT_EQ(back.failpoints[0].name, "cache.io");
-    ASSERT_EQ(back.syscalls.size(), 1u);
-    EXPECT_EQ(back.syscalls[0].name, "open");
-    EXPECT_EQ(back.identifierSet(), index.identifierSet());
-}
-
-// --------------------------------------------------------------------
-// SARIF report.
-// --------------------------------------------------------------------
-
-TEST(AnalysisSarif, ReportCarriesRuleFileAndLine)
-{
-    TempTree tree;
-    tree.add("src/cache/r.cc",
-             "void f() { std::mt19937 g; g(); }\n");
-    const lint::RunResult result = runRule(tree, "rng-discipline");
-    ASSERT_EQ(result.findings.size(), 1u);
-
-    const std::string sarif = analysis::formatSarif(result);
-    EXPECT_NE(sarif.find("\"version\": \"2.1.0\""), std::string::npos);
-    EXPECT_NE(sarif.find("\"name\": \"hllc_lint\""), std::string::npos);
-    EXPECT_NE(sarif.find("\"ruleId\": \"rng-discipline\""),
-              std::string::npos);
-    EXPECT_NE(sarif.find("\"uri\": \"src/cache/r.cc\""),
-              std::string::npos);
-    EXPECT_NE(sarif.find("\"startLine\": 1"), std::string::npos);
 }
 
 // --------------------------------------------------------------------
@@ -656,9 +453,7 @@ TEST(AnalysisSelfCheck, RepositoryTreeIsCleanUnderEveryRule)
         fs::path(HLLC_TESTS_CORPUS_DIR).parent_path().parent_path();
     if (!fs::is_regular_file(repo_root / "src/lint/rules.cc"))
         GTEST_SKIP() << "repo sources not present";
-    analysis::RunOptions options;
-    const lint::RunResult result =
-        analysis::analyzeTree(repo_root.string(), options);
+    const lint::RunResult result = lint::analyzeTree(repo_root.string());
     for (const lint::Finding &finding : result.findings) {
         ADD_FAILURE() << finding.file << ":" << finding.line << " ["
                       << finding.rule << "] " << finding.message;
@@ -684,27 +479,27 @@ TEST(AnalysisCatalogPin, EveryCatalogNameHasASiteAndViceVersa)
     // Index the real src/ + tools/ trees and compare the catalog
     // against the union of HLLC_FAILPOINT/shouldFail literal sites —
     // set-based, so reordering the catalog stays legal.
-    analysis::TreeIndex tree;
+    lint::TreeIndex tree;
     const std::vector<std::string> walk = { "src", "tools" };
     for (const std::string &rel :
          lint::collectLintFiles(repo_root.string(), walk)) {
         const std::vector<std::uint8_t> bytes =
             serial::readFileBytes((repo_root / rel).string());
-        tree.files.push_back(analysis::buildFileIndex(
+        tree.files.push_back(lint::indexFile(
             rel, std::string(bytes.begin(), bytes.end())));
     }
 
     std::set<std::string> catalog;
-    const analysis::FileIndex *cat =
+    const lint::FileIndex *cat =
         tree.byPath("src/common/failpoint.cc");
     ASSERT_NE(cat, nullptr);
-    for (const analysis::CatalogEntry &entry : cat->catalog)
+    for (const lint::CatalogEntry &entry : cat->catalog)
         catalog.insert(entry.name);
     ASSERT_GE(catalog.size(), 15u);
 
     std::set<std::string> sites;
-    for (const analysis::FileIndex &file : tree.files) {
-        for (const analysis::FailpointSite &site : file.failpoints)
+    for (const lint::FileIndex &file : tree.files) {
+        for (const lint::FailpointSite &site : file.failpoints)
             sites.insert(site.name);
     }
     EXPECT_EQ(catalog, sites);

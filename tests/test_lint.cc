@@ -2,8 +2,8 @@
  * @file
  * hllc_lint engine tests: a small corpus of bad snippets (one per
  * rule), false-positive traps (banned keywords inside strings and
- * comments must stay silent), suppression-comment semantics, baseline
- * subtraction, the include-cycle detector and the report formats.
+ * comments must stay silent), suppression-comment semantics, the tree
+ * walk, the include-cycle detector and the report formats.
  *
  * Every corpus snippet lives in a C++ string literal, so the linter —
  * which also scans tests/ — sees them as string tokens and stays quiet
@@ -35,10 +35,9 @@ using namespace hllc;
 // --------------------------------------------------------------------
 
 std::vector<lint::Finding>
-run(const std::string &path, const std::string &source,
-    const lint::Options &options = {})
+run(const std::string &path, const std::string &source)
 {
-    return lint::lintSource(path, source, options);
+    return lint::lintSource(path, source);
 }
 
 /** Number of findings for @p rule. */
@@ -52,14 +51,6 @@ countRule(const std::vector<lint::Finding> &findings,
             ++n;
     }
     return n;
-}
-
-lint::Options
-without(const std::string &rule)
-{
-    lint::Options options;
-    options.disabledRules.push_back(rule);
-    return options;
 }
 
 /** A header body with the correct guard for src/cache/corpus.hh. */
@@ -81,10 +72,9 @@ TEST(LintDeterminism, FiresOnRandCall)
     const std::string src = "int f() { return rand(); }\n";
     EXPECT_EQ(countRule(run("src/cache/corpus.cc", src),
                         "determinism"), 1u);
-    // The corpus snippet is exactly what proves the engine is live:
-    // disabling the rule must silence it.
-    EXPECT_EQ(countRule(run("src/cache/corpus.cc", src,
-                            without("determinism")), "determinism"), 0u);
+    // The corpus snippet is exactly what proves the engine is live: it
+    // is the only finding, reported once.
+    EXPECT_EQ(run("src/cache/corpus.cc", src).size(), 1u);
 }
 
 TEST(LintDeterminism, FiresOnEngineTypesAndClockSeeds)
@@ -134,8 +124,7 @@ TEST(LintAtomicIo, FiresOnRawFileCreation)
     const std::string src =
         "void f() { std::ofstream out(\"results.json\"); }\n";
     EXPECT_EQ(countRule(run("src/sim/corpus.cc", src), "atomic-io"), 1u);
-    EXPECT_EQ(countRule(run("src/sim/corpus.cc", src,
-                            without("atomic-io")), "atomic-io"), 0u);
+    EXPECT_EQ(run("src/sim/corpus.cc", src).size(), 1u);
 
     EXPECT_EQ(countRule(run("src/sim/corpus.cc",
                             "FILE *f = fopen(\"x\", \"w\");\n"),
@@ -159,9 +148,7 @@ TEST(LintAtomicRename, FiresOnRawRename)
         "void f() { std::rename(\"a.tmp\", \"a.json\"); }\n";
     EXPECT_EQ(countRule(run("src/sim/corpus.cc", src), "atomic-rename"),
               1u);
-    EXPECT_EQ(countRule(run("src/sim/corpus.cc", src,
-                            without("atomic-rename")),
-                        "atomic-rename"), 0u);
+    EXPECT_EQ(run("src/sim/corpus.cc", src).size(), 1u);
 
     // Unqualified C rename() and the *at variants are just as raw.
     EXPECT_EQ(countRule(run("tools/corpus.cpp",
@@ -206,8 +193,7 @@ TEST(LintLocale, FiresOnLocaleHonouringCalls)
 {
     const std::string src = "auto s = std::to_string(count);\n";
     EXPECT_EQ(countRule(run("src/sim/corpus.cc", src), "locale"), 1u);
-    EXPECT_EQ(countRule(run("src/sim/corpus.cc", src,
-                            without("locale")), "locale"), 0u);
+    EXPECT_EQ(run("src/sim/corpus.cc", src).size(), 1u);
 
     EXPECT_EQ(countRule(run("src/sim/corpus.cc",
                             "os << std::setprecision(4) << v;\n"),
@@ -239,9 +225,7 @@ TEST(LintNoExit, FiresInLibraryCodeOnly)
     const std::string src = "void f() { std::exit(1); }\n";
     EXPECT_EQ(countRule(run("src/cache/corpus.cc", src),
                         "no-exit-in-library"), 1u);
-    EXPECT_EQ(countRule(run("src/cache/corpus.cc", src,
-                            without("no-exit-in-library")),
-                        "no-exit-in-library"), 0u);
+    EXPECT_EQ(run("src/cache/corpus.cc", src).size(), 1u);
     EXPECT_EQ(countRule(run("src/cache/corpus.cc",
                             "void f() { abort(); }\n"),
                         "no-exit-in-library"), 1u);
@@ -274,9 +258,7 @@ TEST(LintHeaderHygiene, FiresOnGuardProblems)
         "#endif\n";
     EXPECT_EQ(countRule(run("src/cache/corpus.hh", wrong_guard),
                         "header-hygiene"), 1u);
-    EXPECT_EQ(countRule(run("src/cache/corpus.hh", wrong_guard,
-                            without("header-hygiene")),
-                        "header-hygiene"), 0u);
+    EXPECT_EQ(run("src/cache/corpus.hh", wrong_guard).size(), 1u);
 
     EXPECT_GE(countRule(run("src/cache/corpus.hh",
                             "#pragma once\nint f();\n"),
@@ -329,7 +311,7 @@ TEST(LintFalsePositives, KeywordsInStringsDoNotFire)
     const std::vector<lint::Finding> findings =
         run("src/cache/corpus.cc", src);
     EXPECT_TRUE(findings.empty())
-        << lint::formatText({ findings, 0, 0, 1 });
+        << lint::formatText({ findings, 1 });
 }
 
 TEST(LintFalsePositives, KeywordsInCommentsDoNotFire)
@@ -388,9 +370,7 @@ TEST(LintSuppression, MissingJustificationIsItselfAFinding)
     // The waiver still works, but its emptiness is reported.
     EXPECT_EQ(countRule(findings, "determinism"), 0u);
     EXPECT_EQ(countRule(findings, "suppression"), 1u);
-    EXPECT_EQ(countRule(run("src/cache/corpus.cc", src,
-                            without("suppression")), "suppression"),
-              0u);
+    EXPECT_EQ(findings.size(), 1u);
 }
 
 TEST(LintSuppression, UnknownRuleNameIsReported)
@@ -412,7 +392,7 @@ TEST(LintSuppression, ProseQuotingTheSyntaxIsIgnored)
 }
 
 // --------------------------------------------------------------------
-// Tree walking, include cycles, baseline, report formats.
+// Tree walking, include cycles, report formats.
 // --------------------------------------------------------------------
 
 /** A throwaway tree under /tmp, deleted on scope exit. */
@@ -442,32 +422,19 @@ class TempTree
     fs::path root_;
 };
 
-TEST(LintTree, WalksFindsAndBaselines)
+TEST(LintTree, WalksAndFinds)
 {
     TempTree tree;
     tree.add("src/cache/clean.cc", "int f() { return 1; }\n");
     tree.add("src/cache/bad.cc", "int g() { return rand(); }\n");
 
-    lint::RunOptions options;
-    options.paths = { "src" };
-    const lint::RunResult first = lint::lintTree(tree.rootStr(), options);
-    ASSERT_EQ(first.findings.size(), 1u);
-    EXPECT_EQ(first.findings[0].file, "src/cache/bad.cc");
-    EXPECT_EQ(first.findings[0].rule, "determinism");
-    EXPECT_EQ(first.findings[0].lineText, "int g() { return rand(); }");
-    EXPECT_EQ(first.filesScanned, 2u);
-
-    // A baseline built from the findings absorbs them on the next run;
-    // an entry matching nothing is counted stale.
-    tree.add("baseline.txt",
-             lint::formatBaseline(first.findings) +
-             "src/cache/clean.cc|locale|gone line\n");
-    options.baselinePath = "baseline.txt";
-    const lint::RunResult second =
-        lint::lintTree(tree.rootStr(), options);
-    EXPECT_TRUE(second.findings.empty());
-    EXPECT_EQ(second.baselined, 1u);
-    EXPECT_EQ(second.staleBaseline, 1u);
+    const lint::RunResult result =
+        lint::analyzeTree(tree.rootStr(), { "src" });
+    ASSERT_EQ(result.findings.size(), 1u);
+    EXPECT_EQ(result.findings[0].file, "src/cache/bad.cc");
+    EXPECT_EQ(result.findings[0].rule, "determinism");
+    EXPECT_EQ(result.findings[0].line, 1);
+    EXPECT_EQ(result.filesScanned, 2u);
 }
 
 TEST(LintTree, DetectsHeaderIncludeCycles)
@@ -480,10 +447,8 @@ TEST(LintTree, DetectsHeaderIncludeCycles)
              "#ifndef HLLC_CACHE_B_HH\n#define HLLC_CACHE_B_HH\n"
              "#include \"cache/a.hh\"\n#endif\n");
 
-    lint::RunOptions options;
-    options.paths = { "src" };
     const lint::RunResult result =
-        lint::lintTree(tree.rootStr(), options);
+        lint::analyzeTree(tree.rootStr(), { "src" });
     bool cycle_reported = false;
     for (const lint::Finding &finding : result.findings) {
         if (finding.rule == "include-graph" &&
@@ -493,25 +458,24 @@ TEST(LintTree, DetectsHeaderIncludeCycles)
     }
     EXPECT_TRUE(cycle_reported);
 
-    // The cycle detector is rule include-graph and obeys its switch.
-    options.rules = without("include-graph");
-    EXPECT_TRUE(lint::lintTree(tree.rootStr(), options).findings.empty());
+    // The guarded headers are otherwise clean: the cycle, reported
+    // once under rule include-graph, is the only finding.
+    EXPECT_EQ(result.findings.size(), 1u);
 }
 
 TEST(LintTree, MissingPathThrows)
 {
     TempTree tree;
     tree.add("src/ok.cc", "int f();\n");
-    lint::RunOptions options;
-    options.paths = { "no_such_dir" };
-    EXPECT_THROW(lint::lintTree(tree.rootStr(), options), IoError);
+    EXPECT_THROW(lint::analyzeTree(tree.rootStr(), { "no_such_dir" }),
+                 IoError);
 }
 
 TEST(LintReport, TextAndJsonShapes)
 {
     lint::RunResult result;
-    result.findings.push_back({ "src/cache/bad.cc", 3, "determinism",
-                                "msg \"quoted\"", "int x = rand();" });
+    result.findings.push_back(
+        { "src/cache/bad.cc", 3, "determinism", "msg \"quoted\"" });
     result.filesScanned = 2;
 
     const std::string text = lint::formatText(result);

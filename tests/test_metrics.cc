@@ -292,7 +292,7 @@ TEST(Metrics, PhaseTimersGateOnEnabled)
     const std::string report = metrics::PhaseTimers::report();
     EXPECT_NE(report.find("timer.compression calls=1"),
               std::string::npos);
-    EXPECT_NE(report.find("timer.replacement calls=0"),
+    EXPECT_NE(report.find("timer.fault_map calls=0"),
               std::string::npos);
 
     metrics::PhaseTimers::reset();

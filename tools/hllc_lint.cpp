@@ -1,36 +1,27 @@
 /**
  * @file
  * hllc_lint: enforce the project's hard-won invariants as named,
- * suppressible static-analysis rules (see DESIGN.md §11 and §14).
+ * suppressible static-analysis rules (see DESIGN.md §11).
  *
- * Usage: hllc_lint [--root DIR] [--format text|json|sarif]
- *                  [--baseline FILE] [--write-baseline FILE]
- *                  [--cache FILE] [--no-cache]
- *                  [--no-rule RULE]... [--list-rules] [--stats]
+ * Usage: hllc_lint [--root DIR] [--format text|json] [--list-rules]
  *                  [PATH...]
  *
  * PATHs are directories or files relative to --root (default: the
  * current directory); with none given the project default set
- * `src tools bench tests examples` is walked. The token-level rules
- * and the cross-file semantic engines (failpoint-coverage,
- * lock-discipline, rng-discipline, schema-drift, include-graph) run in
- * one pass, backed by the incremental index cache at
- * `<root>/.hllc-lint-cache` (override with --cache, disable with
- * --no-cache). Exit status: 0 when the tree is clean (beyond the
- * baseline), 1 when findings remain, 2 on usage or I/O errors — the
+ * `src tools bench tests examples` is walked. Every file is lexed once;
+ * the token-level rules and the cross-file semantic engines
+ * (failpoint-coverage, lock-discipline, rng-discipline, schema-drift,
+ * include-graph) run over that one pass. Exit status: 0 when the tree
+ * is clean, 1 when findings remain, 2 on usage or I/O errors — the
  * contract the CI lint job relies on.
  */
 
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <string>
 #include <vector>
 
-#include "analysis/analysis.hh"
 #include "common/error.hh"
-#include "common/logging.hh"
-#include "common/serialize.hh"
 #include "lint/lint.hh"
 
 using namespace hllc;
@@ -41,20 +32,11 @@ namespace
 int
 usage(const char *argv0)
 {
-    std::fprintf(
-        stderr,
-        "usage: %s [--root DIR] [--format text|json|sarif]\n"
-        "       [--baseline FILE] [--write-baseline FILE]\n"
-        "       [--cache FILE] [--no-cache]\n"
-        "       [--no-rule RULE]... [--list-rules] [--stats] [PATH...]\n",
-        argv0);
+    std::fprintf(stderr,
+                 "usage: %s [--root DIR] [--format text|json]"
+                 " [--list-rules] [PATH...]\n",
+                 argv0);
     return 2;
-}
-
-bool
-knownFormat(const std::string &format)
-{
-    return format == "text" || format == "json" || format == "sarif";
 }
 
 } // anonymous namespace
@@ -64,41 +46,16 @@ main(int argc, char **argv)
 {
     std::string root = ".";
     std::string format = "text";
-    std::string write_baseline;
-    std::string cache = ".hllc-lint-cache";
-    bool use_cache = true;
-    bool show_stats = false;
-    analysis::RunOptions options;
+    std::vector<std::string> paths;
 
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
-        const auto value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc)
-                fatal("%s requires a value", flag);
-            return argv[++i];
-        };
-        if (std::strcmp(arg, "--root") == 0) {
-            root = value("--root");
-        } else if (std::strcmp(arg, "--format") == 0) {
-            format = value("--format");
-            if (!knownFormat(format))
+        if (std::strcmp(arg, "--root") == 0 && i + 1 < argc) {
+            root = argv[++i];
+        } else if (std::strcmp(arg, "--format") == 0 && i + 1 < argc) {
+            format = argv[++i];
+            if (format != "text" && format != "json")
                 return usage(argv[0]);
-        } else if (std::strncmp(arg, "--format=", 9) == 0) {
-            format = arg + 9;
-            if (!knownFormat(format))
-                return usage(argv[0]);
-        } else if (std::strcmp(arg, "--baseline") == 0) {
-            options.baselinePath = value("--baseline");
-        } else if (std::strcmp(arg, "--write-baseline") == 0) {
-            write_baseline = value("--write-baseline");
-        } else if (std::strcmp(arg, "--cache") == 0) {
-            cache = value("--cache");
-        } else if (std::strcmp(arg, "--no-cache") == 0) {
-            use_cache = false;
-        } else if (std::strcmp(arg, "--stats") == 0) {
-            show_stats = true;
-        } else if (std::strcmp(arg, "--no-rule") == 0) {
-            options.rules.disabledRules.push_back(value("--no-rule"));
         } else if (std::strcmp(arg, "--list-rules") == 0) {
             for (const std::string &rule : lint::allRules())
                 std::printf("%s\n", rule.c_str());
@@ -110,50 +67,15 @@ main(int argc, char **argv)
         } else if (arg[0] == '-') {
             return usage(argv[0]);
         } else {
-            options.paths.push_back(arg);
+            paths.push_back(arg);
         }
-    }
-    for (const std::string &rule : options.rules.disabledRules) {
-        bool known = false;
-        for (const std::string &name : lint::allRules())
-            known = known || name == rule;
-        if (!known) {
-            std::fprintf(stderr, "unknown rule '%s' (--list-rules)\n",
-                         rule.c_str());
-            return 2;
-        }
-    }
-    if (use_cache) {
-        options.cachePath =
-            (std::filesystem::path(root) / cache).string();
     }
 
     try {
-        analysis::RunStats stats;
-        const lint::RunResult result =
-            analysis::analyzeTree(root, options, &stats);
-        if (show_stats) {
-            std::fprintf(stderr,
-                         "hllc_lint: %zu file(s) indexed, %zu cache"
-                         " hit(s)\n",
-                         stats.filesIndexed, stats.cacheHits);
-        }
-        if (!write_baseline.empty()) {
-            const std::string text =
-                lint::formatBaseline(result.findings);
-            // Resolve against --root, symmetric with how --baseline is
-            // read back.
-            const std::string out =
-                (std::filesystem::path(root) / write_baseline).string();
-            serial::writeFileAtomic(out, text.data(), text.size());
-            std::fprintf(stderr, "wrote %zu baseline entr(y/ies) to %s\n",
-                         result.findings.size(), write_baseline.c_str());
-            return 0;
-        }
+        const lint::RunResult result = lint::analyzeTree(root, paths);
         const std::string report = format == "json"
             ? lint::formatJson(result)
-            : format == "sarif" ? analysis::formatSarif(result)
-                                : lint::formatText(result);
+            : lint::formatText(result);
         std::fputs(report.c_str(), stdout);
         return result.findings.empty() ? 0 : 1;
     } catch (const Error &e) {
