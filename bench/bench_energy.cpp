@@ -10,10 +10,10 @@
  */
 
 #include <cstdio>
-#include <memory>
 
 #include "common/logging.hh"
 #include "hierarchy/energy.hh"
+#include "hybrid/llc_rig.hh"
 #include "sim/experiment.hh"
 
 using namespace hllc;
@@ -38,14 +38,9 @@ main()
         // Re-run the phase with a dedicated LLC so we can read its
         // counters (PhaseSummary only carries aggregates).
         const auto llc_config = config.llcConfig(policy);
-        std::unique_ptr<fault::EnduranceModel> endurance;
-        std::unique_ptr<fault::FaultMap> map;
-        endurance = std::make_unique<fault::EnduranceModel>(
-            experiment.makeEndurance(llc_config));
-        map = std::make_unique<fault::FaultMap>(
-            *endurance, hybrid::InsertionPolicy::create(policy)
-                            ->granularity());
-        hybrid::HybridLlc llc(llc_config, map.get());
+        const hybrid::LlcRig rig =
+            hybrid::buildLlcRig(llc_config, config.endurance, config.seed);
+        hybrid::HybridLlc &llc = *rig.llc;
         const auto agg = forecast::replayAllTraces(
             experiment.tracePtrs(), llc, config.timing, 0.2);
 

@@ -35,9 +35,8 @@
 #include "common/numfmt.hh"
 #include "common/serialize.hh"
 #include "compression/compressor.hh"
-#include "fault/fault_map.hh"
 #include "hierarchy/hierarchy.hh"
-#include "hybrid/hybrid_llc.hh"
+#include "hybrid/llc_rig.hh"
 #include "replay/replayer.hh"
 #include "workload/block_synth.hh"
 #include "workload/mixes.hh"
@@ -146,17 +145,9 @@ timePolicy(const replay::LlcTrace &trace,
            const hybrid::HybridLlcConfig &config, unsigned repeats)
 {
     const double secs = bestOf(repeats, [&] {
-        const fault::NvmGeometry geom{ config.numSets, config.nvmWays,
-                                       blockBytes };
-        const auto granularity =
-            hybrid::InsertionPolicy::create(config.policy, config.params)
-                ->granularity();
-        const fault::EnduranceModel endurance(geom, { 1e12, 0.0 },
-                                              Xoshiro256StarStar(1));
-        fault::FaultMap map(endurance, granularity);
-        hybrid::HybridLlc llc(config, &map);
+        const hybrid::LlcRig rig = hybrid::buildPristineRig(config);
         const replay::TraceReplayer replayer(0.2);
-        replayer.replay(trace, llc);
+        replayer.replay(trace, *rig.llc);
     });
     return timingFrom(secs, trace.size());
 }
@@ -222,18 +213,6 @@ appendTiming(std::string &json, const Timing &t, const char *rate_key,
     json += "\": " + formatFixed(t.eventsPerSec, 1) + ", \"";
     json += per_key;
     json += "\": " + formatFixed(t.nsPerAccess, 3);
-}
-
-std::string
-jsonEscapeLite(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
 }
 
 /** Strict decimal u64 parse (from_chars: locale-free, full-string). */
@@ -353,7 +332,7 @@ main(int argc, char **argv)
     json += "{\n";
     json += "  \"schema\": \"hllc-bench-v1\",\n";
     json += "  \"host\": {\n";
-    json += "    \"compiler\": \"" + jsonEscapeLite(__VERSION__) + "\",\n";
+    json += "    \"compiler\": \"" + jsonEscape(__VERSION__) + "\",\n";
 #ifdef NDEBUG
     json += "    \"build_type\": \"Release\",\n";
 #else
@@ -369,7 +348,7 @@ main(int argc, char **argv)
     json += "  },\n";
     json += "  \"workload\": {\n";
     json += "    \"mix\": \"" +
-            jsonEscapeLite(trace.meta().mixName) + "\",\n";
+            jsonEscape(trace.meta().mixName) + "\",\n";
     json += "    \"events\": " + formatU64(trace.size()) + ",\n";
     json += "    \"num_sets\": 128, \"sram_ways\": 4, \"nvm_ways\": 12,\n";
     json += "    \"warmup_fraction\": 0.2, \"repeats\": " +
@@ -402,7 +381,7 @@ main(int argc, char **argv)
     json += "  \"compressors\": [\n";
     for (std::size_t i = 0; i < compressors.size(); ++i) {
         const CompressorResult &c = compressors[i];
-        json += "    { \"name\": \"" + jsonEscapeLite(c.name) + "\", ";
+        json += "    { \"name\": \"" + jsonEscape(c.name) + "\", ";
         appendTiming(json, c.timing, "blocks_per_sec", "ns_per_block");
         json += i + 1 < compressors.size() ? " },\n" : " }\n";
     }

@@ -156,33 +156,6 @@ MetricRegistry::restore(serial::Decoder &dec)
 namespace
 {
 
-/** Minimal JSON string escaping (labels are policy/cell names). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                static const char hex[] = "0123456789abcdef";
-                out += "\\u00";
-                out += hex[(c >> 4) & 0xf];
-                out += hex[c & 0xf];
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
 /**
  * JSON numbers must not be NaN/Inf; series can legitimately carry them
  * (e.g. a rate over an empty interval), so emit those as null.

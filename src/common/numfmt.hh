@@ -1,12 +1,13 @@
 /**
  * @file
- * Locale-independent number formatting for machine-readable emitters.
+ * Locale-independent formatting for machine-readable emitters.
  *
  * printf("%f") and ostream<< honour the process locale: under de_DE a
  * CSV cell becomes "0,25" and the file stops parsing. Everything the
  * simulator writes for machines (CSV, JSON, stats files) goes through
  * these std::to_chars-based helpers instead, which always emit the "C"
- * locale format regardless of setlocale().
+ * locale format regardless of setlocale(). jsonEscape() is the one JSON
+ * string escaper.
  */
 
 #ifndef HLLC_COMMON_NUMFMT_HH
@@ -64,6 +65,36 @@ formatI64(std::int64_t value)
     const auto res = std::to_chars(buf, buf + sizeof(buf), value);
     HLLC_ASSERT(res.ec == std::errc());
     return std::string(buf, res.ptr);
+}
+
+/**
+ * @p text as the body of a JSON string: quote, backslash and every
+ * control character escaped.
+ */
+inline std::string
+jsonEscape(const std::string &text)
+{
+    static const char hex[] = "0123456789abcdef";
+    std::string out;
+    out.reserve(text.size() + 2);
+    for (const char c : text) {
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\r': out += "\\r"; break;
+          case '\t': out += "\\t"; break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                out += "\\u00";
+                out += hex[(c >> 4) & 0xf];
+                out += hex[c & 0xf];
+            } else {
+                out += c;
+            }
+        }
+    }
+    return out;
 }
 
 /** Parse what formatDouble() wrote; locale-independent like to_chars. */

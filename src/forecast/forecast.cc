@@ -1,7 +1,6 @@
 #include "forecast/forecast.hh"
 
 #include <algorithm>
-#include <memory>
 
 #include "common/error.hh"
 #include "common/failpoint.hh"
@@ -9,6 +8,7 @@
 #include "common/interrupt.hh"
 #include "common/logging.hh"
 #include "common/serialize.hh"
+#include "hybrid/llc_rig.hh"
 
 namespace hllc::forecast
 {
@@ -330,16 +330,11 @@ ForecastEngine::loadCheckpoint(const std::string &path,
 std::vector<ForecastPoint>
 ForecastEngine::run(const RunOptions &options)
 {
-    const auto policy =
-        hybrid::InsertionPolicy::create(llcConfig_.policy,
-                                        llcConfig_.params);
-    const auto make_map = [&] {
-        return std::make_unique<fault::FaultMap>(
-            endurance_, policy->granularity(), config_.wearDistribution);
+    const auto make_rig = [&] {
+        return hybrid::buildLlcRig(llcConfig_, endurance_,
+                                   config_.wearDistribution);
     };
-    auto map = make_map();
-    auto llc = std::make_unique<hybrid::HybridLlc>(
-        llcConfig_, llcConfig_.nvmWays > 0 ? map.get() : nullptr);
+    hybrid::LlcRig rig = make_rig();
 
     std::vector<ForecastPoint> series;
     Seconds now = 0.0;
@@ -353,8 +348,8 @@ ForecastEngine::run(const RunOptions &options)
     const bool checkpointing = !options.checkpointPath.empty();
     if (checkpointing && options.resume) {
         try {
-            step0 = loadCheckpoint(options.checkpointPath, *map, *llc,
-                                   series, now);
+            step0 = loadCheckpoint(options.checkpointPath, *rig.map,
+                                   *rig.llc, series, now);
             debugLog("resumed '%s' at step %zu (t = %.3f months)",
                      options.checkpointPath.c_str(), step0,
                      now / secondsPerMonth);
@@ -363,9 +358,7 @@ ForecastEngine::run(const RunOptions &options)
             // run — and must not leave half-restored state behind.
             warn("cannot resume from '%s' (%s); restarting from scratch",
                  options.checkpointPath.c_str(), e.what());
-            map = make_map();
-            llc = std::make_unique<hybrid::HybridLlc>(
-                llcConfig_, llcConfig_.nvmWays > 0 ? map.get() : nullptr);
+            rig = make_rig();
             series.clear();
             metrics_.clear();
             stats_.resetAll();
@@ -382,7 +375,7 @@ ForecastEngine::run(const RunOptions &options)
         if (checkpointing && interruptRequested()) {
             try {
                 saveCheckpoint(options.checkpointPath, step, now, series,
-                               *map, *llc);
+                               *rig.map, *rig.llc);
             } catch (const IoError &e) {
                 warn("final checkpoint '%s' failed: %s",
                      options.checkpointPath.c_str(), e.what());
@@ -396,7 +389,7 @@ ForecastEngine::run(const RunOptions &options)
             if (checkpointing) {
                 try {
                     saveCheckpoint(options.checkpointPath, step, now,
-                                   series, *map, *llc);
+                                   series, *rig.map, *rig.llc);
                 } catch (const IoError &e) {
                     warn("final checkpoint '%s' failed: %s",
                          options.checkpointPath.c_str(), e.what());
@@ -410,7 +403,7 @@ ForecastEngine::run(const RunOptions &options)
             executed >= options.stopAfterSteps) {
             if (checkpointing) {
                 saveCheckpoint(options.checkpointPath, step, now, series,
-                               *map, *llc);
+                               *rig.map, *rig.llc);
             }
             return series;
         }
@@ -419,17 +412,17 @@ ForecastEngine::run(const RunOptions &options)
         // a warning to scroll past.
         if (checkpointing && step != step0 && (step - step0) % every == 0) {
             saveCheckpoint(options.checkpointPath, step, now, series,
-                           *map, *llc);
+                           *rig.map, *rig.llc);
         }
         ++executed;
 
-        map->discardPending();
+        rig.map->discardPending();
         Seconds window_seconds = 0.0;
         PhaseAggregate agg;
         series.push_back(
-            simulatePhase(*llc, *map, now, window_seconds, agg));
+            simulatePhase(*rig.llc, *rig.map, now, window_seconds, agg));
         ++stats_.counter("simulate_phases");
-        samplePoint(step, series.back(), agg, *llc, *map);
+        samplePoint(step, series.back(), agg, *rig.llc, *rig.map);
 
         const ForecastPoint &point = series.back();
         if (point.capacity <= config_.capacityFloor ||
@@ -439,12 +432,12 @@ ForecastEngine::run(const RunOptions &options)
         }
 
         // Prediction phase: jump to the next interesting wear state.
-        Seconds delta = chooseAgingStep(*map, endurance_, window_seconds,
-                                        config_.aging);
+        Seconds delta = chooseAgingStep(*rig.map, endurance_,
+                                        window_seconds, config_.aging);
         delta = std::min(delta, config_.maxTime - now);
         if (delta <= 0.0)
             break;
-        map->age(delta / window_seconds);
+        rig.map->age(delta / window_seconds);
         ++stats_.counter("predict_phases");
         stats_.histogram("aging_step_months", agingStepBuckets,
                          agingStepBucketMonths)

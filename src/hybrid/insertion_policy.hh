@@ -97,6 +97,19 @@ static_assert([] {
     return true;
 }(), "policyTable rows must be in PolicyKind order");
 
+/**
+ * Disabling granularity the NVM part of a @p kind LLC must be configured
+ * with: byte disabling keeps partly worn frames usable for ECBs, so only
+ * the compression policies use it.
+ */
+constexpr fault::DisableGranularity
+granularityOf(PolicyKind kind)
+{
+    return policyTable[static_cast<std::size_t>(kind)].usesCompression
+        ? fault::DisableGranularity::Byte
+        : fault::DisableGranularity::Frame;
+}
+
 /** A policy kind bound to its tunables: what the LLC steers with. */
 class InsertionPolicy final
 {
@@ -133,8 +146,7 @@ class InsertionPolicy final
     fault::DisableGranularity
     granularity() const
     {
-        return usesCompression() ? fault::DisableGranularity::Byte
-                                 : fault::DisableGranularity::Frame;
+        return granularityOf(kind());
     }
 
     /**

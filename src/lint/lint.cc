@@ -35,33 +35,6 @@ readFile(const fs::path &path)
     return std::string(bytes.begin(), bytes.end());
 }
 
-/** JSON string escaping for the report emitter. */
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size() + 2);
-    for (char c : text) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                out += "\\u00";
-                const char *hex = "0123456789abcdef";
-                out += hex[(c >> 4) & 0xf];
-                out += hex[c & 0xf];
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
 /**
  * The semantic engines over @p tree, then one waiver filter over the
  * token and semantic findings alike (a `suppression` finding is never

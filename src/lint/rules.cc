@@ -77,8 +77,7 @@ layerDeps()
             "workload", "replay", "hierarchy", "forecast", "sim" } },
         { "serve",
           { "common", "cache", "compression", "fault", "hybrid",
-            "workload", "replay", "hierarchy", "forecast", "sim",
-            "check" } },
+            "workload", "replay", "hierarchy", "forecast", "sim" } },
         { "ingest",
           { "common", "cache", "compression", "fault", "hybrid",
             "workload", "replay", "hierarchy", "forecast", "sim",

@@ -1,8 +1,8 @@
 #include "serve/eval.hh"
 
-#include "check/rig.hh"
 #include "common/numfmt.hh"
 #include "hierarchy/hierarchy.hh"
+#include "hybrid/llc_rig.hh"
 #include "replay/replayer.hh"
 #include "workload/mixes.hh"
 
@@ -55,16 +55,13 @@ Evaluator::replayTrace(const replay::LlcTrace &trace,
     if (cpth > 0)
         params.fixedCpth = cpth;
     const hybrid::HybridLlcConfig llc_config =
-        *kind == hybrid::PolicyKind::SramOnly
-            ? config_.llcConfigSramBound(config_.sramWays +
-                                         config_.nvmWays)
-            : config_.llcConfig(*kind, params);
+        config_.llcConfig(*kind, params);
 
     // Pristine endurance fabric (capacities never bind): the serving
     // path evaluates policies, not wear trajectories, and a fresh LLC
     // per request is what makes the result a pure function of the
     // request bytes.
-    check::FastRig rig = check::makeFastRig(llc_config);
+    const hybrid::LlcRig rig = hybrid::buildPristineRig(llc_config);
     hybrid::HybridLlc &llc = *rig.llc;
     const replay::TraceReplayer replayer(warmup_fraction);
     const replay::ReplayResult replayed = replayer.replay(trace, llc);

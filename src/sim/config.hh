@@ -78,13 +78,6 @@ struct SystemConfig
                (sramWays + nvmWays);
     }
 
-    /** NVM-part geometry for the endurance/fault models. */
-    fault::NvmGeometry
-    nvmGeometry() const
-    {
-        return { llcSets, nvmWays, static_cast<std::uint32_t>(blockBytes) };
-    }
-
     /** Build the LLC configuration for @p policy. */
     hybrid::HybridLlcConfig
     llcConfig(hybrid::PolicyKind policy,

@@ -8,6 +8,7 @@
 #include "common/numfmt.hh"
 #include "common/thread_pool.hh"
 #include "hierarchy/hierarchy.hh"
+#include "hybrid/llc_rig.hh"
 #include "sim/grid.hh"
 #include "workload/mixes.hh"
 
@@ -68,14 +69,7 @@ Experiment::tracePtr(std::size_t mix) const
 fault::EnduranceModel
 Experiment::makeEndurance(const hybrid::HybridLlcConfig &llc) const
 {
-    // Same seed for the same geometry: every policy is forecast over an
-    // identical endurance fabric (the paper's fair-comparison setup).
-    Xoshiro256StarStar rng(config_.seed ^ 0xe17da1ceULL);
-    const fault::NvmGeometry geom{
-        llc.numSets, llc.nvmWays,
-        static_cast<std::uint32_t>(blockBytes)
-    };
-    return fault::EnduranceModel(geom, config_.endurance, rng);
+    return hybrid::drawFabric(llc, config_.endurance, config_.seed);
 }
 
 ForecastSummary
@@ -109,20 +103,12 @@ Experiment::runPhase(const hybrid::HybridLlcConfig &llc, std::string label,
     if (traces.empty())
         traces = tracePtrs();
 
-    std::unique_ptr<fault::EnduranceModel> endurance;
-    std::unique_ptr<fault::FaultMap> map;
-    if (llc.nvmWays > 0) {
-        endurance =
-            std::make_unique<fault::EnduranceModel>(makeEndurance(llc));
-        const auto policy =
-            hybrid::InsertionPolicy::create(llc.policy, llc.params);
-        map = std::make_unique<fault::FaultMap>(*endurance,
-                                                policy->granularity());
-        if (capacity < 1.0)
-            degradeUniform(*map, capacity, config_.seed ^ 0xdeadULL);
-    }
+    const hybrid::LlcRig rig =
+        hybrid::buildLlcRig(llc, config_.endurance, config_.seed);
+    if (rig.map && capacity < 1.0)
+        degradeUniform(*rig.map, capacity, config_.seed ^ 0xdeadULL);
 
-    hybrid::HybridLlc cache(llc, map.get());
+    hybrid::HybridLlc &cache = *rig.llc;
     PhaseSummary summary;
     summary.label = std::move(label);
     summary.aggregate =

@@ -17,43 +17,6 @@ namespace hllc::sim
 namespace
 {
 
-/** JSON string escaping (control chars, quote, backslash). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (const char c : s) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\r':
-            out += "\\r";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                static const char hex[] = "0123456789abcdef";
-                out += "\\u00";
-                out += hex[(c >> 4) & 0xF];
-                out += hex[c & 0xF];
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
 /** Merge @p names into @p into, preserving first-seen order. */
 void
 mergeNames(std::vector<std::string> &into,

@@ -7,24 +7,11 @@ namespace hllc::sim
 
 System::System(const SystemConfig &config, const workload::MixSpec &mix,
                hybrid::PolicyKind policy, hybrid::PolicyParams params)
-    : config_(config)
+    : config_(config),
+      rig_(hybrid::buildLlcRig(config.llcConfig(policy, params),
+                               config.endurance, config.seed))
 {
-    const hybrid::HybridLlcConfig llc_config =
-        config.llcConfig(policy, params);
-
-    if (llc_config.nvmWays > 0) {
-        Xoshiro256StarStar rng(config.seed ^ 0xe17da1ceULL);
-        endurance_ = std::make_unique<fault::EnduranceModel>(
-            config.nvmGeometry(), config.endurance, rng);
-        const auto granularity =
-            hybrid::InsertionPolicy::create(policy, params)->granularity();
-        faultMap_ = std::make_unique<fault::FaultMap>(*endurance_,
-                                                      granularity);
-    }
-
-    llc_ = std::make_unique<hybrid::HybridLlc>(llc_config,
-                                               faultMap_.get());
-    sink_ = std::make_unique<hierarchy::HybridLlcSink>(llc_.get());
+    sink_ = std::make_unique<hierarchy::HybridLlcSink>(rig_.llc.get());
     mixSim_ = std::make_unique<hierarchy::MixSimulation>(
         mix, config.llcBlocks(), config.privateCaches, config.seed);
 }
@@ -41,7 +28,7 @@ System::coreActivity(std::size_t core) const
     hierarchy::CoreActivity a = mixSim_->activityOf(core);
     // NVM write stalls are charged evenly: the LLC does not track the
     // writing core in detailed mode.
-    a.nvmWrites = llc_->stats().counterValue("nvm_writes") /
+    a.nvmWrites = rig_.llc->stats().counterValue("nvm_writes") /
                   mixSim_->numCores();
     return a;
 }

@@ -11,11 +11,9 @@
 
 #include <memory>
 
-#include "fault/endurance.hh"
-#include "fault/fault_map.hh"
 #include "hierarchy/hierarchy.hh"
 #include "hierarchy/trace_recorder.hh"
-#include "hybrid/hybrid_llc.hh"
+#include "hybrid/llc_rig.hh"
 #include "sim/config.hh"
 #include "workload/mixes.hh"
 
@@ -42,18 +40,19 @@ class System
     /** Per-core activity (event counts) of the last run. */
     hierarchy::CoreActivity coreActivity(std::size_t core) const;
 
-    hybrid::HybridLlc &llc() { return *llc_; }
-    const hybrid::HybridLlc &llc() const { return *llc_; }
-    fault::FaultMap &faultMap() { return *faultMap_; }
-    const fault::EnduranceModel &endurance() const { return *endurance_; }
+    hybrid::HybridLlc &llc() { return *rig_.llc; }
+    const hybrid::HybridLlc &llc() const { return *rig_.llc; }
+    fault::FaultMap &faultMap() { return *rig_.map; }
+    const fault::EnduranceModel &endurance() const
+    {
+        return *rig_.endurance;
+    }
     hierarchy::MixSimulation &mixSim() { return *mixSim_; }
     const SystemConfig &config() const { return config_; }
 
   private:
     SystemConfig config_;
-    std::unique_ptr<fault::EnduranceModel> endurance_;
-    std::unique_ptr<fault::FaultMap> faultMap_;
-    std::unique_ptr<hybrid::HybridLlc> llc_;
+    hybrid::LlcRig rig_;
     std::unique_ptr<hierarchy::HybridLlcSink> sink_;
     std::unique_ptr<hierarchy::MixSimulation> mixSim_;
 };

@@ -9,10 +9,9 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "hierarchy/hierarchy.hh"
 #include "hierarchy/trace_recorder.hh"
+#include "hybrid/llc_rig.hh"
 #include "replay/replayer.hh"
 #include "workload/mixes.hh"
 
@@ -22,39 +21,23 @@ namespace
 using namespace hllc;
 using hybrid::HybridLlc;
 using hybrid::HybridLlcConfig;
+using hybrid::LlcRig;
 using hybrid::PolicyKind;
 
 constexpr std::uint32_t kSets = 64;
 constexpr std::uint64_t kRefs = 25'000;
 constexpr std::uint64_t kSeed = 1234;
 
-struct LlcRig
-{
-    std::unique_ptr<fault::EnduranceModel> endurance;
-    std::unique_ptr<fault::FaultMap> map;
-    std::unique_ptr<HybridLlc> llc;
-};
-
 LlcRig
 makeLlc(PolicyKind policy)
 {
-    LlcRig rig;
     HybridLlcConfig config;
     config.numSets = kSets;
     config.sramWays = 4;
     config.nvmWays = 12;
     config.policy = policy;
     config.epochCycles = 20'000;
-
-    const fault::NvmGeometry geom{ kSets, config.nvmWays, 64 };
-    rig.endurance = std::make_unique<fault::EnduranceModel>(
-        geom, fault::EnduranceParams{ 1e12, 0.0 },
-        Xoshiro256StarStar(9));
-    rig.map = std::make_unique<fault::FaultMap>(
-        *rig.endurance,
-        hybrid::InsertionPolicy::create(policy)->granularity());
-    rig.llc = std::make_unique<HybridLlc>(config, rig.map.get());
-    return rig;
+    return hybrid::buildPristineRig(config);
 }
 
 class CaptureFidelity : public ::testing::TestWithParam<PolicyKind>

@@ -11,6 +11,7 @@
 #include "common/error.hh"
 #include "hierarchy/energy.hh"
 #include "hierarchy/hierarchy.hh"
+#include "hybrid/llc_rig.hh"
 #include "replay/replayer.hh"
 #include "workload/mixes.hh"
 
@@ -82,18 +83,12 @@ TEST_F(TraceFile, LoadedTraceReplaysIdentically)
     hybrid::HybridLlcConfig config;
     config.numSets = 32;
     config.policy = hybrid::PolicyKind::CaRwr;
-    const fault::NvmGeometry geom{ config.numSets, config.nvmWays, 64 };
-    const fault::EnduranceModel endurance(
-        geom, { 1e12, 0.0 }, Xoshiro256StarStar(1));
-
-    fault::FaultMap map_a(endurance, fault::DisableGranularity::Byte);
-    fault::FaultMap map_b(endurance, fault::DisableGranularity::Byte);
-    hybrid::HybridLlc llc_a(config, &map_a);
-    hybrid::HybridLlc llc_b(config, &map_b);
+    const hybrid::LlcRig a = hybrid::buildPristineRig(config);
+    const hybrid::LlcRig b = hybrid::buildPristineRig(config);
 
     const replay::TraceReplayer replayer(0.2);
-    const auto ra = replayer.replay(original, llc_a);
-    const auto rb = replayer.replay(loaded, llc_b);
+    const auto ra = replayer.replay(original, *a.llc);
+    const auto rb = replayer.replay(loaded, *b.llc);
     EXPECT_EQ(ra.demandHits, rb.demandHits);
     EXPECT_EQ(ra.nvmBytesWritten, rb.nvmBytesWritten);
 }

@@ -8,39 +8,21 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "compression/encoding.hh"
-#include "hybrid/hybrid_llc.hh"
+#include "hybrid/llc_rig.hh"
 
 namespace
 {
 
 using namespace hllc;
 using namespace hllc::hybrid;
-using fault::DisableGranularity;
-using fault::EnduranceModel;
-using fault::FaultMap;
-using fault::NvmGeometry;
 
 constexpr std::uint32_t kSets = 32;
 
-/** Bundle of LLC + its fault fabric for one test. */
-struct Rig
-{
-    std::unique_ptr<EnduranceModel> endurance;
-    std::unique_ptr<FaultMap> map;
-    std::unique_ptr<HybridLlc> llc;
-
-    HybridLlc *operator->() { return llc.get(); }
-    HybridLlc &operator*() { return *llc; }
-};
-
-Rig
+LlcRig
 makeRig(PolicyKind policy, std::uint32_t sram_ways = 2,
         std::uint32_t nvm_ways = 2, PolicyParams params = {})
 {
-    Rig rig;
     HybridLlcConfig config;
     config.numSets = kSets;
     config.sramWays = sram_ways;
@@ -48,18 +30,7 @@ makeRig(PolicyKind policy, std::uint32_t sram_ways = 2,
     config.policy = policy;
     config.params = params;
     config.epochCycles = 1u << 20;
-
-    if (nvm_ways > 0) {
-        const NvmGeometry geom{ kSets, nvm_ways, 64 };
-        rig.endurance = std::make_unique<EnduranceModel>(
-            geom, fault::EnduranceParams{ 1e12, 0.0 },
-            Xoshiro256StarStar(1));
-        rig.map = std::make_unique<FaultMap>(
-            *rig.endurance,
-            InsertionPolicy::create(policy, params)->granularity());
-    }
-    rig.llc = std::make_unique<HybridLlc>(config, rig.map.get());
-    return rig;
+    return buildPristineRig(config);
 }
 
 /** Block number landing in set 0 with a unique tag. */
@@ -71,47 +42,47 @@ blk(unsigned i)
 
 TEST(HybridLlc, MissFillHitCycle)
 {
-    Rig rig = makeRig(PolicyKind::CaRwr);
-    EXPECT_EQ(rig->onGetS(blk(1)), AccessOutcome::Miss);
-    rig->onPut(blk(1), false, 30);
-    EXPECT_TRUE(rig->contains(blk(1)));
-    EXPECT_NE(rig->onGetS(blk(1)), AccessOutcome::Miss);
+    LlcRig rig = makeRig(PolicyKind::CaRwr);
+    EXPECT_EQ(rig.llc->onGetS(blk(1)), AccessOutcome::Miss);
+    rig.llc->onPut(blk(1), false, 30);
+    EXPECT_TRUE(rig.llc->contains(blk(1)));
+    EXPECT_NE(rig.llc->onGetS(blk(1)), AccessOutcome::Miss);
 }
 
 TEST(HybridLlc, GetXHitInvalidates)
 {
-    Rig rig = makeRig(PolicyKind::CaRwr);
-    rig->onPut(blk(1), false, 30);
-    EXPECT_NE(rig->onGetX(blk(1)), AccessOutcome::Miss);
+    LlcRig rig = makeRig(PolicyKind::CaRwr);
+    rig.llc->onPut(blk(1), false, 30);
+    EXPECT_NE(rig.llc->onGetX(blk(1)), AccessOutcome::Miss);
     // Invalidate-on-hit: the copy is gone.
-    EXPECT_FALSE(rig->contains(blk(1)));
-    EXPECT_EQ(rig->stats().counterValue("invalidate_on_getx"), 1u);
+    EXPECT_FALSE(rig.llc->contains(blk(1)));
+    EXPECT_EQ(rig.llc->stats().counterValue("invalidate_on_getx"), 1u);
 }
 
 TEST(HybridLlc, CleanPutOfResidentBlockWritesNothing)
 {
-    Rig rig = makeRig(PolicyKind::CaRwr);
-    rig->onPut(blk(1), false, 30);
-    const auto bytes = rig->nvmBytesWritten();
-    rig->onPut(blk(1), false, 30);
-    EXPECT_EQ(rig->nvmBytesWritten(), bytes);
-    EXPECT_EQ(rig->stats().counterValue("puts_present"), 1u);
+    LlcRig rig = makeRig(PolicyKind::CaRwr);
+    rig.llc->onPut(blk(1), false, 30);
+    const auto bytes = rig.llc->nvmBytesWritten();
+    rig.llc->onPut(blk(1), false, 30);
+    EXPECT_EQ(rig.llc->nvmBytesWritten(), bytes);
+    EXPECT_EQ(rig.llc->stats().counterValue("puts_present"), 1u);
 }
 
 TEST(HybridLlc, CaSteersBySize)
 {
-    Rig rig = makeRig(PolicyKind::Ca); // fixedCpth 58
-    rig->onPut(blk(1), false, 30);
-    rig->onPut(blk(2), false, 64);
-    EXPECT_EQ(rig->partOf(blk(1)), Part::Nvm);
-    EXPECT_EQ(rig->partOf(blk(2)), Part::Sram);
+    LlcRig rig = makeRig(PolicyKind::Ca); // fixedCpth 58
+    rig.llc->onPut(blk(1), false, 30);
+    rig.llc->onPut(blk(2), false, 64);
+    EXPECT_EQ(rig.llc->partOf(blk(1)), Part::Nvm);
+    EXPECT_EQ(rig.llc->partOf(blk(2)), Part::Sram);
 }
 
 TEST(HybridLlc, CompressedSizeIsWhatNvmWears)
 {
-    Rig rig = makeRig(PolicyKind::Ca);
-    rig->onPut(blk(1), false, 30);
-    EXPECT_EQ(rig->nvmBytesWritten(), 30u);
+    LlcRig rig = makeRig(PolicyKind::Ca);
+    rig.llc->onPut(blk(1), false, 30);
+    EXPECT_EQ(rig.llc->nvmBytesWritten(), 30u);
     // The fault map saw the same 30 pending bytes.
     const auto frames = rig.map->geometry().numFrames();
     double pending = 0.0;
@@ -122,10 +93,10 @@ TEST(HybridLlc, CompressedSizeIsWhatNvmWears)
 
 TEST(HybridLlc, UncompressedPoliciesWearFullFrames)
 {
-    Rig rig = makeRig(PolicyKind::Bh);
-    rig->onPut(blk(1), false, 30); // compressible, but BH stores raw
-    std::uint64_t nvm_bytes = rig->nvmBytesWritten();
-    if (rig->partOf(blk(1)) == Part::Nvm)
+    LlcRig rig = makeRig(PolicyKind::Bh);
+    rig.llc->onPut(blk(1), false, 30); // compressible, but BH stores raw
+    std::uint64_t nvm_bytes = rig.llc->nvmBytesWritten();
+    if (rig.llc->partOf(blk(1)) == Part::Nvm)
         EXPECT_EQ(nvm_bytes, 64u);
     else
         EXPECT_EQ(nvm_bytes, 0u);
@@ -133,240 +104,240 @@ TEST(HybridLlc, UncompressedPoliciesWearFullFrames)
 
 TEST(HybridLlc, ReadReuseClassification)
 {
-    Rig rig = makeRig(PolicyKind::CaRwr);
-    rig->onPut(blk(1), false, 30);
-    rig->onGetS(blk(1)); // clean hit -> read reuse
-    EXPECT_EQ(rig->tracker().classOf(blk(1)), ReuseClass::Read);
+    LlcRig rig = makeRig(PolicyKind::CaRwr);
+    rig.llc->onPut(blk(1), false, 30);
+    rig.llc->onGetS(blk(1)); // clean hit -> read reuse
+    EXPECT_EQ(rig.llc->tracker().classOf(blk(1)), ReuseClass::Read);
 }
 
 TEST(HybridLlc, WriteReuseClassification)
 {
-    Rig rig = makeRig(PolicyKind::CaRwr);
-    rig->onPut(blk(1), false, 30);
-    rig->onGetX(blk(1)); // write-permission hit -> write reuse
-    EXPECT_EQ(rig->tracker().classOf(blk(1)), ReuseClass::Write);
+    LlcRig rig = makeRig(PolicyKind::CaRwr);
+    rig.llc->onPut(blk(1), false, 30);
+    rig.llc->onGetX(blk(1)); // write-permission hit -> write reuse
+    EXPECT_EQ(rig.llc->tracker().classOf(blk(1)), ReuseClass::Write);
     // The dirty block comes back: write-reused blocks go to SRAM even
     // when highly compressed (paper Table II).
-    rig->onPut(blk(1), true, 2);
-    EXPECT_EQ(rig->partOf(blk(1)), Part::Sram);
+    rig.llc->onPut(blk(1), true, 2);
+    EXPECT_EQ(rig.llc->partOf(blk(1)), Part::Sram);
 }
 
 TEST(HybridLlc, DirtyHitAlsoMeansWriteReuse)
 {
-    Rig rig = makeRig(PolicyKind::CaRwr);
-    rig->onPut(blk(1), true, 30); // dirty insert (small -> NVM)
-    rig->onGetS(blk(1));          // hit on a dirty copy
-    EXPECT_EQ(rig->tracker().classOf(blk(1)), ReuseClass::Write);
+    LlcRig rig = makeRig(PolicyKind::CaRwr);
+    rig.llc->onPut(blk(1), true, 30); // dirty insert (small -> NVM)
+    rig.llc->onGetS(blk(1));          // hit on a dirty copy
+    EXPECT_EQ(rig.llc->tracker().classOf(blk(1)), ReuseClass::Write);
 }
 
 TEST(HybridLlc, MissResetsReuseHistory)
 {
-    Rig rig = makeRig(PolicyKind::CaRwr);
-    rig->onPut(blk(1), false, 30);
-    rig->onGetS(blk(1));
-    EXPECT_EQ(rig->tracker().classOf(blk(1)), ReuseClass::Read);
-    rig->onGetX(blk(1)); // invalidates
-    rig->onGetS(blk(1)); // miss: refetched from memory
-    EXPECT_EQ(rig->tracker().classOf(blk(1)), ReuseClass::None);
+    LlcRig rig = makeRig(PolicyKind::CaRwr);
+    rig.llc->onPut(blk(1), false, 30);
+    rig.llc->onGetS(blk(1));
+    EXPECT_EQ(rig.llc->tracker().classOf(blk(1)), ReuseClass::Read);
+    rig.llc->onGetX(blk(1)); // invalidates
+    rig.llc->onGetS(blk(1)); // miss: refetched from memory
+    EXPECT_EQ(rig.llc->tracker().classOf(blk(1)), ReuseClass::None);
 }
 
 TEST(HybridLlc, ReadReuseGoesToNvmEvenWhenBig)
 {
-    Rig rig = makeRig(PolicyKind::CaRwr);
-    rig->onPut(blk(1), false, 64); // big -> SRAM
-    EXPECT_EQ(rig->partOf(blk(1)), Part::Sram);
-    rig->onGetS(blk(1)); // read reuse
+    LlcRig rig = makeRig(PolicyKind::CaRwr);
+    rig.llc->onPut(blk(1), false, 64); // big -> SRAM
+    EXPECT_EQ(rig.llc->partOf(blk(1)), Part::Sram);
+    rig.llc->onGetS(blk(1)); // read reuse
     // Evict it from SRAM by filling the SRAM ways; the read-reused
     // victim must migrate to NVM (paper Sec. IV-B).
-    rig->onPut(blk(2), false, 64);
-    rig->onPut(blk(3), false, 64);
-    EXPECT_EQ(rig->partOf(blk(1)), Part::Nvm);
-    EXPECT_EQ(rig->stats().counterValue("migrations_to_nvm"), 1u);
+    rig.llc->onPut(blk(2), false, 64);
+    rig.llc->onPut(blk(3), false, 64);
+    EXPECT_EQ(rig.llc->partOf(blk(1)), Part::Nvm);
+    EXPECT_EQ(rig.llc->stats().counterValue("migrations_to_nvm"), 1u);
 }
 
 TEST(HybridLlc, FitLruSkipsTooSmallFrames)
 {
-    Rig rig = makeRig(PolicyKind::Ca);
+    LlcRig rig = makeRig(PolicyKind::Ca);
     // Degrade NVM frame (set 0, way 0): only 40 live bytes left.
     for (unsigned b = 0; b < 24; ++b)
         rig.map->killByte(rig.map->geometry().frameIndex(0, 0), b);
     // A 44-byte block fits only frame 1; a 30-byte block fits both.
-    rig->onPut(blk(1), false, 44);
-    rig->onPut(blk(2), false, 44);
+    rig.llc->onPut(blk(1), false, 44);
+    rig.llc->onPut(blk(2), false, 44);
     // Only one NVM frame can hold 44 bytes: second 44B block must not
     // evict the first from frame 1 into frame 0.
-    EXPECT_EQ(rig->stats().counterValue("inserts_nvm"), 2u);
-    EXPECT_EQ(rig->stats().counterValue("evictions_nvm"), 1u);
+    EXPECT_EQ(rig.llc->stats().counterValue("inserts_nvm"), 2u);
+    EXPECT_EQ(rig.llc->stats().counterValue("evictions_nvm"), 1u);
 }
 
 TEST(HybridLlc, NvmFallbackToSramWhenNothingFits)
 {
-    Rig rig = makeRig(PolicyKind::Ca);
+    LlcRig rig = makeRig(PolicyKind::Ca);
     // Both NVM frames of set 0 down to 20 live bytes.
     for (unsigned w = 0; w < 2; ++w)
         for (unsigned b = 0; b < 44; ++b)
             rig.map->killByte(rig.map->geometry().frameIndex(0, w), b);
-    rig->onPut(blk(1), false, 30); // small, but does not fit NVM
-    EXPECT_EQ(rig->partOf(blk(1)), Part::Sram);
-    EXPECT_EQ(rig->stats().counterValue("insert_nvm_fallback_sram"), 1u);
+    rig.llc->onPut(blk(1), false, 30); // small, but does not fit NVM
+    EXPECT_EQ(rig.llc->partOf(blk(1)), Part::Sram);
+    EXPECT_EQ(rig.llc->stats().counterValue("insert_nvm_fallback_sram"), 1u);
     // A tiny block still lands in NVM.
-    rig->onPut(blk(2), false, 9);
-    EXPECT_EQ(rig->partOf(blk(2)), Part::Nvm);
+    rig.llc->onPut(blk(2), false, 9);
+    EXPECT_EQ(rig.llc->partOf(blk(2)), Part::Nvm);
 }
 
 TEST(HybridLlc, BhGlobalLruSpansBothParts)
 {
-    Rig rig = makeRig(PolicyKind::Bh);
+    LlcRig rig = makeRig(PolicyKind::Bh);
     // 4 ways total in set 0; fill them all.
     for (unsigned i = 1; i <= 4; ++i)
-        rig->onPut(blk(i), false, 64);
-    EXPECT_EQ(rig->stats().counterValue("inserts_sram") +
-                  rig->stats().counterValue("inserts_nvm"), 4u);
+        rig.llc->onPut(blk(i), false, 64);
+    EXPECT_EQ(rig.llc->stats().counterValue("inserts_sram") +
+                  rig.llc->stats().counterValue("inserts_nvm"), 4u);
     // Fifth insert evicts the global LRU (block 1), wherever it lives.
-    rig->onPut(blk(5), false, 64);
-    EXPECT_FALSE(rig->contains(blk(1)));
+    rig.llc->onPut(blk(5), false, 64);
+    EXPECT_FALSE(rig.llc->contains(blk(1)));
 }
 
 TEST(HybridLlc, BhSkipsDeadFrames)
 {
-    Rig rig = makeRig(PolicyKind::Bh);
+    LlcRig rig = makeRig(PolicyKind::Bh);
     // Frame-disabling: kill both NVM frames of set 0.
     rig.map->killFrame(rig.map->geometry().frameIndex(0, 0));
     rig.map->killFrame(rig.map->geometry().frameIndex(0, 1));
     for (unsigned i = 1; i <= 4; ++i)
-        rig->onPut(blk(i), false, 64);
+        rig.llc->onPut(blk(i), false, 64);
     // Everything must have gone to the two SRAM ways.
-    EXPECT_EQ(rig->stats().counterValue("inserts_nvm"), 0u);
-    EXPECT_EQ(rig->stats().counterValue("inserts_sram"), 4u);
-    EXPECT_FALSE(rig->contains(blk(1)));
-    EXPECT_FALSE(rig->contains(blk(2)));
+    EXPECT_EQ(rig.llc->stats().counterValue("inserts_nvm"), 0u);
+    EXPECT_EQ(rig.llc->stats().counterValue("inserts_sram"), 4u);
+    EXPECT_FALSE(rig.llc->contains(blk(1)));
+    EXPECT_FALSE(rig.llc->contains(blk(2)));
 }
 
 TEST(HybridLlc, LHybridMigratesMruLoopBlock)
 {
-    Rig rig = makeRig(PolicyKind::LHybrid);
+    LlcRig rig = makeRig(PolicyKind::LHybrid);
     // Two clean blocks fill SRAM; one becomes a loop-block via a hit.
-    rig->onPut(blk(1), false, 64);
-    rig->onPut(blk(2), false, 64);
-    rig->onGetS(blk(2)); // block 2 is now a loop-block (LB)
-    EXPECT_EQ(rig->partOf(blk(2)), Part::Sram);
+    rig.llc->onPut(blk(1), false, 64);
+    rig.llc->onPut(blk(2), false, 64);
+    rig.llc->onGetS(blk(2)); // block 2 is now a loop-block (LB)
+    EXPECT_EQ(rig.llc->partOf(blk(2)), Part::Sram);
     // SRAM is full; inserting an NLB must migrate the MRU LB to NVM.
-    rig->onPut(blk(3), false, 64);
-    EXPECT_EQ(rig->partOf(blk(2)), Part::Nvm);
-    EXPECT_TRUE(rig->contains(blk(3)));
-    EXPECT_EQ(rig->stats().counterValue("migrations_to_nvm"), 1u);
+    rig.llc->onPut(blk(3), false, 64);
+    EXPECT_EQ(rig.llc->partOf(blk(2)), Part::Nvm);
+    EXPECT_TRUE(rig.llc->contains(blk(3)));
+    EXPECT_EQ(rig.llc->stats().counterValue("migrations_to_nvm"), 1u);
 }
 
 TEST(HybridLlc, LHybridEvictsLruWhenNoLoopBlocks)
 {
-    Rig rig = makeRig(PolicyKind::LHybrid);
-    rig->onPut(blk(1), false, 64);
-    rig->onPut(blk(2), false, 64);
-    rig->onPut(blk(3), false, 64); // no LBs: LRU (block 1) evicted
-    EXPECT_FALSE(rig->contains(blk(1)));
-    EXPECT_EQ(rig->stats().counterValue("inserts_nvm"), 0u);
+    LlcRig rig = makeRig(PolicyKind::LHybrid);
+    rig.llc->onPut(blk(1), false, 64);
+    rig.llc->onPut(blk(2), false, 64);
+    rig.llc->onPut(blk(3), false, 64); // no LBs: LRU (block 1) evicted
+    EXPECT_FALSE(rig.llc->contains(blk(1)));
+    EXPECT_EQ(rig.llc->stats().counterValue("inserts_nvm"), 0u);
 }
 
 TEST(HybridLlc, DirtyEvictionWritesBack)
 {
-    Rig rig = makeRig(PolicyKind::LHybrid);
-    rig->onPut(blk(1), true, 64);
-    rig->onPut(blk(2), true, 64);
-    rig->onPut(blk(3), true, 64); // evicts dirty block 1
-    EXPECT_EQ(rig->stats().counterValue("writebacks_dirty"), 1u);
+    LlcRig rig = makeRig(PolicyKind::LHybrid);
+    rig.llc->onPut(blk(1), true, 64);
+    rig.llc->onPut(blk(2), true, 64);
+    rig.llc->onPut(blk(3), true, 64); // evicts dirty block 1
+    EXPECT_EQ(rig.llc->stats().counterValue("writebacks_dirty"), 1u);
 }
 
 TEST(HybridLlc, InPlaceDirtyUpdateRewrites)
 {
-    Rig rig = makeRig(PolicyKind::Ca);
-    rig->onPut(blk(1), false, 30);
-    EXPECT_EQ(rig->partOf(blk(1)), Part::Nvm);
-    const auto bytes_before = rig->nvmBytesWritten();
+    LlcRig rig = makeRig(PolicyKind::Ca);
+    rig.llc->onPut(blk(1), false, 30);
+    EXPECT_EQ(rig.llc->partOf(blk(1)), Part::Nvm);
+    const auto bytes_before = rig.llc->nvmBytesWritten();
     // Dirty Put over the (stale) resident copy: in-place rewrite.
-    rig->onPut(blk(1), true, 24);
-    EXPECT_EQ(rig->stats().counterValue("inplace_updates"), 1u);
-    EXPECT_EQ(rig->nvmBytesWritten(), bytes_before + 24);
+    rig.llc->onPut(blk(1), true, 24);
+    EXPECT_EQ(rig.llc->stats().counterValue("inplace_updates"), 1u);
+    EXPECT_EQ(rig.llc->nvmBytesWritten(), bytes_before + 24);
 }
 
 TEST(HybridLlc, RevalidateDropsBlocksThatNoLongerFit)
 {
-    Rig rig = makeRig(PolicyKind::Ca);
-    rig->onPut(blk(1), false, 44);
-    ASSERT_EQ(rig->partOf(blk(1)), Part::Nvm);
+    LlcRig rig = makeRig(PolicyKind::Ca);
+    rig.llc->onPut(blk(1), false, 44);
+    ASSERT_EQ(rig.llc->partOf(blk(1)), Part::Nvm);
     // Age the frame below 44 live bytes.
     const auto frames = rig.map->geometry().numFrames();
     for (std::uint32_t f = 0; f < frames; ++f)
         for (unsigned b = 0; b < 30; ++b)
             rig.map->killByte(f, b);
-    rig->revalidateAgainstFaultMap();
-    EXPECT_FALSE(rig->contains(blk(1)));
-    EXPECT_EQ(rig->stats().counterValue("aged_out"), 1u);
+    rig.llc->revalidateAgainstFaultMap();
+    EXPECT_FALSE(rig.llc->contains(blk(1)));
+    EXPECT_EQ(rig.llc->stats().counterValue("aged_out"), 1u);
 }
 
 TEST(HybridLlc, ResetClearsContentsAndTracker)
 {
-    Rig rig = makeRig(PolicyKind::CaRwr);
-    rig->onPut(blk(1), false, 30);
-    rig->onGetS(blk(1));
-    rig->reset();
-    EXPECT_FALSE(rig->contains(blk(1)));
-    EXPECT_EQ(rig->tracker().classOf(blk(1)), ReuseClass::None);
-    EXPECT_EQ(rig->tracker().size(), 0u);
+    LlcRig rig = makeRig(PolicyKind::CaRwr);
+    rig.llc->onPut(blk(1), false, 30);
+    rig.llc->onGetS(blk(1));
+    rig.llc->reset();
+    EXPECT_FALSE(rig.llc->contains(blk(1)));
+    EXPECT_EQ(rig.llc->tracker().classOf(blk(1)), ReuseClass::None);
+    EXPECT_EQ(rig.llc->tracker().size(), 0u);
 }
 
 TEST(HybridLlc, SramOnlyNeverTouchesNvm)
 {
-    Rig rig = makeRig(PolicyKind::SramOnly, 4, 0);
+    LlcRig rig = makeRig(PolicyKind::SramOnly, 4, 0);
     for (unsigned i = 1; i <= 8; ++i) {
-        rig->onPut(blk(i), false, 30);
-        rig->onGetS(blk(i));
+        rig.llc->onPut(blk(i), false, 30);
+        rig.llc->onGetS(blk(i));
     }
-    EXPECT_EQ(rig->nvmBytesWritten(), 0u);
-    EXPECT_EQ(rig->stats().counterValue("inserts_nvm"), 0u);
+    EXPECT_EQ(rig.llc->nvmBytesWritten(), 0u);
+    EXPECT_EQ(rig.llc->stats().counterValue("inserts_nvm"), 0u);
 }
 
 TEST(HybridLlc, DuelingEnabledOnlyForCpSd)
 {
-    EXPECT_NE(makeRig(PolicyKind::CpSd)->dueling(), nullptr);
-    EXPECT_EQ(makeRig(PolicyKind::Ca)->dueling(), nullptr);
-    EXPECT_EQ(makeRig(PolicyKind::LHybrid)->dueling(), nullptr);
+    EXPECT_NE(makeRig(PolicyKind::CpSd).llc->dueling(), nullptr);
+    EXPECT_EQ(makeRig(PolicyKind::Ca).llc->dueling(), nullptr);
+    EXPECT_EQ(makeRig(PolicyKind::LHybrid).llc->dueling(), nullptr);
 }
 
 TEST(HybridLlc, CpSdLeaderSetsUseTheirCandidate)
 {
-    Rig rig = makeRig(PolicyKind::CpSd);
+    LlcRig rig = makeRig(PolicyKind::CpSd);
     const auto &candidates = hllc::compression::cpthCandidates();
     for (std::size_t c = 0; c < candidates.size(); ++c)
-        EXPECT_EQ(rig->cpthForSet(static_cast<std::uint32_t>(c)),
+        EXPECT_EQ(rig.llc->cpthForSet(static_cast<std::uint32_t>(c)),
                   candidates[c]);
     // Follower sets track the winner.
-    EXPECT_EQ(rig->cpthForSet(20), rig->dueling()->winner());
+    EXPECT_EQ(rig.llc->cpthForSet(20), rig.llc->dueling()->winner());
 }
 
 TEST(HybridLlc, HandleDispatchesAndTicksEpochs)
 {
-    Rig rig = makeRig(PolicyKind::CpSd);
+    LlcRig rig = makeRig(PolicyKind::CpSd);
     LlcEvent ev{ blk(1), LlcEventType::GetS, 64, 0 };
-    EXPECT_EQ(rig->handle(ev), AccessOutcome::Miss);
+    EXPECT_EQ(rig.llc->handle(ev), AccessOutcome::Miss);
     ev.type = LlcEventType::PutClean;
     ev.ecbBytes = 30;
-    rig->handle(ev);
+    rig.llc->handle(ev);
     ev.type = LlcEventType::GetS;
-    EXPECT_NE(rig->handle(ev), AccessOutcome::Miss);
+    EXPECT_NE(rig.llc->handle(ev), AccessOutcome::Miss);
     // Epoch clock advanced 3 * cyclesPerEvent.
-    EXPECT_EQ(rig->demandAccesses(), 2u);
+    EXPECT_EQ(rig.llc->demandAccesses(), 2u);
 }
 
 TEST(HybridLlc, HitRateArithmetic)
 {
-    Rig rig = makeRig(PolicyKind::CaRwr);
-    rig->onGetS(blk(1));           // miss
-    rig->onPut(blk(1), false, 30);
-    rig->onGetS(blk(1));           // hit
-    rig->onGetS(blk(2));           // miss
-    EXPECT_EQ(rig->demandAccesses(), 3u);
-    EXPECT_EQ(rig->demandHits(), 1u);
-    EXPECT_NEAR(rig->hitRate(), 1.0 / 3.0, 1e-12);
+    LlcRig rig = makeRig(PolicyKind::CaRwr);
+    rig.llc->onGetS(blk(1));           // miss
+    rig.llc->onPut(blk(1), false, 30);
+    rig.llc->onGetS(blk(1));           // hit
+    rig.llc->onGetS(blk(2));           // miss
+    EXPECT_EQ(rig.llc->demandAccesses(), 3u);
+    EXPECT_EQ(rig.llc->demandHits(), 1u);
+    EXPECT_NEAR(rig.llc->hitRate(), 1.0 / 3.0, 1e-12);
 }
 
 } // namespace

@@ -10,10 +10,8 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "check/invariants.hh"
-#include "hybrid/hybrid_llc.hh"
+#include "hybrid/llc_rig.hh"
 
 namespace
 {
@@ -23,47 +21,31 @@ using namespace hllc::hybrid;
 
 constexpr std::uint32_t kSets = 32;
 
-struct Rig
-{
-    std::unique_ptr<fault::EnduranceModel> endurance;
-    std::unique_ptr<fault::FaultMap> map;
-    std::unique_ptr<HybridLlc> llc;
-};
-
-Rig
+LlcRig
 makeRig(PolicyKind policy, bool degraded)
 {
-    Rig rig;
     HybridLlcConfig config;
     config.numSets = kSets;
     config.sramWays = 4;
     config.nvmWays = 12;
     config.policy = policy;
     config.epochCycles = 5'000;
-
     if (policy == PolicyKind::SramOnly) {
         config.sramWays = 16;
         config.nvmWays = 0;
-    } else {
-        const fault::NvmGeometry geom{ kSets, config.nvmWays, 64 };
-        rig.endurance = std::make_unique<fault::EnduranceModel>(
-            geom, fault::EnduranceParams{ 1e12, 0.0 },
-            Xoshiro256StarStar(7));
-        rig.map = std::make_unique<fault::FaultMap>(
-            *rig.endurance,
-            InsertionPolicy::create(policy)->granularity());
-        if (degraded) {
-            // Random byte faults down to ~70% capacity.
-            Xoshiro256StarStar rng(11);
-            while (rig.map->effectiveCapacity() > 0.7) {
-                rig.map->killByte(
-                    static_cast<std::uint32_t>(
-                        rng.nextBounded(geom.numFrames())),
-                    static_cast<unsigned>(rng.nextBounded(64)));
-            }
+    }
+
+    LlcRig rig = buildPristineRig(config);
+    if (rig.map && degraded) {
+        // Random byte faults down to ~70% capacity.
+        Xoshiro256StarStar rng(11);
+        while (rig.map->effectiveCapacity() > 0.7) {
+            rig.map->killByte(
+                static_cast<std::uint32_t>(
+                    rng.nextBounded(rig.map->geometry().numFrames())),
+                static_cast<unsigned>(rng.nextBounded(64)));
         }
     }
-    rig.llc = std::make_unique<HybridLlc>(config, rig.map.get());
     return rig;
 }
 
@@ -99,7 +81,7 @@ class PolicyStorm
 TEST_P(PolicyStorm, InvariantsHoldUnderRandomTraffic)
 {
     const auto [policy, degraded] = GetParam();
-    Rig rig = makeRig(policy, degraded);
+    LlcRig rig = makeRig(policy, degraded);
     storm(*rig.llc, 42, 30'000);
 
     // Structural, stats-accounting and wear-accounting invariants all
@@ -118,8 +100,8 @@ TEST_P(PolicyStorm, InvariantsHoldUnderRandomTraffic)
 TEST_P(PolicyStorm, Deterministic)
 {
     const auto [policy, degraded] = GetParam();
-    Rig a = makeRig(policy, degraded);
-    Rig b = makeRig(policy, degraded);
+    LlcRig a = makeRig(policy, degraded);
+    LlcRig b = makeRig(policy, degraded);
     storm(*a.llc, 99, 10'000);
     storm(*b.llc, 99, 10'000);
     EXPECT_EQ(a.llc->demandHits(), b.llc->demandHits());
@@ -132,7 +114,7 @@ TEST_P(PolicyStorm, SurvivesAgingMidstream)
     if (policy == PolicyKind::SramOnly)
         GTEST_SKIP() << "no NVM to age";
     (void)degraded;
-    Rig rig = makeRig(policy, false);
+    LlcRig rig = makeRig(policy, false);
     storm(*rig.llc, 5, 10'000);
     // Age aggressively, then keep running: resident blocks whose frames
     // shrank must be dropped, not corrupted.

@@ -11,7 +11,6 @@
 #include <clocale>
 #include <cmath>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <unistd.h>
 #include <vector>
@@ -23,6 +22,7 @@
 #include "common/serialize.hh"
 #include "common/stats.hh"
 #include "hierarchy/hierarchy.hh"
+#include "hybrid/llc_rig.hh"
 #include "hybrid/set_dueling.hh"
 #include "replay/replayer.hh"
 #include "workload/mixes.hh"
@@ -311,39 +311,22 @@ smallTrace()
         hierarchy::PrivateCacheConfig{ 1024, 4, 4096, 16 }, 4000, 21);
 }
 
-struct LlcRig
-{
-    std::unique_ptr<fault::EnduranceModel> endurance;
-    std::unique_ptr<fault::FaultMap> map;
-    std::unique_ptr<hybrid::HybridLlc> llc;
-};
-
-LlcRig
+hybrid::LlcRig
 makeLlc()
 {
-    LlcRig rig;
     hybrid::HybridLlcConfig config;
     config.numSets = 32;
     config.sramWays = 4;
     config.nvmWays = 12;
     config.policy = hybrid::PolicyKind::CpSd;
     config.epochCycles = 10'000;
-
-    const fault::NvmGeometry geom{ config.numSets, config.nvmWays, 64 };
-    rig.endurance = std::make_unique<fault::EnduranceModel>(
-        geom, fault::EnduranceParams{ 1e12, 0.0 },
-        Xoshiro256StarStar(5));
-    rig.map = std::make_unique<fault::FaultMap>(
-        *rig.endurance,
-        hybrid::InsertionPolicy::create(config.policy)->granularity());
-    rig.llc = std::make_unique<hybrid::HybridLlc>(config, rig.map.get());
-    return rig;
+    return hybrid::buildPristineRig(config);
 }
 
 TEST(Metrics, ReplayIntervalsAreMonotoneAndEndOnTotals)
 {
     const replay::LlcTrace trace = smallTrace();
-    LlcRig rig = makeLlc();
+    hybrid::LlcRig rig = makeLlc();
     hybrid::HybridLlc &llc = *rig.llc;
 
     constexpr std::size_t intervals = 8;
@@ -379,7 +362,7 @@ TEST(Metrics, ReplayIntervalSeriesRecoverTotals)
     // deltas of the cumulative snapshots; they must sum back to the
     // replay totals and every per-interval hit rate must be a rate.
     const replay::LlcTrace trace = smallTrace();
-    LlcRig rig = makeLlc();
+    hybrid::LlcRig rig = makeLlc();
 
     MetricRegistry reg;
     std::uint64_t prev_acc = 0, prev_hits = 0, prev_bytes = 0;
@@ -428,8 +411,8 @@ TEST(Metrics, ReplayIntervalSeriesRecoverTotals)
 TEST(Metrics, ReplayWithoutCallbackSkipsSampling)
 {
     const replay::LlcTrace trace = smallTrace();
-    LlcRig a = makeLlc();
-    LlcRig b = makeLlc();
+    hybrid::LlcRig a = makeLlc();
+    hybrid::LlcRig b = makeLlc();
 
     // Sampling must not perturb the replay itself.
     std::size_t fired = 0;

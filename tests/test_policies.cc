@@ -15,6 +15,7 @@
 #include "check/golden_llc.hh"
 #include "compression/encoding.hh"
 #include "hybrid/insertion_policy.hh"
+#include "hybrid/llc_rig.hh"
 
 namespace
 {
@@ -72,16 +73,41 @@ TEST(PolicyFactory, CreatesEveryKind)
     }
 }
 
+// The policy's own granularity, and the fault map the rig builder wires
+// for it; with no NVM ways the builder draws no fabric and no map.
 TEST(PolicyFlags, CompressionImpliesByteDisabling)
 {
+    HybridLlcConfig config;
+    config.numSets = 32;
+    config.sramWays = 4;
+    config.nvmWays = 12;
     for (const ExpectedRow &row : kTableIII) {
         const InsertionPolicy policy(row.kind);
+        const fault::DisableGranularity expected =
+            row.compression ? fault::DisableGranularity::Byte
+                            : fault::DisableGranularity::Frame;
         EXPECT_EQ(policy.usesCompression(), row.compression) << row.label;
-        EXPECT_EQ(policy.granularity(),
-                  row.compression ? fault::DisableGranularity::Byte
-                                  : fault::DisableGranularity::Frame)
-            << row.label;
+        EXPECT_EQ(policy.granularity(), expected) << row.label;
+
+        config.policy = row.kind;
+        const LlcRig rig = buildPristineRig(config);
+        ASSERT_NE(rig.endurance, nullptr) << row.label;
+        ASSERT_NE(rig.map, nullptr) << row.label;
+        EXPECT_EQ(rig.map->granularity(), expected) << row.label;
+        EXPECT_EQ(rig.llc->faultMap(), rig.map.get()) << row.label;
     }
+
+    config.policy = PolicyKind::SramOnly;
+    config.sramWays = 16;
+    config.nvmWays = 0;
+    const LlcRig sram = buildPristineRig(config);
+    EXPECT_EQ(sram.endurance, nullptr);
+    EXPECT_EQ(sram.map, nullptr);
+    ASSERT_NE(sram.llc, nullptr);
+    EXPECT_EQ(sram.llc->faultMap(), nullptr);
+    EXPECT_EQ(sram.llc->onGetS(0x40), AccessOutcome::Miss);
+    sram.llc->onPut(0x40, false, 64);
+    EXPECT_NE(sram.llc->onGetS(0x40), AccessOutcome::Miss);
 }
 
 // Every kind's flag row, in both the production table and the golden

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "hierarchy/hierarchy.hh"
+#include "hybrid/llc_rig.hh"
 #include "replay/replayer.hh"
 #include "workload/mixes.hh"
 
@@ -17,6 +18,7 @@ using namespace hllc;
 using namespace hllc::replay;
 using hybrid::HybridLlc;
 using hybrid::HybridLlcConfig;
+using hybrid::LlcRig;
 using hybrid::PolicyKind;
 
 LlcTrace
@@ -27,33 +29,16 @@ smallTrace(std::size_t mix_index = 0)
         hierarchy::PrivateCacheConfig{ 1024, 4, 4096, 16 }, 4000, 21);
 }
 
-struct LlcRig
-{
-    std::unique_ptr<fault::EnduranceModel> endurance;
-    std::unique_ptr<fault::FaultMap> map;
-    std::unique_ptr<HybridLlc> llc;
-};
-
 LlcRig
 makeLlc(PolicyKind policy)
 {
-    LlcRig rig;
     HybridLlcConfig config;
     config.numSets = 32;
     config.sramWays = 4;
     config.nvmWays = 12;
     config.policy = policy;
     config.epochCycles = 10'000;
-
-    const fault::NvmGeometry geom{ config.numSets, config.nvmWays, 64 };
-    rig.endurance = std::make_unique<fault::EnduranceModel>(
-        geom, fault::EnduranceParams{ 1e12, 0.0 },
-        Xoshiro256StarStar(5));
-    rig.map = std::make_unique<fault::FaultMap>(
-        *rig.endurance,
-        hybrid::InsertionPolicy::create(policy)->granularity());
-    rig.llc = std::make_unique<HybridLlc>(config, rig.map.get());
-    return rig;
+    return hybrid::buildPristineRig(config);
 }
 
 TEST(Replay, DeterministicResults)

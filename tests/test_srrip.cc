@@ -6,9 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-
-#include "hybrid/hybrid_llc.hh"
+#include "hybrid/llc_rig.hh"
 
 namespace
 {
@@ -18,20 +16,10 @@ using namespace hllc::hybrid;
 
 constexpr std::uint32_t kSets = 32;
 
-struct Rig
-{
-    std::unique_ptr<fault::EnduranceModel> endurance;
-    std::unique_ptr<fault::FaultMap> map;
-    std::unique_ptr<HybridLlc> llc;
-
-    HybridLlc *operator->() { return llc.get(); }
-};
-
-Rig
+LlcRig
 makeRig(ReplacementKind replacement, std::uint32_t sram_ways = 4,
         std::uint32_t nvm_ways = 0)
 {
-    Rig rig;
     HybridLlcConfig config;
     config.numSets = kSets;
     config.sramWays = sram_ways;
@@ -39,17 +27,7 @@ makeRig(ReplacementKind replacement, std::uint32_t sram_ways = 4,
     config.policy =
         nvm_ways == 0 ? PolicyKind::SramOnly : PolicyKind::Ca;
     config.replacement = replacement;
-
-    if (nvm_ways > 0) {
-        const fault::NvmGeometry geom{ kSets, nvm_ways, 64 };
-        rig.endurance = std::make_unique<fault::EnduranceModel>(
-            geom, fault::EnduranceParams{ 1e12, 0.0 },
-            Xoshiro256StarStar(1));
-        rig.map = std::make_unique<fault::FaultMap>(
-            *rig.endurance, fault::DisableGranularity::Byte);
-    }
-    rig.llc = std::make_unique<HybridLlc>(config, rig.map.get());
-    return rig;
+    return buildPristineRig(config);
 }
 
 Addr
@@ -62,82 +40,82 @@ TEST(Srrip, ReReferencedBlockSurvivesScans)
 {
     // A 4-way set holding one hot block; a long stream of single-use
     // blocks must not evict it under SRRIP.
-    Rig rig = makeRig(ReplacementKind::Srrip);
-    rig->onPut(blk(0), false, 64);
-    rig->onGetS(blk(0)); // promote to near-immediate re-reference
+    LlcRig rig = makeRig(ReplacementKind::Srrip);
+    rig.llc->onPut(blk(0), false, 64);
+    rig.llc->onGetS(blk(0)); // promote to near-immediate re-reference
 
     for (unsigned i = 1; i <= 12; ++i) {
-        rig->onPut(blk(i), false, 64);
-        rig->onGetS(blk(0)); // keep re-referencing the hot block
+        rig.llc->onPut(blk(i), false, 64);
+        rig.llc->onGetS(blk(0)); // keep re-referencing the hot block
     }
-    EXPECT_TRUE(rig->contains(blk(0)));
+    EXPECT_TRUE(rig.llc->contains(blk(0)));
 }
 
 TEST(Lru, SameScanEvictsUnderLruWithoutReReference)
 {
     // Control: without re-references even LRU-protected blocks go.
-    Rig rig = makeRig(ReplacementKind::Lru);
-    rig->onPut(blk(0), false, 64);
+    LlcRig rig = makeRig(ReplacementKind::Lru);
+    rig.llc->onPut(blk(0), false, 64);
     for (unsigned i = 1; i <= 12; ++i)
-        rig->onPut(blk(i), false, 64);
-    EXPECT_FALSE(rig->contains(blk(0)));
+        rig.llc->onPut(blk(i), false, 64);
+    EXPECT_FALSE(rig.llc->contains(blk(0)));
 }
 
 TEST(Srrip, NeverReferencedBlocksEvictFirst)
 {
-    Rig rig = makeRig(ReplacementKind::Srrip);
-    rig->onPut(blk(0), false, 64);
-    rig->onPut(blk(1), false, 64);
-    rig->onPut(blk(2), false, 64);
-    rig->onPut(blk(3), false, 64);
-    rig->onGetS(blk(0)); // block 0 promoted; 1..3 still distant
-    rig->onPut(blk(4), false, 64);
+    LlcRig rig = makeRig(ReplacementKind::Srrip);
+    rig.llc->onPut(blk(0), false, 64);
+    rig.llc->onPut(blk(1), false, 64);
+    rig.llc->onPut(blk(2), false, 64);
+    rig.llc->onPut(blk(3), false, 64);
+    rig.llc->onGetS(blk(0)); // block 0 promoted; 1..3 still distant
+    rig.llc->onPut(blk(4), false, 64);
     // One of the unreferenced blocks was evicted, never block 0.
-    EXPECT_TRUE(rig->contains(blk(0)));
+    EXPECT_TRUE(rig.llc->contains(blk(0)));
     int present = 0;
     for (unsigned i = 1; i <= 3; ++i)
-        present += rig->contains(blk(i));
+        present += rig.llc->contains(blk(i));
     EXPECT_EQ(present, 2);
 }
 
 TEST(Srrip, HonoursFitConstraintsInNvm)
 {
-    Rig rig = makeRig(ReplacementKind::Srrip, 2, 2);
+    LlcRig rig = makeRig(ReplacementKind::Srrip, 2, 2);
     // Degrade NVM frame (set 0, way 0) to 40 live bytes.
     for (unsigned b = 0; b < 24; ++b)
         rig.map->killByte(rig.map->geometry().frameIndex(0, 0), b);
 
-    rig->onPut(blk(1), false, 44); // only fits frame 1
-    rig->onGetS(blk(1));           // promote it hard
-    rig->onPut(blk(2), false, 44); // must still evict block 1 (only fit)
-    EXPECT_EQ(rig->stats().counterValue("inserts_nvm"), 2u);
-    EXPECT_FALSE(rig->contains(blk(1)));
-    EXPECT_TRUE(rig->contains(blk(2)));
+    rig.llc->onPut(blk(1), false, 44); // only fits frame 1
+    rig.llc->onGetS(blk(1));           // promote it hard
+    rig.llc->onPut(blk(2), false, 44); // must still evict block 1 (only fit)
+    EXPECT_EQ(rig.llc->stats().counterValue("inserts_nvm"), 2u);
+    EXPECT_FALSE(rig.llc->contains(blk(1)));
+    EXPECT_TRUE(rig.llc->contains(blk(2)));
 }
 
 TEST(Srrip, RandomStormKeepsInvariants)
 {
-    Rig rig = makeRig(ReplacementKind::Srrip, 4, 12);
+    LlcRig rig = makeRig(ReplacementKind::Srrip, 4, 12);
     Xoshiro256StarStar rng(3);
     for (int i = 0; i < 20000; ++i) {
         const Addr block = rng.nextBounded(1024);
         switch (rng.nextBounded(3)) {
           case 0:
-            rig->onGetS(block);
+            rig.llc->onGetS(block);
             break;
           case 1:
-            rig->onGetX(block);
+            rig.llc->onGetX(block);
             break;
           default:
-            rig->onPut(block, rng.nextBool(0.3),
+            rig.llc->onPut(block, rng.nextBool(0.3),
                        30 + static_cast<unsigned>(rng.nextBounded(35)));
         }
     }
-    EXPECT_LE(rig->hitRate(), 1.0);
-    EXPECT_EQ(rig->stats().counterValue("gets"),
-              rig->stats().counterValue("gets_hits_sram") +
-                  rig->stats().counterValue("gets_hits_nvm") +
-                  rig->stats().counterValue("gets_misses"));
+    EXPECT_LE(rig.llc->hitRate(), 1.0);
+    EXPECT_EQ(rig.llc->stats().counterValue("gets"),
+              rig.llc->stats().counterValue("gets_hits_sram") +
+                  rig.llc->stats().counterValue("gets_hits_nvm") +
+                  rig.llc->stats().counterValue("gets_misses"));
 }
 
 } // namespace

@@ -30,6 +30,7 @@
 #include "common/stats.hh"
 #include "forecast/forecast.hh"
 #include "hierarchy/timing.hh"
+#include "hybrid/llc_rig.hh"
 #include "sim/grid.hh"
 
 using namespace hllc;
@@ -166,25 +167,10 @@ main(int argc, char **argv)
         policies.size(),
         [&](std::size_t i) {
             const PolicyKind policy = policies[i];
-            const auto llc_config = policy == PolicyKind::SramOnly
-                ? config.llcConfigSramBound(config.sramWays +
-                                            config.nvmWays)
-                : config.llcConfig(policy, params);
-
-            std::unique_ptr<fault::EnduranceModel> endurance;
-            std::unique_ptr<fault::FaultMap> map;
-            if (llc_config.nvmWays > 0) {
-                // Same fabric for every policy cell (fair comparison):
-                // keyed on the master seed only.
-                endurance = std::make_unique<fault::EnduranceModel>(
-                    config.nvmGeometry(), config.endurance,
-                    Xoshiro256StarStar(config.seed));
-                map = std::make_unique<fault::FaultMap>(
-                    *endurance, hybrid::InsertionPolicy::create(
-                                    llc_config.policy, llc_config.params)
-                                    ->granularity());
-            }
-            hybrid::HybridLlc llc(llc_config, map.get());
+            const hybrid::LlcRig rig = hybrid::buildLlcRig(
+                config.llcConfig(policy, params), config.endurance,
+                config.seed);
+            hybrid::HybridLlc &llc = *rig.llc;
 
             ReplayResult result;
 
