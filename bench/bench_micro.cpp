@@ -92,15 +92,20 @@ seconds(std::chrono::steady_clock::duration d)
     return std::chrono::duration<double>(d).count();
 }
 
-/** Best-of-N wall time of @p body, in seconds. */
-template <typename Body>
+/**
+ * Best-of-N wall time of @p body, in seconds. Each repetition first
+ * builds fresh state with @p prepare, outside the timed region, and
+ * hands it to @p body.
+ */
+template <typename Prepare, typename Body>
 double
-bestOf(unsigned repeats, const Body &body)
+bestOf(unsigned repeats, const Prepare &prepare, const Body &body)
 {
     double best = 0.0;
     for (unsigned r = 0; r < repeats; ++r) {
+        auto state = prepare();
         const auto t0 = std::chrono::steady_clock::now();
-        body();
+        body(state);
         const double s = seconds(std::chrono::steady_clock::now() - t0);
         if (r == 0 || s < best)
             best = s;
@@ -139,16 +144,19 @@ struct CompressorResult
     Timing timing; //!< blocks/sec, ns/block
 };
 
-/** Replay timing of one policy (fresh pristine LLC per repetition). */
+/**
+ * Replay timing of one policy. Every repetition replays into a fresh
+ * pristine LLC whose construction (fault map, endurance draws) is not
+ * timed.
+ */
 Timing
 timePolicy(const replay::LlcTrace &trace,
            const hybrid::HybridLlcConfig &config, unsigned repeats)
 {
-    const double secs = bestOf(repeats, [&] {
-        const hybrid::LlcRig rig = hybrid::buildPristineRig(config);
-        const replay::TraceReplayer replayer(0.2);
-        replayer.replay(trace, *rig.llc);
-    });
+    const replay::TraceReplayer replayer(0.2);
+    const double secs = bestOf(
+        repeats, [&] { return hybrid::buildPristineRig(config); },
+        [&](const hybrid::LlcRig &rig) { replayer.replay(trace, *rig.llc); });
     return timingFrom(secs, trace.size());
 }
 
@@ -158,11 +166,12 @@ timeGolden(const replay::LlcTrace &trace,
            const hybrid::HybridLlcConfig &config)
 {
     std::uint64_t sink = 0;
-    const double secs = bestOf(1, [&] {
-        check::GoldenLlc golden(config);
-        for (const auto &ev : trace.events())
-            sink += static_cast<std::uint64_t>(golden.handle(ev, nullptr));
-    });
+    const double secs = bestOf(
+        1, [&] { return check::GoldenLlc(config); },
+        [&](check::GoldenLlc &golden) {
+            for (const auto &ev : trace.events())
+                sink += static_cast<std::uint64_t>(golden.handle(ev, nullptr));
+        });
     // Keep the accumulated outcome observable so the loop cannot be
     // optimised away.
     if (sink == ~std::uint64_t{0})
@@ -188,12 +197,14 @@ timeCompressor(compression::Scheme scheme, unsigned repeats)
 
     constexpr unsigned rounds = 20'000;
     unsigned sink = 0;
-    const double secs = bestOf(repeats, [&] {
-        for (unsigned r = 0; r < rounds; ++r) {
-            for (const BlockData &block : corpus)
-                sink += compressor->ecbSize(block);
-        }
-    });
+    const double secs = bestOf(
+        repeats, [] { return 0; },
+        [&](int) {
+            for (unsigned r = 0; r < rounds; ++r) {
+                for (const BlockData &block : corpus)
+                    sink += compressor->ecbSize(block);
+            }
+        });
     if (sink == 0xffffffffu)
         std::fputc(' ', stderr);
 
@@ -229,7 +240,9 @@ usage(const char *argv0)
 {
     std::fprintf(stderr,
                  "usage: %s [--out FILE] [--events N] [--repeats N] "
-                 "[--skip-identity]\n",
+                 "[--skip-identity]\n"
+                 "  --events N  references per core in the captured "
+                 "trace (default 100000)\n",
                  argv0);
     return 2;
 }

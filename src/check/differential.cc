@@ -48,17 +48,21 @@ compareFinalState(const HybridLlc &fast, const GoldenLlc &golden)
             if (f.valid != g.valid ||
                 (f.valid && (f.blockNum != g.blockNum ||
                              f.dirty != g.dirty ||
-                             f.ecbBytes != g.ecbBytes))) {
+                             f.ecbBytes != g.ecbBytes ||
+                             f.reuse != g.reuse || f.hits != g.hits))) {
                 std::ostringstream out;
                 out << "final tag store: set " << set << " way " << w
                     << " fast={valid=" << f.valid << " blk=0x" << std::hex
                     << f.blockNum << std::dec
                     << " dirty=" << f.dirty
                     << " ecb=" << unsigned{f.ecbBytes}
+                    << " reuse=" << static_cast<unsigned>(f.reuse)
+                    << " hits=" << f.hits
                     << "} golden={valid=" << g.valid << " blk=0x"
                     << std::hex << g.blockNum << std::dec
                     << " dirty=" << g.dirty << " ecb=" << g.ecbBytes
-                    << "}";
+                    << " reuse=" << static_cast<unsigned>(g.reuse)
+                    << " hits=" << g.hits << "}";
                 return out.str();
             }
         }

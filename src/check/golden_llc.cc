@@ -140,7 +140,8 @@ GoldenLlc::WayView
 GoldenLlc::way(std::uint32_t set, std::uint32_t w) const
 {
     const Way &l = sets_[set][w];
-    return { l.blockNum, l.valid, l.dirty, l.ecbBytes };
+    return { l.blockNum, l.valid, l.dirty, l.ecbBytes, classOf(l.blockNum),
+             hitsOf(l.blockNum) };
 }
 
 unsigned

@@ -108,7 +108,10 @@ class GoldenLlc
         bool valid = false;
         bool dirty = false;
         unsigned ecbBytes = 0;
+        hybrid::ReuseClass reuse = hybrid::ReuseClass::None;
+        unsigned hits = 0;
     };
+    /** One way; reuse and hits are the resident's tag (valid ways). */
     WayView way(std::uint32_t set, std::uint32_t w) const;
     const hybrid::HybridLlcConfig &config() const { return config_; }
     unsigned cpthForSet(std::uint32_t set) const;
@@ -129,7 +132,11 @@ class GoldenLlc
         std::uint64_t lastTouch = 0;
     };
 
-    /** Naive reuse bookkeeping (mirrors hybrid::ReuseTracker). */
+    /**
+     * Naive reuse bookkeeping: one map over every block, resident or
+     * not. HybridLlc splits the same tags between its lines and its
+     * ReuseTracker, so the final-state diff cross-checks the hand-off.
+     */
     struct Reuse
     {
         hybrid::ReuseClass cls = hybrid::ReuseClass::None;

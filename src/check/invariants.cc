@@ -58,6 +58,13 @@ checkLlcStructure(const HybridLlc &llc)
                   << unsigned{l.ecbBytes} << " outside [2, 64]";
                 violation(out, s);
             }
+            if (llc.tracker().contains(l.blockNum)) {
+                std::ostringstream s;
+                s << "block 0x" << std::hex << l.blockNum << std::dec
+                  << " resident in set " << set << " way " << w
+                  << " also has a reuse-tracker entry";
+                violation(out, s);
+            }
             const auto [it, fresh] = residents.emplace(l.blockNum, w);
             if (!fresh) {
                 std::ostringstream s;

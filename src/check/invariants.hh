@@ -25,7 +25,9 @@ namespace hllc::check
 /**
  * Tag-store structure: each valid line's block maps to the set holding
  * it, no block is resident twice in a set, ECB sizes are in [2, 64],
- * and every valid NVM resident still fits its frame's live capacity.
+ * every valid NVM resident still fits its frame's live capacity, and no
+ * resident block also has a reuse-tracker entry (a resident's tag lives
+ * in its line).
  */
 std::vector<std::string>
 checkLlcStructure(const hybrid::HybridLlc &llc);

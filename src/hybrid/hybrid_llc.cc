@@ -54,6 +54,9 @@ constexpr const char *llcCounterNames[] = {
     "writebacks_dirty",
 };
 
+/** reuse_ byte of a read-reused resident (LHybrid's loop-block). */
+constexpr auto readReuse = static_cast<std::uint8_t>(ReuseClass::Read);
+
 } // namespace
 
 HybridLlc::HybridLlc(const HybridLlcConfig &config,
@@ -68,6 +71,8 @@ HybridLlc::HybridLlc(const HybridLlcConfig &config,
       dirty_(tags_.size(), 0),
       ecb_(tags_.size(), 0),
       rrpv_(tags_.size(), 0),
+      reuse_(tags_.size(), 0),
+      hits_(tags_.size(), 0),
       lru_(config.numSets, config.totalWays()),
       stats_(std::string("llc_") + std::string(policy_.name()))
 {
@@ -149,8 +154,11 @@ HybridLlc::findWay(std::uint32_t set, Addr block) const
     const std::size_t base = index(set, 0);
     const Addr *tags = tags_.data() + base;
     const std::uint8_t *valid = valid_.data() + base;
+    // Tags first: the valid byte is read only on a tag match (an
+    // invalidated line keeps its stale tag), so a miss costs one load
+    // and one compare per way.
     for (std::uint32_t w = 0; w < ways_; ++w) {
-        if (valid[w] && tags[w] == block)
+        if (tags[w] == block && valid[w])
             return static_cast<int>(w);
     }
     return -1;
@@ -160,22 +168,20 @@ int
 HybridLlc::victimWay(std::uint32_t set, std::uint32_t begin,
                      std::uint32_t end, unsigned ecb)
 {
-    // Empty frames with enough capacity first...
-    for (std::uint32_t w = begin; w < end; ++w) {
-        if (!valid_[index(set, w)] &&
-            frameCapacity(set, w) >= storedSize(w, ecb)) {
-            return static_cast<int>(w);
-        }
-    }
-
-    const auto fits = [&](std::uint32_t w) {
-        return valid_[index(set, w)] != 0 &&
-               frameCapacity(set, w) >= storedSize(w, ecb);
-    };
-
     if (config_.replacement == ReplacementKind::Srrip) {
-        // SRRIP: evict the first fitting line predicted re-referenced
-        // in the distant future; age everyone until one exists.
+        // Empty frames with enough capacity first...
+        for (std::uint32_t w = begin; w < end; ++w) {
+            if (!valid_[index(set, w)] &&
+                frameCapacity(set, w) >= storedSize(w, ecb)) {
+                return static_cast<int>(w);
+            }
+        }
+        const auto fits = [&](std::uint32_t w) {
+            return valid_[index(set, w)] != 0 &&
+                   frameCapacity(set, w) >= storedSize(w, ecb);
+        };
+        // ...then evict the first fitting line predicted re-referenced in
+        // the distant future; age everyone until one exists.
         bool any_fits = false;
         for (std::uint32_t w = begin; w < end; ++w)
             any_fits = any_fits || fits(w);
@@ -195,8 +201,40 @@ HybridLlc::victimWay(std::uint32_t set, std::uint32_t begin,
         panic("SRRIP victim scan did not converge");
     }
 
-    // ...then the LRU line among frames the block fits in (Fit-LRU).
-    return lru_.lruWay(set, begin, end, fits);
+    // Fit-LRU in one scan, SRAM ways then NVM frames: the first empty
+    // way with enough capacity wins outright; otherwise the least
+    // recently used fitting line (first way on a stamp tie, as
+    // LruState::lruWay). A valid line was touched when filled, so its
+    // stamp lies below the initial ~0.
+    const std::uint8_t *valid = valid_.data() + index(set, 0);
+    int best = -1;
+    std::uint64_t best_stamp = ~std::uint64_t{0};
+    const auto older = [&](std::uint32_t w) {
+        const std::uint64_t stamp = lru_.stamp(set, w);
+        const bool is_older = stamp < best_stamp;
+        best = is_older ? static_cast<int>(w) : best;
+        best_stamp = is_older ? stamp : best_stamp;
+    };
+    // SRAM ways hold a raw block and always fit.
+    const std::uint32_t sram_end = std::min(end, config_.sramWays);
+    for (std::uint32_t w = begin; w < sram_end; ++w) {
+        if (!valid[w])
+            return static_cast<int>(w);
+        older(w);
+    }
+    const std::uint32_t nvm_begin = std::max(begin, config_.sramWays);
+    if (nvm_begin < end) {
+        const unsigned stored = storedSize(nvm_begin, ecb);
+        const std::uint32_t frame0 = frameOf(set, nvm_begin);
+        for (std::uint32_t w = nvm_begin; w < end; ++w) {
+            if (faultMap_->frameCapacity(frame0 + (w - nvm_begin)) < stored)
+                continue;
+            if (!valid[w])
+                return static_cast<int>(w);
+            older(w);
+        }
+    }
+    return best;
 }
 
 void
@@ -211,18 +249,29 @@ HybridLlc::evict(std::uint32_t set, std::uint32_t way)
     if (probe_)
         probe_->onEvict(set, way, tags_[i], dirty_[i] != 0,
                         isNvmWay(way));
+    tracker_.spill(tags_[i], lineState(i));
     valid_[i] = 0;
     dirty_[i] = 0;
 }
 
 void
 HybridLlc::writeLine(std::uint32_t set, std::uint32_t way, Addr block,
-                     bool dirty, unsigned ecb)
+                     bool dirty, unsigned ecb, ReuseState state)
 {
+    const std::size_t i = index(set, way);
+    HLLC_ASSERT(!valid_[i], "writeLine over a live resident");
+
+    const bool nvm = isNvmWay(way);
+    const unsigned stored = storedSize(way, ecb);
+    const unsigned capacity = frameCapacity(set, way);
+    HLLC_ASSERT(capacity >= stored,
+                "block (%u B) does not fit frame (%u B)", stored,
+                capacity);
+
     // Byte attribution for the write-traffic breakdown studies.
-    if (isNvmWay(way)) {
+    if (nvm) {
         Counter *bucket;
-        switch (tracker_.classOf(block)) {
+        switch (state.reuse) {
           case ReuseClass::None:
             bucket = dirty ? ctr_.nvmBytesNoneDirty
                            : ctr_.nvmBytesNoneClean;
@@ -234,24 +283,19 @@ HybridLlc::writeLine(std::uint32_t set, std::uint32_t way, Addr block,
             bucket = ctr_.nvmBytesWriteReuse;
             break;
         }
-        *bucket += storedSize(way, ecb);
+        *bucket += stored;
     }
-    const std::size_t i = index(set, way);
-    HLLC_ASSERT(!valid_[i], "writeLine over a live resident");
-
-    const unsigned stored = storedSize(way, ecb);
-    HLLC_ASSERT(frameCapacity(set, way) >= stored,
-                "block (%u B) does not fit frame (%u B)",
-                stored, frameCapacity(set, way));
 
     tags_[i] = block;
     valid_[i] = 1;
     dirty_[i] = dirty ? 1 : 0;
     ecb_[i] = static_cast<std::uint8_t>(ecb);
     rrpv_[i] = maxRrpv - 1; // SRRIP long re-reference insertion
+    reuse_[i] = static_cast<std::uint8_t>(state.reuse);
+    hits_[i] = state.hits;
     lru_.touch(set, way);
 
-    if (isNvmWay(way)) {
+    if (nvm) {
         faultMap_->recordWrite(frameOf(set, way), stored);
         ++*ctr_.nvmWrites;
         *ctr_.nvmBytesWritten += stored;
@@ -262,7 +306,7 @@ HybridLlc::writeLine(std::uint32_t set, std::uint32_t way, Addr block,
         ++*ctr_.insertsSram;
     }
     if (probe_)
-        probe_->onFill(set, way, block, dirty, stored, isNvmWay(way));
+        probe_->onFill(set, way, block, dirty, stored, nvm);
 }
 
 void
@@ -274,6 +318,7 @@ HybridLlc::migrateToNvm(std::uint32_t set, std::uint32_t way)
     const Addr block = tags_[i];
     const bool dirty = dirty_[i] != 0;
     const unsigned ecb = ecb_[i];
+    const ReuseState state = lineState(i);
 
     const int nvm_way = config_.nvmWays == 0
         ? -1
@@ -292,19 +337,19 @@ HybridLlc::migrateToNvm(std::uint32_t set, std::uint32_t way)
         probe_->onMigrateFree(set, way, block);
 
     evict(set, static_cast<std::uint32_t>(nvm_way));
-    writeLine(set, static_cast<std::uint32_t>(nvm_way), block, dirty, ecb);
+    writeLine(set, static_cast<std::uint32_t>(nvm_way), block, dirty, ecb,
+              state);
     ++*ctr_.migrationsToNvm;
 }
 
 void
-HybridLlc::insert(Addr block, bool dirty, unsigned ecb)
+HybridLlc::insert(Addr block, bool dirty, unsigned ecb, ReuseState state)
 {
     const std::uint32_t set = setOf(block);
     const unsigned cpth = dueling_ ? dueling_->cpthForSet(set)
                                    : config_.params.fixedCpth;
     const InsertContext ctx{
-        block, dirty, ecb, tracker_.classOf(block),
-        tracker_.hitsOf(block), set, cpth,
+        block, dirty, ecb, state.reuse, state.hits, set, cpth,
     };
 
     // Insertion-mix accounting (motivation studies / debugging).
@@ -330,10 +375,12 @@ HybridLlc::insert(Addr block, bool dirty, unsigned ecb)
                 ++*ctr_.writebacksDirty;
             if (probe_)
                 probe_->onBypass(block, dirty);
+            tracker_.spill(block, state);
             return;
         }
         evict(set, static_cast<std::uint32_t>(way));
-        writeLine(set, static_cast<std::uint32_t>(way), block, dirty, ecb);
+        writeLine(set, static_cast<std::uint32_t>(way), block, dirty, ecb,
+                  state);
         return;
     }
 
@@ -346,7 +393,7 @@ HybridLlc::insert(Addr block, bool dirty, unsigned ecb)
         if (way >= 0) {
             evict(set, static_cast<std::uint32_t>(way));
             writeLine(set, static_cast<std::uint32_t>(way), block, dirty,
-                      ecb);
+                      ecb, state);
             return;
         }
         // Doesn't fit in any NVM frame of the set: fall back to SRAM
@@ -361,6 +408,7 @@ HybridLlc::insert(Addr block, bool dirty, unsigned ecb)
             ++*ctr_.writebacksDirty;
         if (probe_)
             probe_->onBypass(block, dirty);
+        tracker_.spill(block, state);
         return;
     }
 
@@ -382,8 +430,7 @@ HybridLlc::insert(Addr block, bool dirty, unsigned ecb)
                             [&](std::uint32_t w) {
                                 const std::size_t i = index(set, w);
                                 return valid_[i] != 0 && !dirty_[i] &&
-                                       tracker_.classOf(tags_[i]) ==
-                                           ReuseClass::Read;
+                                       reuse_[i] == readReuse;
                             });
             if (lb_way >= 0) {
                 migrateToNvm(set, static_cast<std::uint32_t>(lb_way));
@@ -399,7 +446,7 @@ HybridLlc::insert(Addr block, bool dirty, unsigned ecb)
             const std::size_t vi =
                 index(set, static_cast<std::uint32_t>(way));
             if (policy_.migrateReadReuseOnSramEviction() && valid_[vi] &&
-                tracker_.classOf(tags_[vi]) == ReuseClass::Read) {
+                reuse_[vi] == readReuse) {
                 // CA_RWR: a read-reused SRAM victim moves to NVM instead
                 // of leaving the LLC (paper Sec. IV-B).
                 migrateToNvm(set, static_cast<std::uint32_t>(way));
@@ -409,7 +456,8 @@ HybridLlc::insert(Addr block, bool dirty, unsigned ecb)
 
     HLLC_ASSERT(way >= 0);
     evict(set, static_cast<std::uint32_t>(way));
-    writeLine(set, static_cast<std::uint32_t>(way), block, dirty, ecb);
+    writeLine(set, static_cast<std::uint32_t>(way), block, dirty, ecb,
+              state);
 }
 
 AccessOutcome
@@ -427,8 +475,13 @@ HybridLlc::onGetS(Addr block)
         return AccessOutcome::Miss;
     }
 
+    // A hit on a clean copy means read reuse (LHybrid's loop-block
+    // condition); a hit on a dirty copy means write reuse.
     const std::size_t i = index(set, static_cast<std::uint32_t>(way));
-    tracker_.onLlcHit(block, /*getx=*/false, dirty_[i] != 0);
+    if (hits_[i] < 0xffff)
+        ++hits_[i];
+    reuse_[i] = static_cast<std::uint8_t>(
+        dirty_[i] ? ReuseClass::Write : ReuseClass::Read);
     rrpv_[i] = 0;
     lru_.touch(set, static_cast<std::uint32_t>(way));
     if (dueling_)
@@ -455,13 +508,17 @@ HybridLlc::onGetX(Addr block)
         return AccessOutcome::Miss;
     }
 
-    const std::size_t i = index(set, static_cast<std::uint32_t>(way));
-    tracker_.onLlcHit(block, /*getx=*/true, dirty_[i] != 0);
     if (dueling_)
         dueling_->recordHit(set);
 
-    // Invalidate-on-hit: ownership moves to the private levels; the dirty
-    // block will be Put back on L2 eviction (Sec. III-A).
+    // Invalidate-on-hit: ownership moves to the private levels, taking a
+    // write-reuse tag with it; the dirty block will be Put back on L2
+    // eviction (Sec. III-A).
+    const std::size_t i = index(set, static_cast<std::uint32_t>(way));
+    ReuseState state{ ReuseClass::Write, hits_[i] };
+    if (state.hits < 0xffff)
+        ++state.hits;
+    tracker_.spill(block, state);
     const bool nvm = isNvmWay(static_cast<std::uint32_t>(way));
     valid_[i] = 0;
     dirty_[i] = 0;
@@ -485,6 +542,7 @@ HybridLlc::onPut(Addr block, bool dirty, unsigned ecb_bytes)
     const std::uint32_t set = setOf(block);
     const int way = findWay(set, block);
 
+    ReuseState state;
     if (way >= 0) {
         // Already resident (the usual case for clean L2 victims whose
         // copy survived in the LLC): no write needed.
@@ -514,14 +572,17 @@ HybridLlc::onPut(Addr block, bool dirty, unsigned ecb_bytes)
                                         isNvmWay(uway));
             return;
         }
-        // Grew past the frame's capacity: relocate.
+        // Grew past the frame's capacity: relocate, tag and all.
         if (probe_)
             probe_->onRelocate(set, uway, block);
+        state = lineState(i);
         valid_[i] = 0;
         dirty_[i] = 0;
+    } else {
+        state = tracker_.take(block);
     }
 
-    insert(block, dirty, ecb_bytes);
+    insert(block, dirty, ecb_bytes, state);
 }
 
 AccessOutcome
@@ -554,6 +615,16 @@ bool
 HybridLlc::contains(Addr block) const
 {
     return findWay(setOf(block), block) >= 0;
+}
+
+ReuseState
+HybridLlc::reuseOf(Addr block) const
+{
+    const std::uint32_t set = setOf(block);
+    const int way = findWay(set, block);
+    if (way < 0)
+        return tracker_.stateOf(block);
+    return lineState(index(set, static_cast<std::uint32_t>(way)));
 }
 
 std::optional<Part>
@@ -607,6 +678,7 @@ HybridLlc::revalidateAgainstFaultMap()
                 continue;
             const unsigned stored = storedSize(w, ecb_[i]);
             if (frameCapacity(set, w) < stored) {
+                tracker_.spill(tags_[i], lineState(i));
                 valid_[i] = 0;
                 dirty_[i] = 0;
                 ++*ctr_.agedOut;

@@ -16,14 +16,22 @@
  * the forecast's aging phases.
  *
  * Implementation notes for the replay hot path: the tag store is kept as
- * structure-of-arrays (tags / valid / dirty / ecb / rrpv in separate
- * flat vectors) so the per-access findWay() scan touches one contiguous
- * tag row instead of striding over 24-byte line records; every stats
- * counter the event paths bump is resolved to a Counter pointer once at
- * construction (std::map nodes are pointer-stable) so no per-event
- * string-keyed map lookups remain; and the InsertionPolicy is held by
- * value, so its traits are member bools and choosePart() is an inline
- * switch.
+ * structure-of-arrays (tags / valid / dirty / ecb / rrpv / reuse / hits
+ * in separate flat vectors) so the per-access findWay() scan touches one
+ * contiguous tag row and reads a valid byte only on a tag match. A
+ * resident block's reuse tag (class and TAP hit count) lives in its
+ * line: hits update it in place, a fill takes it out of the ReuseTracker,
+ * a migration or dirty-Put relocation carries it to the new line, and
+ * every way a block leaves the LLC (eviction, GetX invalidate-on-hit,
+ * aging out, a bypassed fill) hands it back. The tracker thus only holds
+ * blocks outside the LLC, and no hit probes it. The Fit-LRU victim
+ * search is one scan per set (first fitting empty way, else the least
+ * recently used fitting way), with the fault-map capacity check confined
+ * to the NVM frames. Every stats counter the event paths bump is
+ * resolved to a Counter pointer once at construction (std::map nodes
+ * are pointer-stable) so no per-event string-keyed map lookups remain;
+ * and the InsertionPolicy is held by value, so its traits are member
+ * bools and choosePart() is an inline switch.
  */
 
 #ifndef HLLC_HYBRID_HYBRID_LLC_HH
@@ -169,7 +177,13 @@ class HybridLlc
     }
     const SetDueling *dueling() const { return dueling_.get(); }
     SetDueling *dueling() { return dueling_.get(); }
+    /** Tags of blocks outside the LLC (resident tags live in lines). */
     const ReuseTracker &tracker() const { return tracker_; }
+    /**
+     * Reuse tag of @p block: its line's when resident, the tracker's
+     * otherwise.
+     */
+    ReuseState reuseOf(Addr block) const;
     const fault::FaultMap *faultMap() const { return faultMap_; }
     /** Read-only view of one tag-array entry (invariant checkers). */
     struct LineView
@@ -178,11 +192,14 @@ class HybridLlc
         bool valid = false;
         bool dirty = false;
         std::uint8_t ecbBytes = 0;
+        ReuseClass reuse = ReuseClass::None;
+        unsigned hits = 0;
     };
     LineView lineView(std::uint32_t set, std::uint32_t way) const
     {
         const std::size_t i = index(set, way);
-        return { tags_[i], valid_[i] != 0, dirty_[i] != 0, ecb_[i] };
+        return { tags_[i], valid_[i] != 0, dirty_[i] != 0, ecb_[i],
+                 static_cast<ReuseClass>(reuse_[i]), hits_[i] };
     }
     ///@}
 
@@ -255,6 +272,13 @@ class HybridLlc
 
     int findWay(std::uint32_t set, Addr block) const;
 
+    /** Reuse tag held by line @p i. */
+    ReuseState
+    lineState(std::size_t i) const
+    {
+        return { static_cast<ReuseClass>(reuse_[i]), hits_[i] };
+    }
+
     /**
      * Victim way for an incoming block needing @p ecb bytes among ways
      * [begin, end): an invalid way with enough capacity if one exists,
@@ -264,12 +288,18 @@ class HybridLlc
     int victimWay(std::uint32_t set, std::uint32_t begin,
                   std::uint32_t end, unsigned ecb);
 
-    /** Evict the resident of (set, way); dirty residents write back. */
+    /**
+     * Evict the resident of (set, way); dirty residents write back and
+     * its reuse tag goes back to the tracker.
+     */
     void evict(std::uint32_t set, std::uint32_t way);
 
-    /** Deposit a block into (set, way), recording NVM wear. */
+    /**
+     * Deposit a block carrying reuse tag @p state into (set, way),
+     * recording NVM wear.
+     */
     void writeLine(std::uint32_t set, std::uint32_t way, Addr block,
-                   bool dirty, unsigned ecb);
+                   bool dirty, unsigned ecb, ReuseState state);
 
     /**
      * Migrate the resident of SRAM way (set, way) into the NVM part.
@@ -277,8 +307,11 @@ class HybridLlc
      */
     void migrateToNvm(std::uint32_t set, std::uint32_t way);
 
-    /** The main insertion path (policy steering + replacement). */
-    void insert(Addr block, bool dirty, unsigned ecb);
+    /**
+     * The main insertion path (policy steering + replacement) for a
+     * block arriving with reuse tag @p state.
+     */
+    void insert(Addr block, bool dirty, unsigned ecb, ReuseState state);
 
     /**
      * Every per-event counter, resolved once at construction. The
@@ -312,6 +345,8 @@ class HybridLlc
     std::vector<std::uint8_t> dirty_;
     std::vector<std::uint8_t> ecb_;  //!< 64 when incompressible
     std::vector<std::uint8_t> rrpv_; //!< SRRIP prediction (0 = imminent)
+    std::vector<std::uint8_t> reuse_; //!< resident's ReuseClass
+    std::vector<std::uint16_t> hits_; //!< resident's LLC hits (TAP)
 
     cache::LruState lru_;
     ReuseTracker tracker_;

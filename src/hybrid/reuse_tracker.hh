@@ -1,20 +1,25 @@
 /**
  * @file
- * Block reuse bookkeeping shared by every insertion policy.
+ * Reuse tags of blocks outside the LLC.
  *
  * The paper tags blocks (in both L2 and LLC) with their reuse class; the
  * tag travels with the block and is reset when the block re-enters the
- * hierarchy from main memory. This tracker centralises that state, keyed
- * by block number, and also maintains the per-block LLC hit count that
- * TAP's thrashing classification needs.
+ * hierarchy from main memory. While a block is resident, HybridLlc keeps
+ * its tag (class plus the LLC hit count that TAP's thrashing
+ * classification needs) in the line itself. This tracker holds the tags
+ * of blocks that have left the LLC with a non-default tag, keyed by
+ * block number: a fill take()s the block's tag out with one probe, and
+ * an eviction, a GetX invalidate-on-hit, a bypass or an aged-out line
+ * spill()s it back. The event path never reads a tag without removing
+ * or replacing it, and hits on resident blocks never probe here.
  *
  * The store is a flat open-addressing table (linear probing,
- * backward-shift deletion) rather than std::unordered_map: classOf() and
- * hitsOf() run for every insertion and onLlcHit()/onMemoryFetch() for
- * every demand access, so the per-event lookup must be one hash, one
- * probe run over a contiguous array and no node allocation. Behaviour is
- * fully deterministic (probe order depends only on the key sequence),
- * which the rerun-differential checks rely on.
+ * backward-shift deletion) rather than std::unordered_map: take(),
+ * spill() and onMemoryFetch() sit on the miss/insert path, so each must
+ * be one multiplicative hash, one probe run over a contiguous array and
+ * no node allocation. Behaviour is fully deterministic (probe order
+ * depends only on the key sequence), which the rerun-differential checks
+ * rely on.
  */
 
 #ifndef HLLC_HYBRID_REUSE_TRACKER_HH
@@ -23,47 +28,65 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 #include "hybrid/types.hh"
 
 namespace hllc::hybrid
 {
 
+/**
+ * One block's reuse tag: its class and the LLC hits it accumulated
+ * since its last memory fetch (saturating at 0xffff).
+ */
+struct ReuseState
+{
+    ReuseClass reuse = ReuseClass::None;
+    std::uint16_t hits = 0;
+
+    bool operator==(const ReuseState &) const = default;
+};
+
 class ReuseTracker
 {
   public:
     ReuseTracker() : slots_(initialSlots) {}
 
-    /** Reuse class of @p block (None if never seen). */
-    ReuseClass
-    classOf(Addr block) const
+    /** Tag of @p block (default if not tracked); introspection only. */
+    ReuseState
+    stateOf(Addr block) const
     {
-        const Slot *s = find(block);
-        return s == nullptr ? ReuseClass::None
-                            : static_cast<ReuseClass>(s->reuse);
+        const std::size_t i = indexOf(block);
+        return i == npos ? ReuseState{} : slots_[i].state;
     }
 
-    /** LLC hits accumulated by @p block since its last memory fetch. */
-    unsigned
-    hitsOf(Addr block) const
+    /** Whether @p block has a tracked tag. */
+    bool contains(Addr block) const { return indexOf(block) != npos; }
+
+    /**
+     * The block is entering the LLC: remove and return its tag (default
+     * if not tracked); the line carries it from here on.
+     */
+    ReuseState
+    take(Addr block)
     {
-        const Slot *s = find(block);
-        return s == nullptr ? 0 : s->hits;
+        const std::size_t i = indexOf(block);
+        if (i == npos)
+            return {};
+        const ReuseState state = slots_[i].state;
+        eraseAt(i);
+        return state;
     }
 
     /**
-     * An LLC hit reclassifies the block: GetX hits and hits on dirty
-     * copies mean write reuse; GetS hits on clean copies mean read reuse
-     * (LHybrid's loop-block condition).
+     * The block left the LLC (or bypassed it) carrying @p state. Only a
+     * non-default tag is stored; @p block must not be tracked already.
      */
     void
-    onLlcHit(Addr block, bool getx, bool copy_dirty)
+    spill(Addr block, ReuseState state)
     {
-        Slot &s = findOrInsert(block);
-        if (s.hits < 0xffff)
-            ++s.hits;
-        s.reuse = static_cast<std::uint8_t>(
-            (getx || copy_dirty) ? ReuseClass::Write : ReuseClass::Read);
+        if (state != ReuseState{})
+            insertNew(block, state);
     }
 
     /**
@@ -74,15 +97,9 @@ class ReuseTracker
     void
     onMemoryFetch(Addr block)
     {
-        const std::size_t mask = slots_.size() - 1;
-        std::size_t i = hashOf(block) & mask;
-        while (slots_[i].used) {
-            if (slots_[i].key == block) {
-                eraseAt(i);
-                return;
-            }
-            i = (i + 1) & mask;
-        }
+        const std::size_t i = indexOf(block);
+        if (i != npos)
+            eraseAt(i);
     }
 
     /** Number of blocks currently tracked. */
@@ -93,6 +110,7 @@ class ReuseTracker
     clear()
     {
         slots_.assign(initialSlots, Slot{});
+        shift_ = initialShift;
         size_ = 0;
     }
 
@@ -100,55 +118,56 @@ class ReuseTracker
     struct Slot
     {
         Addr key = 0;
-        std::uint16_t hits = 0;
-        std::uint8_t reuse = 0; //!< ReuseClass
+        ReuseState state;
         std::uint8_t used = 0;
     };
 
     static constexpr std::size_t initialSlots = 1024;
+    static constexpr unsigned initialShift = 64 - 10;
+    static_assert(initialSlots == std::size_t{1} << (64 - initialShift));
+    static constexpr std::size_t npos = ~std::size_t{0};
 
-    /** splitmix64 finalizer: a full-avalanche mix of the block number. */
-    static std::size_t
-    hashOf(Addr key)
+    /**
+     * Home slot of @p key: Fibonacci hashing (one multiply, top bits),
+     * which spreads consecutive block numbers evenly.
+     */
+    std::size_t
+    homeOf(Addr key) const
     {
-        std::uint64_t x = key;
-        x ^= x >> 30;
-        x *= 0xbf58476d1ce4e5b9ull;
-        x ^= x >> 27;
-        x *= 0x94d049bb133111ebull;
-        x ^= x >> 31;
-        return static_cast<std::size_t>(x);
+        return static_cast<std::size_t>(
+            (key * 0x9e3779b97f4a7c15ull) >> shift_);
     }
 
-    const Slot *
-    find(Addr key) const
+    /** Slot index holding @p key, or npos. */
+    std::size_t
+    indexOf(Addr key) const
     {
         const std::size_t mask = slots_.size() - 1;
-        std::size_t i = hashOf(key) & mask;
+        std::size_t i = homeOf(key);
         while (slots_[i].used) {
             if (slots_[i].key == key)
-                return &slots_[i];
+                return i;
             i = (i + 1) & mask;
         }
-        return nullptr;
+        return npos;
     }
 
-    Slot &
-    findOrInsert(Addr key)
+    void
+    insertNew(Addr key, ReuseState state)
     {
-        // Keep the table at most half full so probe runs stay short.
-        if ((size_ + 1) * 2 > slots_.size())
+        // Keep the table at most a quarter full: most lookups are for
+        // untracked blocks, and they then stop at an empty home slot.
+        if ((size_ + 1) * 4 > slots_.size())
             grow();
         const std::size_t mask = slots_.size() - 1;
-        std::size_t i = hashOf(key) & mask;
+        std::size_t i = homeOf(key);
         while (slots_[i].used) {
-            if (slots_[i].key == key)
-                return slots_[i];
+            HLLC_ASSERT(slots_[i].key != key,
+                        "block spilled while already tracked");
             i = (i + 1) & mask;
         }
-        slots_[i] = Slot{ key, 0, 0, 1 };
+        slots_[i] = Slot{ key, state, 1 };
         ++size_;
-        return slots_[i];
     }
 
     /**
@@ -166,7 +185,7 @@ class ReuseTracker
             j = (j + 1) & mask;
             if (!slots_[j].used)
                 break;
-            const std::size_t home = hashOf(slots_[j].key) & mask;
+            const std::size_t home = homeOf(slots_[j].key);
             // Move slots_[j] into the hole unless its home position lies
             // cyclically within (i, j] (it would then probe past i).
             const bool home_in_range = i <= j ? (home > i && home <= j)
@@ -185,11 +204,12 @@ class ReuseTracker
     {
         std::vector<Slot> old = std::move(slots_);
         slots_.assign(old.size() * 2, Slot{});
+        --shift_;
         const std::size_t mask = slots_.size() - 1;
         for (const Slot &s : old) {
             if (!s.used)
                 continue;
-            std::size_t i = hashOf(s.key) & mask;
+            std::size_t i = homeOf(s.key);
             while (slots_[i].used)
                 i = (i + 1) & mask;
             slots_[i] = s;
@@ -197,6 +217,7 @@ class ReuseTracker
     }
 
     std::vector<Slot> slots_;
+    unsigned shift_ = initialShift; //!< 64 - log2(slots_.size())
     std::size_t size_ = 0;
 };
 

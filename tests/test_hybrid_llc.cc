@@ -3,7 +3,8 @@
  * HybridLlc behavioural tests: the non-inclusive protocol edge
  * (GetS/GetX/Put, invalidate-on-GetX-hit), part steering, Fit-LRU over
  * faulty frames, SRAM-eviction migration, LHybrid replacement, global
- * (Fit-)LRU baselines, wear recording and fault-map revalidation.
+ * (Fit-)LRU baselines, wear recording, fault-map revalidation, and the
+ * reuse-tag hand-off between lines and the ReuseTracker.
  */
 
 #include <gtest/gtest.h>
@@ -107,7 +108,7 @@ TEST(HybridLlc, ReadReuseClassification)
     LlcRig rig = makeRig(PolicyKind::CaRwr);
     rig.llc->onPut(blk(1), false, 30);
     rig.llc->onGetS(blk(1)); // clean hit -> read reuse
-    EXPECT_EQ(rig.llc->tracker().classOf(blk(1)), ReuseClass::Read);
+    EXPECT_EQ(rig.llc->reuseOf(blk(1)).reuse, ReuseClass::Read);
 }
 
 TEST(HybridLlc, WriteReuseClassification)
@@ -115,7 +116,7 @@ TEST(HybridLlc, WriteReuseClassification)
     LlcRig rig = makeRig(PolicyKind::CaRwr);
     rig.llc->onPut(blk(1), false, 30);
     rig.llc->onGetX(blk(1)); // write-permission hit -> write reuse
-    EXPECT_EQ(rig.llc->tracker().classOf(blk(1)), ReuseClass::Write);
+    EXPECT_EQ(rig.llc->reuseOf(blk(1)).reuse, ReuseClass::Write);
     // The dirty block comes back: write-reused blocks go to SRAM even
     // when highly compressed (paper Table II).
     rig.llc->onPut(blk(1), true, 2);
@@ -127,7 +128,7 @@ TEST(HybridLlc, DirtyHitAlsoMeansWriteReuse)
     LlcRig rig = makeRig(PolicyKind::CaRwr);
     rig.llc->onPut(blk(1), true, 30); // dirty insert (small -> NVM)
     rig.llc->onGetS(blk(1));          // hit on a dirty copy
-    EXPECT_EQ(rig.llc->tracker().classOf(blk(1)), ReuseClass::Write);
+    EXPECT_EQ(rig.llc->reuseOf(blk(1)).reuse, ReuseClass::Write);
 }
 
 TEST(HybridLlc, MissResetsReuseHistory)
@@ -135,10 +136,10 @@ TEST(HybridLlc, MissResetsReuseHistory)
     LlcRig rig = makeRig(PolicyKind::CaRwr);
     rig.llc->onPut(blk(1), false, 30);
     rig.llc->onGetS(blk(1));
-    EXPECT_EQ(rig.llc->tracker().classOf(blk(1)), ReuseClass::Read);
+    EXPECT_EQ(rig.llc->reuseOf(blk(1)).reuse, ReuseClass::Read);
     rig.llc->onGetX(blk(1)); // invalidates
     rig.llc->onGetS(blk(1)); // miss: refetched from memory
-    EXPECT_EQ(rig.llc->tracker().classOf(blk(1)), ReuseClass::None);
+    EXPECT_EQ(rig.llc->reuseOf(blk(1)).reuse, ReuseClass::None);
 }
 
 TEST(HybridLlc, ReadReuseGoesToNvmEvenWhenBig)
@@ -274,6 +275,100 @@ TEST(HybridLlc, RevalidateDropsBlocksThatNoLongerFit)
     EXPECT_EQ(rig.llc->stats().counterValue("aged_out"), 1u);
 }
 
+TEST(HybridLlc, EvictedReadReuseIsKeptAndSteersTheRefill)
+{
+    LlcRig rig = makeRig(PolicyKind::CaRwr);
+    rig.llc->onPut(blk(1), false, 64); // big -> SRAM
+    rig.llc->onGetS(blk(1));           // read reuse
+    // SRAM pressure migrates it to NVM; small blocks then push it out.
+    rig.llc->onPut(blk(2), false, 64);
+    rig.llc->onPut(blk(3), false, 64);
+    ASSERT_EQ(rig.llc->partOf(blk(1)), Part::Nvm);
+    rig.llc->onPut(blk(4), false, 30);
+    rig.llc->onPut(blk(5), false, 30);
+    ASSERT_FALSE(rig.llc->contains(blk(1)));
+    EXPECT_TRUE(rig.llc->tracker().contains(blk(1)));
+    EXPECT_EQ(rig.llc->reuseOf(blk(1)), (ReuseState{ ReuseClass::Read, 1 }));
+    // Put back from L2 without a memory fetch: still read-reused, so it
+    // enters NVM although it is incompressible (paper Table II).
+    rig.llc->onPut(blk(1), false, 64);
+    EXPECT_EQ(rig.llc->partOf(blk(1)), Part::Nvm);
+    EXPECT_EQ(rig.llc->reuseOf(blk(1)), (ReuseState{ ReuseClass::Read, 1 }));
+    EXPECT_FALSE(rig.llc->tracker().contains(blk(1)));
+    EXPECT_EQ(rig.llc->stats().counterValue("ins_read_clean"), 1u);
+}
+
+TEST(HybridLlc, GetXHitSpillsWriteReuse)
+{
+    LlcRig rig = makeRig(PolicyKind::CaRwr);
+    rig.llc->onPut(blk(1), false, 30);
+    rig.llc->onGetS(blk(1)); // the hit updates the line, not the tracker
+    EXPECT_FALSE(rig.llc->tracker().contains(blk(1)));
+    rig.llc->onGetX(blk(1)); // invalidate-on-hit
+    EXPECT_FALSE(rig.llc->contains(blk(1)));
+    EXPECT_TRUE(rig.llc->tracker().contains(blk(1)));
+    EXPECT_EQ(rig.llc->reuseOf(blk(1)),
+              (ReuseState{ ReuseClass::Write, 2 }));
+}
+
+TEST(HybridLlc, DirtyPutRelocationCarriesTheTag)
+{
+    LlcRig rig = makeRig(PolicyKind::Ca);
+    // NVM frame (set 0, way 0) keeps 40 live bytes; frame 1 is pristine.
+    for (unsigned b = 0; b < 24; ++b)
+        rig.map->killByte(rig.map->geometry().frameIndex(0, 0), b);
+    rig.llc->onPut(blk(1), false, 30); // first fitting empty frame: 0
+    rig.llc->onGetS(blk(1));
+    // The dirty contents (44 B) outgrow frame 0: the block relocates.
+    rig.llc->onPut(blk(1), true, 44);
+    EXPECT_EQ(rig.llc->stats().counterValue("inplace_updates"), 0u);
+    EXPECT_EQ(rig.llc->partOf(blk(1)), Part::Nvm);
+    EXPECT_EQ(rig.llc->reuseOf(blk(1)), (ReuseState{ ReuseClass::Read, 1 }));
+    EXPECT_FALSE(rig.llc->tracker().contains(blk(1)));
+    EXPECT_EQ(rig.llc->stats().counterValue("ins_read_dirty"), 1u);
+}
+
+TEST(HybridLlc, BypassKeepsTheTag)
+{
+    LlcRig rig = makeRig(PolicyKind::BhCp, 0, 2);
+    rig.llc->onPut(blk(1), false, 30);
+    rig.llc->onGetS(blk(1));
+    rig.llc->onPut(blk(2), false, 30);
+    rig.llc->onPut(blk(3), false, 30); // global LRU: block 1 leaves
+    ASSERT_FALSE(rig.llc->contains(blk(1)));
+    // Every frame of set 0 dies: nothing can hold the block any more.
+    for (unsigned w = 0; w < 2; ++w)
+        rig.map->killFrame(rig.map->geometry().frameIndex(0, w));
+    rig.llc->revalidateAgainstFaultMap();
+    rig.llc->onPut(blk(1), false, 30);
+    EXPECT_EQ(rig.llc->stats().counterValue("bypasses"), 1u);
+    EXPECT_FALSE(rig.llc->contains(blk(1)));
+    EXPECT_TRUE(rig.llc->tracker().contains(blk(1)));
+    EXPECT_EQ(rig.llc->reuseOf(blk(1)), (ReuseState{ ReuseClass::Read, 1 }));
+}
+
+TEST(HybridLlc, AgedOutLineSpillsItsTag)
+{
+    LlcRig rig = makeRig(PolicyKind::Ca);
+    rig.llc->onPut(blk(1), false, 44);
+    ASSERT_EQ(rig.llc->partOf(blk(1)), Part::Nvm);
+    rig.llc->onGetS(blk(1));
+    rig.llc->onGetS(blk(1));
+    const auto frames = rig.map->geometry().numFrames();
+    for (std::uint32_t f = 0; f < frames; ++f)
+        for (unsigned b = 0; b < 30; ++b)
+            rig.map->killByte(f, b);
+    rig.llc->revalidateAgainstFaultMap();
+    ASSERT_FALSE(rig.llc->contains(blk(1)));
+    EXPECT_TRUE(rig.llc->tracker().contains(blk(1)));
+    EXPECT_EQ(rig.llc->reuseOf(blk(1)), (ReuseState{ ReuseClass::Read, 2 }));
+    // The refill takes the tag back out of the tracker.
+    rig.llc->onPut(blk(1), false, 30);
+    EXPECT_TRUE(rig.llc->contains(blk(1)));
+    EXPECT_FALSE(rig.llc->tracker().contains(blk(1)));
+    EXPECT_EQ(rig.llc->stats().counterValue("ins_read_clean"), 1u);
+}
+
 TEST(HybridLlc, ResetClearsContentsAndTracker)
 {
     LlcRig rig = makeRig(PolicyKind::CaRwr);
@@ -281,7 +376,7 @@ TEST(HybridLlc, ResetClearsContentsAndTracker)
     rig.llc->onGetS(blk(1));
     rig.llc->reset();
     EXPECT_FALSE(rig.llc->contains(blk(1)));
-    EXPECT_EQ(rig.llc->tracker().classOf(blk(1)), ReuseClass::None);
+    EXPECT_EQ(rig.llc->reuseOf(blk(1)).reuse, ReuseClass::None);
     EXPECT_EQ(rig.llc->tracker().size(), 0u);
 }
 
