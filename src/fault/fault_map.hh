@@ -111,14 +111,31 @@ class FaultMap
      */
     void recordWrite(std::uint32_t frame, unsigned ecb_bytes)
     {
-        pendingBytes_[frame] += ecb_bytes;
-        pendingCount_[frame] += 1.0;
+        addPending(frame, ecb_bytes, 1.0);
+    }
+
+    /**
+     * Record @p bytes byte writes in @p block_writes block writes against
+     * @p frame at once (the forecast's memo replays a set's cached wear).
+     * Pending wear is integer-valued and far below 2^53, so any order of
+     * additions gives the same bits.
+     */
+    void addPending(std::uint32_t frame, double bytes, double block_writes)
+    {
+        pendingBytes_[frame] += bytes;
+        pendingCount_[frame] += block_writes;
     }
 
     /** Pending (un-aged) byte writes recorded against @p frame. */
     double pendingWrites(std::uint32_t frame) const
     {
         return pendingBytes_[frame];
+    }
+
+    /** Pending (un-aged) block writes recorded against @p frame. */
+    double pendingBlockWrites(std::uint32_t frame) const
+    {
+        return pendingCount_[frame];
     }
 
     /**

@@ -1,6 +1,7 @@
 #include "forecast/forecast.hh"
 
 #include <algorithm>
+#include <memory>
 
 #include "common/error.hh"
 #include "common/failpoint.hh"
@@ -44,6 +45,87 @@ using replay::LlcTrace;
 using replay::TraceReplayer;
 using replay::traceCores;
 
+namespace
+{
+
+/**
+ * Folds per-trace replay results into a PhaseAggregate: the timing-model
+ * IPC of every active core (mean over mixes and cores) and the measured
+ * window. replayAllTraces and the memoised forecast phase share it.
+ */
+class PhaseFold
+{
+  public:
+    PhaseFold(const hierarchy::TimingParams &timing,
+              double warmup_fraction)
+        : timing_(timing), measuredFrac_(1.0 - warmup_fraction)
+    {
+    }
+
+    void
+    add(const LlcTrace &trace, const replay::ReplayResult &res)
+    {
+        double trace_cycles = 0.0;
+        for (std::size_t c = 0; c < traceCores; ++c) {
+            const replay::CoreMeta &m = trace.meta().cores[c];
+            if (m.refs == 0)
+                continue;
+            CoreActivity a;
+            // Capture-wide private-level counts scaled to the measured
+            // window; LLC outcomes are exact for that window.
+            a.instructions = static_cast<std::uint64_t>(
+                static_cast<double>(m.instructions) * measuredFrac_);
+            a.refs = static_cast<std::uint64_t>(
+                static_cast<double>(m.refs) * measuredFrac_);
+            a.l1Hits = static_cast<std::uint64_t>(
+                static_cast<double>(m.l1Hits) * measuredFrac_);
+            a.l2Hits = static_cast<std::uint64_t>(
+                static_cast<double>(m.l2Hits) * measuredFrac_);
+            a.llcHitsSram = res.cores[c].llcHitsSram;
+            a.llcHitsNvm = res.cores[c].llcHitsNvm;
+            a.llcMisses = res.cores[c].llcMisses;
+            a.nvmWrites = res.cores[c].nvmWrites;
+            a.baseCpi = m.baseCpi;
+
+            ipcSum_ += coreIpc(a, timing_);
+            ++ipcCount_;
+            trace_cycles += coreCycles(a, timing_);
+        }
+        // Cores run in parallel: the window lasts about the mean core
+        // time; mixes are time-multiplexed onto the same LLC, so their
+        // windows add up.
+        agg_.measuredSeconds += cyclesToSeconds(static_cast<Cycle>(
+            trace_cycles / static_cast<double>(traceCores)));
+
+        agg_.demandHits += res.demandHits;
+        agg_.demandAccesses += res.demandAccesses;
+        agg_.nvmBytesWritten += res.nvmBytesWritten;
+    }
+
+    PhaseAggregate
+    finish() const
+    {
+        PhaseAggregate agg = agg_;
+        agg.meanIpc = ipcCount_ == 0
+            ? 0.0
+            : ipcSum_ / static_cast<double>(ipcCount_);
+        agg.hitRate = agg.demandAccesses == 0
+            ? 0.0
+            : static_cast<double>(agg.demandHits) /
+              static_cast<double>(agg.demandAccesses);
+        return agg;
+    }
+
+  private:
+    const hierarchy::TimingParams &timing_;
+    double measuredFrac_;
+    PhaseAggregate agg_;
+    double ipcSum_ = 0.0;
+    std::size_t ipcCount_ = 0;
+};
+
+} // anonymous namespace
+
 PhaseAggregate
 replayAllTraces(const std::vector<const LlcTrace *> &traces,
                 hybrid::HybridLlc &llc,
@@ -52,62 +134,108 @@ replayAllTraces(const std::vector<const LlcTrace *> &traces,
                 const replay::TraceReplayer::IntervalCallback &on_interval,
                 std::size_t num_intervals)
 {
-    TraceReplayer replayer(warmup_fraction);
-    const double measured_frac = 1.0 - warmup_fraction;
+    const TraceReplayer replayer(warmup_fraction);
+    PhaseFold fold(timing, warmup_fraction);
+    for (const LlcTrace *trace : traces)
+        fold.add(*trace,
+                 replayer.replay(*trace, llc, on_interval, num_intervals));
+    return fold.finish();
+}
 
-    PhaseAggregate agg;
-    double ipc_sum = 0.0;
-    std::size_t ipc_count = 0;
-
-    for (const LlcTrace *trace : traces) {
-        const replay::ReplayResult res =
-            replayer.replay(*trace, llc, on_interval, num_intervals);
-
-        double trace_cycles = 0.0;
-        for (std::size_t c = 0; c < traceCores; ++c) {
-            const replay::CoreMeta &m = trace->meta().cores[c];
-            if (m.refs == 0)
-                continue;
-            CoreActivity a;
-            // Capture-wide private-level counts scaled to the measured
-            // window; LLC outcomes are exact for that window.
-            a.instructions = static_cast<std::uint64_t>(
-                static_cast<double>(m.instructions) * measured_frac);
-            a.refs = static_cast<std::uint64_t>(
-                static_cast<double>(m.refs) * measured_frac);
-            a.l1Hits = static_cast<std::uint64_t>(
-                static_cast<double>(m.l1Hits) * measured_frac);
-            a.l2Hits = static_cast<std::uint64_t>(
-                static_cast<double>(m.l2Hits) * measured_frac);
-            a.llcHitsSram = res.cores[c].llcHitsSram;
-            a.llcHitsNvm = res.cores[c].llcHitsNvm;
-            a.llcMisses = res.cores[c].llcMisses;
-            a.nvmWrites = res.cores[c].nvmWrites;
-            a.baseCpi = m.baseCpi;
-
-            ipc_sum += coreIpc(a, timing);
-            ++ipc_count;
-            trace_cycles += coreCycles(a, timing);
+/**
+ * Per-(mix, set) results of one run(), for an LLC with NVM ways and no
+ * Set Dueling. A set's outcome for one mix is a function of the set's
+ * events and its NVM frames' live-byte counts alone (see
+ * replay/replayer.hh), so a mix replays only the sets whose frame
+ * capacities changed since that set was last replayed; every other set
+ * contributes its cached tally and re-adds its cached pending wear.
+ */
+class SetMemo
+{
+  public:
+    SetMemo(std::size_t mixes, std::uint32_t sets, std::uint32_t ways)
+        : sets_(sets), ways_(ways), mixes_(mixes)
+    {
+        const std::size_t frames = static_cast<std::size_t>(sets) * ways;
+        for (Mix &mix : mixes_) {
+            // No live-byte count reaches 0xff: every set starts stale.
+            mix.key.assign(frames, 0xff);
+            mix.pendingBytes.assign(frames, 0.0);
+            mix.pendingWrites.assign(frames, 0.0);
+            mix.filter.replaySet.assign(sets, 0);
         }
-        // Cores run in parallel: the window lasts about the mean core
-        // time; mixes are time-multiplexed onto the same LLC, so their
-        // windows add up.
-        agg.measuredSeconds += cyclesToSeconds(static_cast<Cycle>(
-            trace_cycles / static_cast<double>(traceCores)));
-
-        agg.demandHits += res.demandHits;
-        agg.demandAccesses += res.demandAccesses;
-        agg.nvmBytesWritten += res.nvmBytesWritten;
     }
 
-    agg.meanIpc =
-        ipc_count == 0 ? 0.0 : ipc_sum / static_cast<double>(ipc_count);
-    agg.hitRate = agg.demandAccesses == 0
-        ? 0.0
-        : static_cast<double>(agg.demandHits) /
-          static_cast<double>(agg.demandAccesses);
-    return agg;
-}
+    /**
+     * Replay mix @p mix of @p trace against @p llc, re-simulating only
+     * its stale sets; returns the full-trace result and leaves the
+     * whole trace's pending wear in @p map, as an unfiltered replay.
+     */
+    replay::ReplayResult
+    replay(std::size_t mix_index, const LlcTrace &trace,
+           const TraceReplayer &replayer, hybrid::HybridLlc &llc,
+           fault::FaultMap &map)
+    {
+        Mix &mix = mixes_[mix_index];
+        for (std::uint32_t s = 0; s < sets_; ++s) {
+            const std::size_t f0 = static_cast<std::size_t>(s) * ways_;
+            bool stale = false;
+            for (std::size_t f = f0; f < f0 + ways_; ++f) {
+                const auto live = static_cast<std::uint8_t>(
+                    map.liveBytes(static_cast<std::uint32_t>(f)));
+                stale = stale || mix.key[f] != live;
+                mix.key[f] = live;
+            }
+            mix.filter.replaySet[s] = stale ? 1 : 0;
+            // A stale set's wear is the growth of its frames' pending
+            // counts over the replay: note where they start.
+            for (std::size_t f = f0; stale && f < f0 + ways_; ++f) {
+                const auto frame = static_cast<std::uint32_t>(f);
+                mix.pendingBytes[f] = map.pendingWrites(frame);
+                mix.pendingWrites[f] = map.pendingBlockWrites(frame);
+            }
+        }
+
+        replay::ReplayResult res =
+            replayer.replay(trace, llc, nullptr, 0, &mix.filter);
+
+        for (std::uint32_t s = 0; s < sets_; ++s) {
+            const std::size_t f0 = static_cast<std::size_t>(s) * ways_;
+            const bool stale = mix.filter.replaySet[s] != 0;
+            if (!stale)
+                replay::addTally(res, mix.filter.tallies[s]);
+            for (std::size_t f = f0; f < f0 + ways_; ++f) {
+                const auto frame = static_cast<std::uint32_t>(f);
+                if (stale) {
+                    mix.pendingBytes[f] =
+                        map.pendingWrites(frame) - mix.pendingBytes[f];
+                    mix.pendingWrites[f] = map.pendingBlockWrites(frame) -
+                                           mix.pendingWrites[f];
+                } else {
+                    map.addPending(frame, mix.pendingBytes[f],
+                                   mix.pendingWrites[f]);
+                }
+            }
+        }
+        return res;
+    }
+
+  private:
+    struct Mix
+    {
+        /** Live bytes of every NVM frame when its set was last replayed. */
+        std::vector<std::uint8_t> key;
+        /** Per frame: pending bytes / block writes of the last replay. */
+        std::vector<double> pendingBytes;
+        std::vector<double> pendingWrites;
+        /** Which sets replay; its tallies are the per-set cache. */
+        replay::SetFilter filter;
+    };
+
+    std::uint32_t sets_;
+    std::uint32_t ways_;
+    std::vector<Mix> mixes_;
+};
 
 ForecastEngine::ForecastEngine(const fault::EnduranceModel &endurance,
                                const hybrid::HybridLlcConfig &llc_config,
@@ -134,12 +262,26 @@ ForecastEngine::ForecastEngine(const fault::EnduranceModel &endurance,
 
 ForecastPoint
 ForecastEngine::simulatePhase(hybrid::HybridLlc &llc,
-                              fault::FaultMap &map,
+                              fault::FaultMap &map, SetMemo *memo,
                               Seconds now, Seconds &window_seconds,
                               PhaseAggregate &agg_out)
 {
-    const PhaseAggregate agg = agg_out = replayAllTraces(
-        traces_, llc, timing_, config_.warmupFraction);
+    if (memo == nullptr) {
+        agg_out = replayAllTraces(traces_, llc, timing_,
+                                  config_.warmupFraction);
+    } else {
+        // Every mix but the last goes through the memo. The last one
+        // replays in full, so the LLC's counters after the phase (the
+        // checkpoint's "lstat" chunk) are those of a full replay.
+        const TraceReplayer replayer(config_.warmupFraction);
+        PhaseFold fold(timing_, config_.warmupFraction);
+        for (std::size_t m = 0; m + 1 < traces_.size(); ++m)
+            fold.add(*traces_[m],
+                     memo->replay(m, *traces_[m], replayer, llc, map));
+        fold.add(*traces_.back(), replayer.replay(*traces_.back(), llc));
+        agg_out = fold.finish();
+    }
+    const PhaseAggregate &agg = agg_out;
 
     // Pending wear covers the full replay (incl. warm-up); scale the
     // measured span accordingly so rates stay consistent.
@@ -367,6 +509,15 @@ ForecastEngine::run(const RunOptions &options)
         }
     }
 
+    // The memo is not checkpointed: a resumed run starts with every set
+    // stale, which gives the same bits as a warm memo.
+    std::unique_ptr<SetMemo> memo;
+    if (llcConfig_.nvmWays > 0 && rig.llc->dueling() == nullptr) {
+        memo = std::make_unique<SetMemo>(traces_.size() - 1,
+                                         llcConfig_.numSets,
+                                         llcConfig_.nvmWays);
+    }
+
     const std::size_t every = std::max<std::size_t>(
         options.checkpointEvery, 1);
     std::size_t executed = 0;
@@ -420,7 +571,8 @@ ForecastEngine::run(const RunOptions &options)
         Seconds window_seconds = 0.0;
         PhaseAggregate agg;
         series.push_back(
-            simulatePhase(*rig.llc, *rig.map, now, window_seconds, agg));
+            simulatePhase(*rig.llc, *rig.map, memo.get(), now,
+                          window_seconds, agg));
         ++stats_.counter("simulate_phases");
         samplePoint(step, series.back(), agg, *rig.llc, *rig.map);
 

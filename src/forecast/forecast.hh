@@ -5,6 +5,13 @@
  * with prediction phases (analytic wear application over a time jump)
  * to obtain the temporal evolution of performance and NVM capacity,
  * until the NVM part loses half its capacity (or a horizon is reached).
+ *
+ * Without Set Dueling, a simulation phase re-simulates only the LLC sets
+ * whose NVM frame capacities changed since that set was last replayed;
+ * the other sets reuse their cached tallies and pending wear (SetMemo,
+ * DESIGN.md §6). The last mix of a phase always replays in full, so
+ * the LLC's counters after a phase are those of a full replay. Every
+ * output is bit-identical to replaying every set.
  */
 
 #ifndef HLLC_FORECAST_FORECAST_HH
@@ -129,6 +136,9 @@ replayAllTraces(const std::vector<const replay::LlcTrace *> &traces,
                     &on_interval = nullptr,
                 std::size_t num_intervals = 0);
 
+/** Per-(mix, set) replay memo of one ForecastEngine::run(). */
+class SetMemo;
+
 class ForecastEngine
 {
   public:
@@ -180,9 +190,13 @@ class ForecastEngine
     const StatGroup &stats() const { return stats_; }
 
   private:
-    /** One simulation phase; returns the sampled point (capacity at t). */
+    /**
+     * One simulation phase; returns the sampled point (capacity at t).
+     * With @p memo set, mixes re-simulate only the sets whose NVM frames
+     * changed since their last replay (same bits as a full replay).
+     */
     ForecastPoint simulatePhase(hybrid::HybridLlc &llc,
-                                fault::FaultMap &map,
+                                fault::FaultMap &map, SetMemo *memo,
                                 Seconds now, Seconds &window_seconds,
                                 PhaseAggregate &agg_out);
 

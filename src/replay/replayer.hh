@@ -7,6 +7,15 @@
  * outcome counts plus an LLC stats snapshot. The replayer never touches
  * the fault map's wear directly: the LLC records byte writes against it,
  * and the forecast layer decides how to age them.
+ *
+ * A replay can be restricted to a subset of the LLC's sets (SetFilter):
+ * the events of the other sets are skipped, and the measured window is
+ * tallied per set. Without Set Dueling the sets of one replay never
+ * interact (the replay starts from an empty LLC, reuse tags are keyed
+ * per block, Fit-LRU compares stamps within a set), so a set's tally
+ * and wear depend only on its own events and its frames' capacities.
+ * The forecast's memo replays only the sets whose frames changed and
+ * reuses the tallies of the rest.
  */
 
 #ifndef HLLC_REPLAY_REPLAYER_HH
@@ -15,6 +24,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "hybrid/hybrid_llc.hh"
 #include "replay/llc_trace.hh"
@@ -29,6 +39,8 @@ struct CoreOutcome
     std::uint64_t llcHitsNvm = 0;
     std::uint64_t llcMisses = 0;
     std::uint64_t nvmWrites = 0;   //!< NVM block writes from this core
+
+    bool operator==(const CoreOutcome &) const = default;
 };
 
 /** Result of replaying one trace against one LLC configuration. */
@@ -43,6 +55,31 @@ struct ReplayResult
 
     /** Fraction of the trace treated as warm-up. */
     double warmupFraction = 0.0;
+};
+
+/** Measured-window tallies of one LLC set. */
+struct SetTally
+{
+    std::array<CoreOutcome, traceCores> cores;
+    std::uint64_t measuredEvents = 0;
+    std::uint64_t nvmBytesWritten = 0;
+
+    bool operator==(const SetTally &) const = default;
+};
+
+/** Add @p tally to @p result (demand counts, bytes, hit rate). */
+void addTally(ReplayResult &result, const SetTally &tally);
+
+/**
+ * Restricts one replay to some LLC sets; only for an LLC without Set
+ * Dueling (the duel couples sets through its winner).
+ */
+struct SetFilter
+{
+    /** Per set: nonzero = replay the set's events, zero = skip them. */
+    std::vector<std::uint8_t> replaySet;
+    /** Out: per-set tallies of the replayed sets (others untouched). */
+    std::vector<SetTally> tallies;
 };
 
 /**
@@ -84,10 +121,16 @@ class TraceReplayer
      * @p num_intervals equal event ranges and the callback fires once at
      * the end of each with cumulative counts (the last snapshot equals
      * the replay totals).
+     *
+     * When @p sets is set, only the events of the sets it selects are
+     * replayed (the warm-up boundary stays at the same event index), the
+     * result covers those events only, and each replayed set's tally is
+     * rewritten in @p sets->tallies (sized to the LLC's sets on demand).
      */
     ReplayResult replay(const LlcTrace &trace, hybrid::HybridLlc &llc,
                         const IntervalCallback &on_interval = nullptr,
-                        std::size_t num_intervals = 0) const;
+                        std::size_t num_intervals = 0,
+                        SetFilter *sets = nullptr) const;
 
   private:
     double warmupFraction_;

@@ -226,7 +226,11 @@ failureReportToJson(const std::vector<CellReport> &cells)
         for (std::size_t f = 0; f < cell.failpoints.size(); ++f) {
             if (f > 0)
                 out += ", ";
-            out += "\"" + jsonEscape(cell.failpoints[f]) + "\"";
+            // Piecewise: GCC 12's -Wrestrict misfires on the
+            // "\"" + string + "\"" temporary here.
+            out += '"';
+            out += jsonEscape(cell.failpoints[f]);
+            out += '"';
         }
         out += "]}";
     }
