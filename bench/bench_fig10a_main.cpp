@@ -36,19 +36,14 @@ main(int argc, char **argv)
 
     const sim::Experiment experiment(config);
 
-    hybrid::PolicyParams th4;
-    th4.thPercent = 4.0;
-    hybrid::PolicyParams th8;
-    th8.thPercent = 8.0;
-
     const std::vector<sim::StudyEntry> entries = {
-        { "BH", config.llcConfig(PolicyKind::Bh) },
-        { "BH_CP", config.llcConfig(PolicyKind::BhCp) },
-        { "LHybrid", config.llcConfig(PolicyKind::LHybrid) },
-        { "TAP", config.llcConfig(PolicyKind::Tap) },
-        { "CP_SD", config.llcConfig(PolicyKind::CpSd) },
-        { "CP_SD_Th4", config.llcConfig(PolicyKind::CpSdTh, th4) },
-        { "CP_SD_Th8", config.llcConfig(PolicyKind::CpSdTh, th8) },
+        sim::studyEntry(config, PolicyKind::Bh),
+        sim::studyEntry(config, PolicyKind::BhCp),
+        sim::studyEntry(config, PolicyKind::LHybrid),
+        sim::studyEntry(config, PolicyKind::Tap),
+        sim::studyEntry(config, PolicyKind::CpSd),
+        sim::studyEntry(config, PolicyKind::CpSdTh, { .thPercent = 4.0 }),
+        sim::studyEntry(config, PolicyKind::CpSdTh, { .thPercent = 8.0 }),
     };
     return sim::runAndPrintForecastStudy(
         experiment, entries, {}, sim::parseCheckpointArgs(argc, argv),

@@ -1,9 +1,6 @@
 #include "common/metrics.hh"
 
-#include <atomic>
-#include <chrono>
 #include <cmath>
-#include <cstdlib>
 
 #include "common/error.hh"
 #include "common/failpoint.hh"
@@ -337,135 +334,6 @@ writeStatsFile(const std::string &path,
                       path);
     HLLC_FAILPOINT("stats.export");
     serial::writeFileAtomic(path, body.data(), body.size());
-}
-
-namespace
-{
-
-constexpr std::size_t numPhases = static_cast<std::size_t>(Phase::Count);
-
-struct PhaseSlot
-{
-    std::atomic<std::uint64_t> ns{0};
-    std::atomic<std::uint64_t> calls{0};
-};
-
-PhaseSlot &
-slot(Phase phase)
-{
-    static PhaseSlot slots[numPhases];
-    return slots[static_cast<std::size_t>(phase)];
-}
-
-std::atomic<bool> &
-enabledFlag()
-{
-    static std::atomic<bool> flag = [] {
-        const char *env = std::getenv("HLLC_TIMERS");
-        return env != nullptr && env[0] == '1';
-    }();
-    return flag;
-}
-
-std::uint64_t
-nowNs()
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
-
-} // namespace
-
-const char *
-phaseName(Phase phase)
-{
-    switch (phase) {
-      case Phase::Compression: return "compression";
-      case Phase::FaultMapAge: return "fault_map";
-      case Phase::CheckpointWrite: return "checkpoint_write";
-      case Phase::Count: break;
-    }
-    return "unknown";
-}
-
-bool
-PhaseTimers::enabled()
-{
-    return enabledFlag().load(std::memory_order_relaxed);
-}
-
-void
-PhaseTimers::setEnabled(bool on)
-{
-    enabledFlag().store(on, std::memory_order_relaxed);
-}
-
-void
-PhaseTimers::add(Phase phase, std::uint64_t ns)
-{
-    PhaseSlot &s = slot(phase);
-    s.ns.fetch_add(ns, std::memory_order_relaxed);
-    s.calls.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::uint64_t
-PhaseTimers::totalNs(Phase phase)
-{
-    return slot(phase).ns.load(std::memory_order_relaxed);
-}
-
-std::uint64_t
-PhaseTimers::calls(Phase phase)
-{
-    return slot(phase).calls.load(std::memory_order_relaxed);
-}
-
-void
-PhaseTimers::reset()
-{
-    for (std::size_t i = 0; i < numPhases; ++i) {
-        slot(static_cast<Phase>(i)).ns.store(0, std::memory_order_relaxed);
-        slot(static_cast<Phase>(i)).calls.store(
-            0, std::memory_order_relaxed);
-    }
-}
-
-std::string
-PhaseTimers::report()
-{
-    if (!enabled())
-        return "";
-    std::string out;
-    for (std::size_t i = 0; i < numPhases; ++i) {
-        const Phase phase = static_cast<Phase>(i);
-        const std::uint64_t c = calls(phase);
-        const std::uint64_t ns = totalNs(phase);
-        out += "timer.";
-        out += phaseName(phase);
-        out += " calls=" + formatU64(c);
-        out += " total_ms=" + formatFixed(
-            static_cast<double>(ns) / 1e6, 3);
-        out += " mean_us=" + formatFixed(
-            c == 0 ? 0.0 : static_cast<double>(ns) / 1e3 /
-                               static_cast<double>(c), 3);
-        out += '\n';
-    }
-    return out;
-}
-
-ScopedPhaseTimer::ScopedPhaseTimer(Phase phase)
-    : phase_(phase), active_(PhaseTimers::enabled())
-{
-    if (active_)
-        startNs_ = nowNs();
-}
-
-ScopedPhaseTimer::~ScopedPhaseTimer()
-{
-    if (active_)
-        PhaseTimers::add(phase_, nowNs() - startNs_);
 }
 
 } // namespace hllc::metrics

@@ -14,11 +14,7 @@
  *    resumed run exports exactly the series an uninterrupted run would;
  *  - machine-readable exporters (--stats-out file.{json,csv}) with a
  *    stable schema ("hllc-stats-v1") that plotting scripts and CI can
- *    rely on;
- *  - PhaseTimers: gated scoped wall-clock timers around the simulator's
- *    hot phases (compression, fault-map aging, checkpoint writes) so
- *    grid wall-clock can be attributed. Disabled (and free)
- *    unless HLLC_TIMERS=1; timing never influences simulation results.
+ *    rely on.
  *
  * All numbers are emitted via common/numfmt.hh, so a de_DE process
  * locale cannot turn "0.25" into "0,25".
@@ -186,56 +182,6 @@ std::string statsToCsv(const std::vector<CellExport> &cells);
 void writeStatsFile(const std::string &path,
                     const std::vector<CellExport> &cells,
                     const std::string &experiment);
-
-/** Simulator phases attributed by the scoped timers. */
-enum class Phase : unsigned
-{
-    Compression,      //!< block compression during trace capture
-    FaultMapAge,      //!< fault-map wear application / revalidation
-    CheckpointWrite,  //!< forecast checkpoint serialisation + I/O
-    Count
-};
-
-/** Human-readable name of @p phase. */
-const char *phaseName(Phase phase);
-
-/**
- * Process-wide nanosecond accumulators per phase. Lock-free (relaxed
- * atomics): totals are exact when summed at quiescence, which is the
- * only time report() is called. Gated: when disabled (the default)
- * ScopedPhaseTimer never reads the clock.
- */
-class PhaseTimers
-{
-  public:
-    /** Whether timing is on (HLLC_TIMERS=1 in the environment, or set). */
-    static bool enabled();
-    static void setEnabled(bool on);
-
-    static void add(Phase phase, std::uint64_t ns);
-    static std::uint64_t totalNs(Phase phase);
-    static std::uint64_t calls(Phase phase);
-    static void reset();
-
-    /** One line per phase with calls, total and mean time; "" if off. */
-    static std::string report();
-};
-
-/** RAII timer attributing its scope to @p phase (no-op when disabled). */
-class ScopedPhaseTimer
-{
-  public:
-    explicit ScopedPhaseTimer(Phase phase);
-    ~ScopedPhaseTimer();
-
-    ScopedPhaseTimer(const ScopedPhaseTimer &) = delete;
-    ScopedPhaseTimer &operator=(const ScopedPhaseTimer &) = delete;
-
-  private:
-    Phase phase_;
-    bool active_;
-    std::uint64_t startNs_ = 0;
-};
 
 } // namespace hllc::metrics
 

@@ -5,7 +5,6 @@
 #include <bit>
 
 #include "common/logging.hh"
-#include "common/metrics.hh"
 #include "common/numfmt.hh"
 #include "common/serialize.hh"
 
@@ -73,7 +72,6 @@ FaultMap::killFrame(std::uint32_t frame)
 std::uint64_t
 FaultMap::age(double scale)
 {
-    metrics::ScopedPhaseTimer phase_timer(metrics::Phase::FaultMapAge);
     HLLC_ASSERT(scale >= 0.0);
     std::uint64_t newly_disabled = 0;
 

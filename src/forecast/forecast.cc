@@ -306,12 +306,6 @@ ForecastEngine::samplePoint(std::size_t step, const ForecastPoint &point,
                             const hybrid::HybridLlc &llc,
                             const fault::FaultMap &map)
 {
-    // Series collection is opt-out: cells that never export or
-    // checkpoint skip the sampling (and the per-frame wear scan) rather
-    // than accumulate data nobody reads.
-    if (!config_.collectSeries)
-        return;
-
     // Every value sampled here is a pure function of the replayed trace
     // and simulation state — never of wall clock or checkpoint cadence —
     // so a resumed run's export stays byte-identical to an uninterrupted
@@ -366,8 +360,6 @@ ForecastEngine::saveCheckpoint(const std::string &path, std::size_t step,
                                const fault::FaultMap &map,
                                const hybrid::HybridLlc &llc) const
 {
-    metrics::ScopedPhaseTimer timer(metrics::Phase::CheckpointWrite);
-
     HLLC_FAILPOINT("forecast.checkpoint.save");
 
     serial::Container container;
@@ -523,38 +515,39 @@ ForecastEngine::run(const RunOptions &options)
     std::size_t executed = 0;
 
     for (std::size_t step = step0; step < config_.maxSteps; ++step) {
-        if (checkpointing && interruptRequested()) {
-            try {
-                saveCheckpoint(options.checkpointPath, step, now, series,
-                               *rig.map, *rig.llc);
-            } catch (const IoError &e) {
-                warn("final checkpoint '%s' failed: %s",
-                     options.checkpointPath.c_str(), e.what());
-            }
-            throw InterruptedError();
-        }
-        // Watchdog cancellation mirrors the interrupt path: persist,
-        // then unwind with the non-retryable deadline error.
-        if (options.cancel != nullptr &&
-            options.cancel->load(std::memory_order_relaxed)) {
+        // One stop path: a pending interrupt (checkpointed runs only),
+        // a watchdog cancel or the step budget persists the state at
+        // this boundary, then unwinds or returns.
+        enum class Stop { None, Interrupt, Cancel, Budget };
+        Stop stop = Stop::None;
+        if (checkpointing && interruptRequested())
+            stop = Stop::Interrupt;
+        else if (options.cancel != nullptr &&
+                 options.cancel->load(std::memory_order_relaxed))
+            stop = Stop::Cancel;
+        else if (options.stopAfterSteps > 0 &&
+                 executed >= options.stopAfterSteps)
+            stop = Stop::Budget;
+        if (stop != Stop::None) {
             if (checkpointing) {
+                // The final save of an unwinding run is best-effort;
+                // the budget stop's save is the run's result.
                 try {
                     saveCheckpoint(options.checkpointPath, step, now,
                                    series, *rig.map, *rig.llc);
                 } catch (const IoError &e) {
+                    if (stop == Stop::Budget)
+                        throw;
                     warn("final checkpoint '%s' failed: %s",
                          options.checkpointPath.c_str(), e.what());
                 }
             }
-            throw DeadlineExceededError(
-                "forecast run cancelled by watchdog at step " +
-                formatU64(step));
-        }
-        if (options.stopAfterSteps > 0 &&
-            executed >= options.stopAfterSteps) {
-            if (checkpointing) {
-                saveCheckpoint(options.checkpointPath, step, now, series,
-                               *rig.map, *rig.llc);
+            if (stop == Stop::Interrupt)
+                throw InterruptedError();
+            if (stop == Stop::Cancel) {
+                throw DeadlineExceededError(
+                    "forecast run cancelled by watchdog at step " +
+                    formatU64(step));
             }
             return series;
         }

@@ -48,15 +48,6 @@ struct ForecastConfig
     /** Intra-frame wear model (ablation; the paper assumes Leveled). */
     fault::WearDistribution wearDistribution =
         fault::WearDistribution::Leveled;
-    /**
-     * Record the per-step metric series (and the frame-wear histogram)
-     * while the loop runs. Callers that neither export stats nor
-     * checkpoint never read them; sampling costs one histogram pass over
-     * every NVM frame per step, so such runs should switch it off.
-     * The sampled values themselves stay a pure function of simulation
-     * state, so resumed-run exports remain byte-identical.
-     */
-    bool collectSeries = true;
 };
 
 /**

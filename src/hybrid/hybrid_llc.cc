@@ -11,49 +11,6 @@ namespace hllc::hybrid
 namespace
 {
 
-/**
- * Every counter the LLC can ever bump. Pre-registering them in the
- * constructor means a counter that legitimately stays at zero (e.g. no
- * bypasses this run) still exists, so StatGroup::counterValue can treat
- * an unknown name as the error it is instead of silently returning 0.
- */
-constexpr const char *llcCounterNames[] = {
-    "aged_out",
-    "bypasses",
-    "evictions_nvm",
-    "evictions_sram",
-    "gets",
-    "gets_hits_nvm",
-    "gets_hits_sram",
-    "gets_misses",
-    "getx",
-    "getx_hits_nvm",
-    "getx_hits_sram",
-    "getx_misses",
-    "inplace_updates",
-    "ins_none_clean",
-    "ins_none_dirty",
-    "ins_read_clean",
-    "ins_read_dirty",
-    "ins_write_clean",
-    "ins_write_dirty",
-    "insert_nvm_fallback_sram",
-    "inserts_nvm",
-    "inserts_sram",
-    "invalidate_on_getx",
-    "migrations_to_nvm",
-    "nvm_bytes_none_clean",
-    "nvm_bytes_none_dirty",
-    "nvm_bytes_read",
-    "nvm_bytes_write_reuse",
-    "nvm_bytes_written",
-    "nvm_writes",
-    "puts_clean",
-    "puts_dirty",
-    "puts_present",
-    "writebacks_dirty",
-};
-
 /** reuse_ byte of a read-reused resident (LHybrid's loop-block). */
 constexpr auto readReuse = static_cast<std::uint8_t>(ReuseClass::Read);
 
@@ -100,9 +57,10 @@ HybridLlc::HybridLlc(const HybridLlcConfig &config,
             policy_.twPercent());
     }
 
-    for (const char *name : llcCounterNames)
-        stats_.counter(name);
-
+    // Resolving every counter here also registers it, so one that
+    // legitimately stays at zero (e.g. no bypasses this run) still
+    // exists and StatGroup::counterValue can treat an unknown name as
+    // the error it is instead of silently returning 0.
     ctr_.agedOut = &stats_.counter("aged_out");
     ctr_.bypasses = &stats_.counter("bypasses");
     ctr_.evictionsNvm = &stats_.counter("evictions_nvm");

@@ -128,14 +128,21 @@ Experiment::runPhase(const hybrid::HybridLlcConfig &llc, std::string label,
 double
 Experiment::upperBoundIpc() const
 {
-    std::call_once(upperBoundOnce_, [this] {
-        const auto llc = config_.llcConfigSramBound(config_.sramWays +
-                                                    config_.nvmWays);
-        hybrid::HybridLlc cache(llc, nullptr);
-        upperBoundIpc_ = forecast::replayAllTraces(
-            tracePtrs(), cache, config_.timing, 0.2).meanIpc;
-    });
-    return upperBoundIpc_;
+    return sramBoundIpc(config_.sramWays + config_.nvmWays);
+}
+
+double
+Experiment::sramBoundIpc(std::uint32_t ways) const
+{
+    const std::lock_guard<std::mutex> lock(sramBoundsMutex_);
+    const auto it = sramBoundIpc_.find(ways);
+    if (it != sramBoundIpc_.end())
+        return it->second;
+    hybrid::HybridLlc cache(config_.llcConfigSramBound(ways), nullptr);
+    const double ipc = forecast::replayAllTraces(
+        tracePtrs(), cache, config_.timing, 0.2).meanIpc;
+    sramBoundIpc_.emplace(ways, ipc);
+    return ipc;
 }
 
 void
@@ -151,6 +158,16 @@ degradeUniform(fault::FaultMap &map, double capacity, std::uint64_t seed)
             static_cast<unsigned>(rng.nextBounded(geom.frameBytes));
         map.killByte(frame, byte);
     }
+}
+
+StudyEntry
+studyEntry(const SystemConfig &config, PolicyKind kind,
+           const hybrid::PolicyParams &params)
+{
+    std::string label(hybrid::policyName(kind));
+    if (kind == PolicyKind::CpSdTh)
+        label += formatDouble(params.thPercent);
+    return { std::move(label), config.llcConfig(kind, params) };
 }
 
 void
@@ -225,15 +242,6 @@ forecastExportCells(const std::vector<ForecastSummary> &summaries,
     return cells;
 }
 
-/** Print the phase-timing report to stderr when HLLC_TIMERS is on. */
-void
-reportPhaseTimers()
-{
-    const std::string report = metrics::PhaseTimers::report();
-    if (!report.empty())
-        std::fputs(report.c_str(), stderr);
-}
-
 } // anonymous namespace
 
 void
@@ -277,11 +285,7 @@ runAndPrintForecastStudy(const Experiment &experiment,
 {
     const SystemConfig &config = experiment.config();
     const double upper = experiment.upperBoundIpc();
-    hybrid::HybridLlc lower_bound_llc(
-        config.llcConfigSramBound(config.sramWays), nullptr);
-    const double lower = forecast::replayAllTraces(
-        experiment.tracePtrs(), lower_bound_llc, config.timing,
-        0.2).meanIpc;
+    const double lower = experiment.sramBoundIpc(config.sramWays);
 
     std::printf("# 16w-SRAM upper bound IPC %.4f (norm 1.000); "
                 "%uw-SRAM lower bound IPC %.4f (norm %.3f)\n",
@@ -299,15 +303,10 @@ runAndPrintForecastStudy(const Experiment &experiment,
     }
     inform("forecasting %zu policies (%u jobs)...", entries.size(),
            resolveJobs(config.jobs));
-    // The per-step metric series feed the stats export and travel in
-    // checkpoints (a resumed run must export byte-identically); a study
-    // doing neither prints only the summary tables, so skip sampling.
-    forecast::ForecastConfig run_fc = fc;
-    run_fc.collectSeries = checkpoint.enabled() || !stats_out.empty();
     if (resilience.retry.maxAttempts > 1 || resilience.cellTimeoutMs > 0)
         installInterruptHandlers(); // retry sleeps must stay drainable
     const ForecastGridOutcome outcome = runForecastGridCheckpointed(
-        experiment, entries, run_fc, checkpoint, resilience);
+        experiment, entries, fc, checkpoint, resilience);
 
     if (outcome.interrupted) {
         // A partial grid is not the study: skip the result tables, keep
@@ -356,7 +355,6 @@ runAndPrintForecastStudy(const Experiment &experiment,
             "forecast-study");
         inform("wrote stats to '%s'", stats_out.c_str());
     }
-    reportPhaseTimers();
 
     for (const CellReport &report : outcome.reports) {
         if (report.status == CellStatus::Recovered) {

@@ -9,6 +9,7 @@
 #ifndef HLLC_SIM_EXPERIMENT_HH
 #define HLLC_SIM_EXPERIMENT_HH
 
+#include <map>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -153,16 +154,23 @@ class Experiment
              std::vector<const replay::LlcTrace *> traces = {}) const;
 
     /**
-     * Mean IPC of the 16-way SRAM upper bound (normalisation basis).
-     * Computed once on first use; safe to call from parallel grid cells.
+     * Mean IPC of the 16-way SRAM upper bound (normalisation basis):
+     * sramBoundIpc() of all sramWays + nvmWays ways.
      */
     double upperBoundIpc() const;
+
+    /**
+     * Mean IPC over every mix of an all-SRAM LLC with @p ways ways (the
+     * bounds of the forecast studies). Replayed once per way count on
+     * first use; safe to call from parallel grid cells.
+     */
+    double sramBoundIpc(std::uint32_t ways) const;
 
   private:
     SystemConfig config_;
     std::vector<replay::LlcTrace> traces_;
-    mutable std::once_flag upperBoundOnce_;
-    mutable double upperBoundIpc_ = -1.0;
+    mutable std::mutex sramBoundsMutex_;
+    mutable std::map<std::uint32_t, double> sramBoundIpc_;
 };
 
 /**
@@ -182,6 +190,14 @@ struct StudyEntry
     std::string label;
     hybrid::HybridLlcConfig llc;
 };
+
+/**
+ * The entry of policy @p kind with @p params at @p config's geometry,
+ * labelled with its policyTable name plus, for CP_SD_Th, the Th percent
+ * ("CP_SD_Th4").
+ */
+StudyEntry studyEntry(const SystemConfig &config, hybrid::PolicyKind kind,
+                      const hybrid::PolicyParams &params = {});
 
 /**
  * Run the Fig. 1 / Fig. 10-11 methodology: forecast every entry until

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "common/metrics.hh"
 
 namespace hllc::workload
 {
@@ -118,12 +117,7 @@ AppModel::ecbSizeOf(Addr block)
     if (it != ecbCache_.end())
         return it->second;
 
-    const BlockData data = contentOf(block, 0);
-    unsigned ecb;
-    {
-        metrics::ScopedPhaseTimer timer(metrics::Phase::Compression);
-        ecb = compressor_->ecbSize(data);
-    }
+    const unsigned ecb = compressor_->ecbSize(contentOf(block, 0));
     ecbCache_.emplace(block, static_cast<std::uint8_t>(ecb));
     return ecb;
 }

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
@@ -417,6 +418,27 @@ TEST_F(KillResume, CheckpointRejectsConfigMismatch)
     resume.resume = true;
     const auto resumed = run(PolicyKind::Bh, resume);
     expectBitIdentical(resumed, reference);
+}
+
+// The stop arms differ only in how a failing final save ends the run:
+// the step budget's save is the run's result and propagates; the
+// interrupt and watchdog saves are best-effort before they unwind.
+TEST_F(KillResume, FailedFinalSaveIsFatalOnlyForTheStepBudget)
+{
+    RunOptions options;
+    options.checkpointPath = "/nonexistent-hllc-dir/ckpt.bin";
+
+    options.stopAfterSteps = 1;
+    EXPECT_THROW(run(PolicyKind::Bh, options), IoError);
+    options.stopAfterSteps = 0;
+
+    requestInterrupt(SIGTERM);
+    EXPECT_THROW(run(PolicyKind::Bh, options), InterruptedError);
+    clearInterrupt();
+
+    const std::atomic<bool> cancel{ true };
+    options.cancel = &cancel;
+    EXPECT_THROW(run(PolicyKind::Bh, options), DeadlineExceededError);
 }
 
 TEST_F(KillResume, InterruptWritesFinalCheckpointAndResumes)

@@ -7,6 +7,9 @@
  * reuse-tag hand-off between lines and the ReuseTracker.
  */
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "compression/encoding.hh"
@@ -389,6 +392,38 @@ TEST(HybridLlc, SramOnlyNeverTouchesNvm)
     }
     EXPECT_EQ(rig.llc->nvmBytesWritten(), 0u);
     EXPECT_EQ(rig.llc->stats().counterValue("inserts_nvm"), 0u);
+}
+
+// The constructor registers every counter the LLC can bump, so a
+// counter that stays at zero still exports and counterValue() of an
+// unknown name stays an error. Pinned by name: a counter that stops
+// being registered (or a new one) must show up here.
+TEST(HybridLlc, FreshLlcRegistersEveryCounterAtZero)
+{
+    const std::vector<std::string> expected = {
+        "aged_out", "bypasses", "evictions_nvm", "evictions_sram",
+        "gets", "gets_hits_nvm", "gets_hits_sram", "gets_misses",
+        "getx", "getx_hits_nvm", "getx_hits_sram", "getx_misses",
+        "inplace_updates", "ins_none_clean", "ins_none_dirty",
+        "ins_read_clean", "ins_read_dirty", "ins_write_clean",
+        "ins_write_dirty", "insert_nvm_fallback_sram", "inserts_nvm",
+        "inserts_sram", "invalidate_on_getx", "migrations_to_nvm",
+        "nvm_bytes_none_clean", "nvm_bytes_none_dirty", "nvm_bytes_read",
+        "nvm_bytes_write_reuse", "nvm_bytes_written", "nvm_writes",
+        "puts_clean", "puts_dirty", "puts_present", "writebacks_dirty",
+    };
+    for (const PolicyTraits &traits : policyTable) {
+        SCOPED_TRACE(std::string(traits.name));
+        const std::uint32_t nvm_ways =
+            traits.kind == PolicyKind::SramOnly ? 0 : 2;
+        LlcRig rig = makeRig(traits.kind, 2, nvm_ways);
+        std::vector<std::string> names;
+        for (const auto &[name, counter] : rig.llc->stats().counters()) {
+            names.push_back(name);
+            EXPECT_EQ(counter.value(), 0u) << name;
+        }
+        EXPECT_EQ(names, expected);
+    }
 }
 
 TEST(HybridLlc, DuelingEnabledOnlyForCpSd)

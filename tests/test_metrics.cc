@@ -2,7 +2,7 @@
  * @file
  * Observability-layer tests: TimeSeries/HistogramSeries/MetricRegistry
  * snapshot round-trips, JSON/CSV export shape, locale-independent
- * number formatting, phase timers and the replayer's interval sampling
+ * number formatting, JSON escaping and the replayer's interval sampling
  * hook.
  */
 
@@ -267,36 +267,13 @@ TEST(Metrics, NumberFormattingIgnoresProcessLocale)
         std::setlocale(LC_NUMERIC, saved.c_str());
 }
 
-// --------------------------------------------------------------------
-// Phase timers.
-// --------------------------------------------------------------------
-
-TEST(Metrics, PhaseTimersGateOnEnabled)
+// A line-framed record (hllc_loadgen --results-out) carries server
+// error text built from request bytes: escaping must leave no raw
+// newline or other control byte behind.
+TEST(Metrics, JsonEscapeLeavesNoControlBytes)
 {
-    const bool was = metrics::PhaseTimers::enabled();
-    metrics::PhaseTimers::setEnabled(false);
-    metrics::PhaseTimers::reset();
-    {
-        metrics::ScopedPhaseTimer t(metrics::Phase::Compression);
-    }
-    EXPECT_EQ(metrics::PhaseTimers::calls(metrics::Phase::Compression),
-              0u);
-    EXPECT_EQ(metrics::PhaseTimers::report(), "");
-
-    metrics::PhaseTimers::setEnabled(true);
-    {
-        metrics::ScopedPhaseTimer t(metrics::Phase::Compression);
-    }
-    EXPECT_EQ(metrics::PhaseTimers::calls(metrics::Phase::Compression),
-              1u);
-    const std::string report = metrics::PhaseTimers::report();
-    EXPECT_NE(report.find("timer.compression calls=1"),
-              std::string::npos);
-    EXPECT_NE(report.find("timer.fault_map calls=0"),
-              std::string::npos);
-
-    metrics::PhaseTimers::reset();
-    metrics::PhaseTimers::setEnabled(was);
+    EXPECT_EQ(jsonEscape("unknown policy 'a\nb\"c\\d\te\x01'"),
+              "unknown policy 'a\\nb\\\"c\\\\d\\te\\u0001'");
 }
 
 // --------------------------------------------------------------------

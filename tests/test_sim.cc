@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <vector>
 
+#include "common/thread_pool.hh"
 #include "sim/experiment.hh"
 #include "sim/system.hh"
 
@@ -59,6 +61,24 @@ TEST(Config, LlcConfigCarriesPolicyAndGeometry)
     EXPECT_EQ(bound.sramWays, 16u);
     EXPECT_EQ(bound.nvmWays, 0u);
     EXPECT_EQ(bound.policy, PolicyKind::SramOnly);
+}
+
+TEST(Config, StudyEntryLabelsFollowThePolicyTable)
+{
+    const SystemConfig cfg = SystemConfig::tableIV(0.5);
+    EXPECT_EQ(studyEntry(cfg, PolicyKind::Bh).label, "BH");
+    EXPECT_EQ(studyEntry(cfg, PolicyKind::BhCp).label, "BH_CP");
+    EXPECT_EQ(studyEntry(cfg, PolicyKind::LHybrid).label, "LHybrid");
+    EXPECT_EQ(studyEntry(cfg, PolicyKind::Tap).label, "TAP");
+    EXPECT_EQ(studyEntry(cfg, PolicyKind::CpSd).label, "CP_SD");
+
+    const StudyEntry th8 =
+        studyEntry(cfg, PolicyKind::CpSdTh, { .thPercent = 8.0 });
+    EXPECT_EQ(th8.label, "CP_SD_Th8");
+    EXPECT_EQ(th8.llc.policy, PolicyKind::CpSdTh);
+    EXPECT_EQ(th8.llc.params.thPercent, 8.0);
+    EXPECT_EQ(th8.llc.numSets, cfg.llcSets);
+    EXPECT_EQ(studyEntry(cfg, PolicyKind::CpSdTh).label, "CP_SD_Th4");
 }
 
 TEST(System, RunsAMixEndToEnd)
@@ -185,6 +205,25 @@ TEST_F(ExperimentIntegration, UpperBoundBeatsEveryHybrid)
         EXPECT_LE(phase.aggregate.meanIpc, upper * 1.001)
             << policyName(kind);
     }
+}
+
+TEST_F(ExperimentIntegration, SramBoundsMatchAFreshReplay)
+{
+    const auto &cfg = experiment().config();
+    EXPECT_EQ(experiment().sramBoundIpc(cfg.sramWays + cfg.nvmWays),
+              experiment().upperBoundIpc());
+
+    // Concurrent first calls all get the one memoised replay.
+    std::vector<double> lower(4, 0.0);
+    parallelFor(4, lower.size(), [&](std::size_t i) {
+        lower[i] = experiment().sramBoundIpc(cfg.sramWays);
+    });
+    hybrid::HybridLlc cache(cfg.llcConfigSramBound(cfg.sramWays), nullptr);
+    const double fresh = forecast::replayAllTraces(
+        experiment().tracePtrs(), cache, cfg.timing, 0.2).meanIpc;
+    for (double ipc : lower)
+        EXPECT_EQ(ipc, fresh);
+    EXPECT_LT(fresh, experiment().upperBoundIpc());
 }
 
 } // namespace

@@ -38,6 +38,7 @@
 #include "common/argparse.hh"
 #include "common/error.hh"
 #include "common/logging.hh"
+#include "common/numfmt.hh"
 #include "common/rng.hh"
 #include "common/serialize.hh"
 #include "serve/protocol.hh"
@@ -304,18 +305,6 @@ percentile(const std::vector<double> &sorted, double q)
     return sorted[index];
 }
 
-std::string
-jsonEscapeLite(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
-}
-
 const char *
 typeName(serve::RequestType type)
 {
@@ -535,7 +524,7 @@ main(int argc, char **argv)
             }
             if (o->status == serve::Status::Error) {
                 lines += " error ";
-                lines += jsonEscapeLite(o->message);
+                lines += jsonEscape(o->message);
                 lines += '\n';
                 continue;
             }

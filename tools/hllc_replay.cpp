@@ -304,11 +304,5 @@ main(int argc, char **argv)
         }
         inform("wrote stats to '%s'", stats_out.c_str());
     }
-
-    // Wall-clock attribution (replacement dominates replays) when
-    // HLLC_TIMERS=1; stderr keeps stdout byte-identical.
-    const std::string timers = metrics::PhaseTimers::report();
-    if (!timers.empty())
-        std::fputs(timers.c_str(), stderr);
     return 0;
 }

@@ -16,7 +16,6 @@
 #include "common/argparse.hh"
 #include "common/error.hh"
 #include "common/logging.hh"
-#include "common/metrics.hh"
 #include "hierarchy/hierarchy.hh"
 #include "sim/config.hh"
 #include "workload/mixes.hh"
@@ -86,11 +85,5 @@ main(int argc, char **argv)
 
     std::printf("%s: %zu LLC events (%s) written\n", path.c_str(),
                 trace.size(), mix.name.c_str());
-
-    // Capture spends most of its time compressing blocks; with
-    // HLLC_TIMERS=1 the attribution lands on stderr.
-    const std::string timers = metrics::PhaseTimers::report();
-    if (!timers.empty())
-        std::fputs(timers.c_str(), stderr);
     return 0;
 }
