@@ -1,6 +1,7 @@
 #include "common/serialize.hh"
 
 #include <array>
+#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -36,27 +37,50 @@ errnoMessage()
     return std::strerror(errno);
 }
 
+/**
+ * Slicing-by-8 tables for the reflected polynomial 0xEDB88320. Row 0 is
+ * the classic bytewise table; row k advances a byte through k further
+ * zero bytes, so one step folds eight input bytes with eight lookups.
+ */
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables
+makeCrcTables()
+{
+    CrcTables t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+        std::uint32_t c = i;
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+        t[0][i] = c;
+    }
+    for (std::size_t k = 1; k < t.size(); ++k) {
+        for (std::size_t i = 0; i < 256; ++i)
+            t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+    }
+    return t;
+}
+
+constexpr CrcTables crcTables = makeCrcTables();
+
 } // anonymous namespace
 
 std::uint32_t
 crc32(const void *data, std::size_t size, std::uint32_t crc)
 {
-    // Table generated once from the reflected polynomial 0xEDB88320.
-    static const auto table = [] {
-        std::array<std::uint32_t, 256> t{};
-        for (std::uint32_t i = 0; i < 256; ++i) {
-            std::uint32_t c = i;
-            for (int k = 0; k < 8; ++k)
-                c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
-        }
-        return t;
-    }();
-
+    const auto &t = crcTables;
     const auto *p = static_cast<const std::uint8_t *>(data);
     crc = ~crc;
-    for (std::size_t i = 0; i < size; ++i)
-        crc = table[(crc ^ p[i]) & 0xFF] ^ (crc >> 8);
+    for (; size >= 8; size -= 8, p += 8) {
+        const std::uint32_t lo = crc ^ loadLe<std::uint32_t>(p);
+        const std::uint32_t hi = loadLe<std::uint32_t>(p + 4);
+        crc = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^
+              t[5][(lo >> 16) & 0xFF] ^ t[4][lo >> 24] ^
+              t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+              t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+    }
+    for (; size > 0; --size, ++p)
+        crc = t[0][(crc ^ *p) & 0xFF] ^ (crc >> 8);
     return ~crc;
 }
 
@@ -64,27 +88,30 @@ crc32(const void *data, std::size_t size, std::uint32_t crc)
 // Encoder
 // ---------------------------------------------------------------------
 
+std::uint8_t *
+Encoder::grow(std::size_t n)
+{
+    const std::size_t at = out_.size();
+    out_.resize(at + n);
+    return out_.data() + at;
+}
+
 void
 Encoder::u32(std::uint32_t v)
 {
-    for (int i = 0; i < 4; ++i)
-        out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    storeLe(grow(4), v);
 }
 
 void
 Encoder::u64(std::uint64_t v)
 {
-    for (int i = 0; i < 8; ++i)
-        out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    storeLe(grow(8), v);
 }
 
 void
 Encoder::f64(double v)
 {
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    u64(bits);
+    u64(std::bit_cast<std::uint64_t>(v));
 }
 
 void
@@ -104,17 +131,23 @@ Encoder::str(const std::string &s)
 void
 Encoder::f64Vec(const std::vector<double> &v)
 {
-    u64(v.size());
-    for (const double d : v)
-        f64(d);
+    std::uint8_t *p = grow(8 * (v.size() + 1));
+    storeLe<std::uint64_t>(p, v.size());
+    for (const double d : v) {
+        p += 8;
+        storeLe(p, std::bit_cast<std::uint64_t>(d));
+    }
 }
 
 void
 Encoder::u64Vec(const std::vector<std::uint64_t> &v)
 {
-    u64(v.size());
-    for (const std::uint64_t x : v)
-        u64(x);
+    std::uint8_t *p = grow(8 * (v.size() + 1));
+    storeLe<std::uint64_t>(p, v.size());
+    for (const std::uint64_t x : v) {
+        p += 8;
+        storeLe(p, x);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -141,9 +174,8 @@ std::uint32_t
 Decoder::u32()
 {
     require(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(data_[pos_++]) << (8 * i);
+    const auto v = loadLe<std::uint32_t>(data_ + pos_);
+    pos_ += 4;
     return v;
 }
 
@@ -151,19 +183,15 @@ std::uint64_t
 Decoder::u64()
 {
     require(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(data_[pos_++]) << (8 * i);
+    const auto v = loadLe<std::uint64_t>(data_ + pos_);
+    pos_ += 8;
     return v;
 }
 
 double
 Decoder::f64()
 {
-    const std::uint64_t bits = u64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
+    return std::bit_cast<double>(u64());
 }
 
 void
@@ -254,7 +282,11 @@ Container::open(const std::string &tag) const
 std::vector<std::uint8_t>
 Container::encode(std::uint32_t magic, std::uint32_t payload_version) const
 {
+    std::size_t total = 16 + 4; // header + CRC trailer
+    for (const Chunk &c : chunks_)
+        total += 1 + c.tag.size() + 8 + c.payload.bytes().size();
     Encoder enc;
+    enc.bytes().reserve(total);
     enc.u32(magic);
     enc.u32(containerFormatVersion);
     enc.u32(payload_version);

@@ -23,19 +23,58 @@
  * Encoder/Decoder provide the primitive layer: little-endian-packed
  * integers and IEEE-754 doubles round-trip bit-exactly, which is what
  * makes checkpoint/resume byte-identical to an uninterrupted run.
+ *
+ * The write path runs at memory speed. Encoder grows its buffer once
+ * per field (once per vector for u64Vec/f64Vec) and stores explicit
+ * little-endian bytes through storeLe(); Container::encode reserves the
+ * exact image size up front; bulk records (the .hlt event stream) are
+ * packed by their owner into one grow() with plain pointer stores.
+ * crc32() is a portable slicing-by-8 kernel: eight 256-entry tables
+ * derived from the reflected polynomial consume eight input bytes per
+ * step, with the same result and chaining contract as the bytewise
+ * definition (which lives only in the tests, as their oracle).
  */
 
 #ifndef HLLC_COMMON_SERIALIZE_HH
 #define HLLC_COMMON_SERIALIZE_HH
 
+#include <concepts>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hh"
 
 namespace hllc::serial
 {
+
+/*
+ * Little-endian store/load at any alignment, on any host. The byte
+ * accesses are expanded by a fold expression rather than a loop, so the
+ * compiler sees straight-line code and merges it into one (unaligned)
+ * word access at -O2 on little-endian targets.
+ */
+
+/** Store @p v at @p p as sizeof(T) little-endian bytes. */
+template <std::unsigned_integral T>
+inline void
+storeLe(std::uint8_t *p, T v)
+{
+    [&]<std::size_t... I>(std::index_sequence<I...>) {
+        ((p[I] = static_cast<std::uint8_t>(v >> (8 * I))), ...);
+    }(std::make_index_sequence<sizeof(T)>{});
+}
+
+/** Load a little-endian @p T from @p p. */
+template <std::unsigned_integral T>
+inline T
+loadLe(const std::uint8_t *p)
+{
+    return [&]<std::size_t... I>(std::index_sequence<I...>) {
+        return static_cast<T>(((static_cast<T>(p[I]) << (8 * I)) | ...));
+    }(std::make_index_sequence<sizeof(T)>{});
+}
 
 /** CRC-32 (IEEE 802.3, reflected 0xEDB88320); @p crc chains calls. */
 std::uint32_t crc32(const void *data, std::size_t size,
@@ -57,6 +96,12 @@ class Encoder
     void f64Vec(const std::vector<double> &v);
     /** u64 element-count prefix + u64 elements. */
     void u64Vec(const std::vector<std::uint64_t> &v);
+
+    /**
+     * Append @p n zero bytes for the caller to fill (bulk records);
+     * returns the first one, valid until the next append.
+     */
+    std::uint8_t *grow(std::size_t n);
 
     const std::vector<std::uint8_t> &bytes() const { return out_; }
     std::vector<std::uint8_t> &bytes() { return out_; }

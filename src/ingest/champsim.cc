@@ -7,6 +7,7 @@
 #include "common/failpoint.hh"
 #include "common/numfmt.hh"
 #include "common/rng.hh"
+#include "common/serialize.hh"
 #include "ingest/payload_synth.hh"
 
 namespace hllc::ingest
@@ -17,22 +18,6 @@ namespace
 
 using hybrid::LlcEvent;
 using hybrid::LlcEventType;
-
-std::uint64_t
-loadLe64(const std::uint8_t *bytes)
-{
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i)
-        v = (v << 8) | bytes[i];
-    return v;
-}
-
-void
-storeLe64(std::uint64_t v, std::vector<std::uint8_t> &out)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
 
 } // anonymous namespace
 
@@ -63,8 +48,8 @@ ChampSimRecord
 decodeChampSimRecord(const std::uint8_t *bytes, std::uint64_t index)
 {
     ChampSimRecord rec;
-    rec.pc = loadLe64(bytes);
-    rec.addr = loadLe64(bytes + 8);
+    rec.pc = serial::loadLe<std::uint64_t>(bytes);
+    rec.addr = serial::loadLe<std::uint64_t>(bytes + 8);
     const std::uint8_t type = bytes[16];
     const std::uint8_t cpu = bytes[17];
     // bytes[18] is the fill hint, bytes[19..23] are reserved; both are
@@ -216,10 +201,11 @@ synthesizeChampSimFixture(std::uint64_t records, std::uint64_t seed)
     Xoshiro256StarStar rng = childStream(seed, 0x1461, 0);
     std::array<std::uint64_t, replay::traceCores> loop_pos{};
     std::array<std::uint64_t, replay::traceCores> stream_pos{};
-    std::vector<std::uint8_t> out;
-    out.reserve(records * champSimRecordBytes);
+    // Zero-filled up front: the reserved bytes 19..23 stay zero.
+    std::vector<std::uint8_t> out(records * champSimRecordBytes);
+    std::uint8_t *rec = out.data();
 
-    for (std::uint64_t i = 0; i < records; ++i) {
+    for (std::uint64_t i = 0; i < records; ++i, rec += champSimRecordBytes) {
         const auto cpu =
             static_cast<std::uint8_t>(i % replay::traceCores);
         const std::uint64_t core_base =
@@ -247,13 +233,11 @@ synthesizeChampSimFixture(std::uint64_t records, std::uint64_t seed)
         else
             type = static_cast<std::uint8_t>(ChampSimType::Writeback);
 
-        storeLe64(0x400000 + mix64(i) % 0x10000, out);       // pc
-        storeLe64(block << blockOffsetBits, out);            // address
-        out.push_back(type);
-        out.push_back(cpu);
-        out.push_back(static_cast<std::uint8_t>(rng.nextBounded(2)));
-        for (int pad = 0; pad < 5; ++pad)
-            out.push_back(0);
+        serial::storeLe<std::uint64_t>(rec, 0x400000 + mix64(i) % 0x10000);
+        serial::storeLe<std::uint64_t>(rec + 8, block << blockOffsetBits);
+        rec[16] = type;
+        rec[17] = cpu;
+        rec[18] = static_cast<std::uint8_t>(rng.nextBounded(2)); // fill hint
     }
     return out;
 }

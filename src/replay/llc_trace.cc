@@ -42,16 +42,6 @@ checkedEventType(std::uint8_t raw, const std::string &path)
     return static_cast<hybrid::LlcEventType>(raw);
 }
 
-/** Little-endian u64 from an unaligned record pointer. */
-std::uint64_t
-readU64Le(const std::uint8_t *p)
-{
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    return v;
-}
-
 /**
  * Decode @p count event records of @p stride bytes in batches: one
  * bounds-checked Decoder::raw() per ~4096 records into a staging buffer,
@@ -77,9 +67,31 @@ decodeEventRecords(serial::Decoder &dec, std::uint64_t count,
         const std::uint8_t *p = buf.data();
         for (std::size_t i = 0; i < n; ++i, p += stride) {
             trace.append(hybrid::LlcEvent{
-                readU64Le(p), checkedEventType(p[8], path), p[9], p[10] });
+                serial::loadLe<std::uint64_t>(p),
+                checkedEventType(p[8], path), p[9], p[10] });
         }
         done += n;
+    }
+}
+
+/**
+ * Append the v2 event stream to @p enc: the u64 count, then one
+ * v2EventStride-byte record per event. The mirror of
+ * decodeEventRecords(): the chunk grows once and records are packed
+ * with plain pointer stores instead of four Encoder calls per event.
+ */
+void
+encodeEventRecords(serial::Encoder &enc,
+                   const std::vector<hybrid::LlcEvent> &events)
+{
+    enc.u64(events.size());
+    std::uint8_t *p = enc.grow(events.size() * v2EventStride);
+    for (const hybrid::LlcEvent &ev : events) {
+        serial::storeLe(p, ev.blockNum);
+        p[8] = static_cast<std::uint8_t>(ev.type);
+        p[9] = ev.ecbBytes;
+        p[10] = ev.core;
+        p += v2EventStride;
     }
 }
 
@@ -178,14 +190,7 @@ LlcTrace::save(const std::string &path) const
         meta.f64(core.baseCpi);
     }
 
-    serial::Encoder &evts = container.add("evts");
-    evts.u64(events_.size());
-    for (const hybrid::LlcEvent &ev : events_) {
-        evts.u64(ev.blockNum);
-        evts.u8(static_cast<std::uint8_t>(ev.type));
-        evts.u8(ev.ecbBytes);
-        evts.u8(ev.core);
-    }
+    encodeEventRecords(container.add("evts"), events_);
 
     container.save(path, traceMagicV2, traceVersionV2);
 }

@@ -202,6 +202,11 @@ runForecastGridCheckpointed(const Experiment &experiment,
                                     entries[i].label);
             const RetryResult rr = runWithRetry(
                 resilience.retry, i, [&](std::size_t attempt) {
+                    // The deadline covers the whole attempt, the chaos
+                    // sites included, so an injected stall overruns it
+                    // however fast the forecast itself is.
+                    GridWatchdog::Scope scope(watchdog, i,
+                                              entries[i].label);
                     // Chaos sites inside the retry boundary: an injected
                     // throw exercises per-cell quarantine/recovery, an
                     // injected stall overruns the watchdog deadline.
@@ -226,8 +231,6 @@ runForecastGridCheckpointed(const Experiment &experiment,
                         run_options.resume =
                             checkpoint.resume || attempt > 0;
                     }
-                    GridWatchdog::Scope scope(watchdog, i,
-                                              entries[i].label);
                     run_options.cancel = scope.cancelFlag();
                     out.summary = experiment.runForecast(
                         entries[i].llc, entries[i].label, fc,

@@ -10,11 +10,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <limits>
 
+#include "check/manifest.hh"
 #include "common/error.hh"
+#include "common/rng.hh"
 #include "common/serialize.hh"
 #include "replay/llc_trace.hh"
 
@@ -38,6 +41,71 @@ TEST(Crc32, ChainsIncrementally)
     const char digits[] = "123456789";
     const std::uint32_t first = crc32(digits, 4);
     EXPECT_EQ(crc32(digits + 4, 5, first), 0xCBF43926u);
+}
+
+/**
+ * The CRC-32 definition, one bit at a time: the oracle the table-driven
+ * kernel in common/serialize.cc is checked against.
+ */
+std::uint32_t
+bitwiseCrc32(const std::uint8_t *p, std::size_t size, std::uint32_t crc = 0)
+{
+    crc = ~crc;
+    for (std::size_t i = 0; i < size; ++i) {
+        crc ^= p[i];
+        for (int k = 0; k < 8; ++k)
+            crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+    return ~crc;
+}
+
+std::vector<std::uint8_t>
+randomBytes(std::size_t n, std::uint64_t seed)
+{
+    Xoshiro256StarStar rng(seed);
+    std::vector<std::uint8_t> bytes(n);
+    for (std::uint8_t &b : bytes)
+        b = static_cast<std::uint8_t>(rng.next() >> 56);
+    return bytes;
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndAlignment)
+{
+    // Lengths 0..256 cover the empty input, tails shorter than one
+    // eight-byte step and every tail length after whole steps; the
+    // offsets cover every alignment of the step loads.
+    const std::vector<std::uint8_t> buf = randomBytes(256 + 8, 1);
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+        for (std::size_t len = 0; len <= 256; ++len) {
+            ASSERT_EQ(crc32(buf.data() + offset, len),
+                      bitwiseCrc32(buf.data() + offset, len))
+                << "offset " << offset << ", length " << len;
+        }
+    }
+}
+
+TEST(Crc32, ChainsAcrossRandomSplitPoints)
+{
+    const std::vector<std::uint8_t> buf = randomBytes(4096, 2);
+    const std::uint32_t whole = bitwiseCrc32(buf.data(), buf.size());
+    Xoshiro256StarStar rng(3);
+    for (int trial = 0; trial < 200; ++trial) {
+        std::vector<std::size_t> cuts{ 0, buf.size() };
+        for (int k = 0; k < 3; ++k)
+            cuts.push_back(rng.nextBounded(buf.size() + 1));
+        std::sort(cuts.begin(), cuts.end());
+        std::uint32_t crc = 0;
+        for (std::size_t k = 0; k + 1 < cuts.size(); ++k)
+            crc = crc32(buf.data() + cuts[k], cuts[k + 1] - cuts[k], crc);
+        ASSERT_EQ(crc, whole) << "trial " << trial;
+    }
+}
+
+TEST(Crc32, MatchesBitwiseReferenceOverOneMebibyte)
+{
+    const std::vector<std::uint8_t> buf = randomBytes(1 << 20, 4);
+    EXPECT_EQ(crc32(buf.data(), buf.size()),
+              bitwiseCrc32(buf.data(), buf.size()));
 }
 
 TEST(EncoderDecoder, PrimitivesRoundTrip)
@@ -68,13 +136,48 @@ TEST(EncoderDecoder, PrimitivesRoundTrip)
     EXPECT_TRUE(dec.atEnd());
 }
 
+TEST(EncoderDecoder, VectorsEncodeAsTheirElements)
+{
+    const std::vector<std::uint64_t> ints{ 0, 1, 0x0123456789ABCDEFULL,
+                                           ~0ULL };
+    const std::vector<double> doubles{
+        0.0, -0.0, 1.5, -1e-300, std::numeric_limits<double>::infinity()
+    };
+    Encoder packed;
+    packed.u64Vec(ints);
+    packed.f64Vec(doubles);
+    packed.u64Vec({});
+    packed.f64Vec({});
+
+    Encoder each;
+    each.u64(ints.size());
+    for (const std::uint64_t x : ints)
+        each.u64(x);
+    each.u64(doubles.size());
+    for (const double d : doubles)
+        each.f64(d);
+    each.u64(0);
+    each.u64(0);
+    EXPECT_EQ(packed.bytes(), each.bytes());
+}
+
 TEST(EncoderDecoder, LittleEndianLayout)
 {
+    // The u32 and u64 after a lone u8 sit at odd offsets.
     Encoder enc;
-    enc.u32(0x04030201);
-    ASSERT_EQ(enc.bytes().size(), 4u);
-    EXPECT_EQ(enc.bytes()[0], 0x01);
-    EXPECT_EQ(enc.bytes()[3], 0x04);
+    enc.u8(0xA5);
+    enc.u32(0x44332211);
+    enc.u64(0x8877665544332211ULL);
+    enc.f64(1.0); // bit pattern 0x3FF0000000000000
+    enc.u8(0x5A);
+    const std::vector<std::uint8_t> expected{
+        0xA5,                                           // u8
+        0x11, 0x22, 0x33, 0x44,                         // u32
+        0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, // u64
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0x3F, // f64
+        0x5A,                                           // u8
+    };
+    EXPECT_EQ(enc.bytes(), expected);
 }
 
 TEST(Decoder, ReadPastEndThrows)
@@ -292,6 +395,21 @@ class TraceCorpus : public ::testing::Test
         std::fclose(f);
     }
 };
+
+TEST_F(TraceCorpus, ManifestCrcIsTheHltCrcTrailer)
+{
+    // The manifest's CRC is taken over the file minus its trailer, i.e.
+    // over exactly the bytes the container CRC covers, so the two are
+    // equal: a manifest that matches a re-read file vouches for the
+    // same content the trailer does.
+    const replay::LlcTrace trace = sampleTrace();
+    trace.save(path());
+    const std::vector<std::uint8_t> image = readFileBytes(path());
+    ASSERT_GE(image.size(), 4u);
+    const auto trailer =
+        loadLe<std::uint32_t>(image.data() + image.size() - 4);
+    EXPECT_EQ(check::computeManifest(path(), trace).crc32, trailer);
+}
 
 TEST_F(TraceCorpus, EveryByteFlipOfAnHltIsRejected)
 {

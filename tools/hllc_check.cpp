@@ -23,12 +23,15 @@
  */
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <sys/stat.h>
 
 #include "check/differential.hh"
 #include "check/golden_compress.hh"
@@ -272,6 +275,24 @@ runDiffJobs(const Options &opt)
 int
 runDiffResume(const Options &opt)
 {
+    // A checkpoint directory that is missing is created, the way the
+    // grid creates its own; one that cannot be is a usage error, not a
+    // divergence of the resume net.
+    const char *dir = opt.checkpointDir.c_str();
+    if (::mkdir(dir, 0777) != 0 && errno != EEXIST) {
+        std::fprintf(stderr,
+                     "hllc_check: cannot create checkpoint directory "
+                     "'%s': %s\n",
+                     dir, std::strerror(errno));
+        return 2;
+    }
+    if (!std::filesystem::is_directory(opt.checkpointDir)) {
+        std::fprintf(stderr,
+                     "hllc_check: checkpoint directory '%s' is not a "
+                     "directory\n",
+                     dir);
+        return 2;
+    }
     const replay::LlcTrace trace = loadTrace(opt);
     const hybrid::HybridLlcConfig llc =
         llcConfigFor(opt, opt.policies.front());

@@ -7,6 +7,8 @@
  * Usage: hllc_replay <trace.hlt> [policy[,policy...]] [cpth] [--jobs N]
  *                    [--stats-out <file>.{json,csv}]
  *
+ * The policy list and CPth are positional and come before any flag.
+ *
  * Several comma-separated policies form a grid replayed in parallel
  * (sim::runGrid); results print in the order given on the command line
  * and are byte-identical for every --jobs value. With --stats-out the
@@ -16,6 +18,7 @@
  * schema.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -117,17 +120,40 @@ struct IntervalState
     std::uint64_t nvmBytes = 0;
 };
 
+int
+usage(const char *prog)
+{
+    std::fprintf(stderr,
+                 "usage: %s <trace.hlt> [policy[,policy...]] [cpth] "
+                 "[--jobs N] [--stats-out <file>.{json,csv}]\n",
+                 prog);
+    return 2;
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    if (argc < 2) {
-        std::fprintf(stderr,
-                     "usage: %s <trace.hlt> [policy[,policy...]] [cpth] "
-                     "[--jobs N] [--stats-out <file>.{json,csv}]\n",
-                     argv[0]);
-        return 2;
+    if (argc < 2)
+        return usage(argv[0]);
+    // The policy list and CPth are positional only before the first
+    // flag; from there on every argument is a flag or a flag's value.
+    int first_flag = 2;
+    while (first_flag < argc && argv[first_flag][0] != '-')
+        ++first_flag;
+    const char *policy_arg = first_flag > 2 ? argv[2] : nullptr;
+    const char *cpth_arg = first_flag > 3 ? argv[3] : nullptr;
+    for (int i = std::min(first_flag, 4); i < argc; ++i) {
+        if (std::strcmp(argv[i], "--jobs") == 0 ||
+            std::strcmp(argv[i], "-j") == 0 ||
+            std::strcmp(argv[i], "--stats-out") == 0) {
+            ++i; // the value; its parser below reports a missing one
+            continue;
+        }
+        std::fprintf(stderr, "%s: unexpected argument '%s'\n", argv[0],
+                     argv[i]);
+        return usage(argv[0]);
     }
     const unsigned jobs = sim::parseJobsArg(argc, argv);
     const std::string stats_out = sim::parseStatsOutArg(argc, argv);
@@ -142,23 +168,21 @@ main(int argc, char **argv)
     if (const auto mismatch = check::verifyManifest(argv[1], trace))
         fatal("%s", mismatch->c_str());
     const std::vector<PolicyKind> policies =
-        argc > 2 && argv[2][0] != '-' ? parsePolicyList(argv[2])
-                                      : std::vector<PolicyKind>{
-                                            PolicyKind::CpSd };
+        policy_arg != nullptr
+            ? parsePolicyList(policy_arg)
+            : std::vector<PolicyKind>{ PolicyKind::CpSd };
 
     const sim::SystemConfig config = sim::SystemConfig::tableIV();
     hybrid::PolicyParams params;
-    if (argc > 3 && argv[3][0] != '-') {
+    if (cpth_arg != nullptr) {
         // CPth is a byte threshold within a 64-byte block.
-        const auto cpth = parseUnsigned(argv[3], 1, 64);
+        const auto cpth = parseUnsigned(cpth_arg, 1, 64);
         if (!cpth) {
             std::fprintf(stderr,
                          "%s: bad cpth '%s' (expected an integer in "
-                         "1..64)\n"
-                         "usage: %s <trace.hlt> [policy[,policy...]] "
-                         "[cpth] [--jobs N]\n",
-                         argv[0], argv[3], argv[0]);
-            return 2;
+                         "1..64)\n",
+                         argv[0], cpth_arg);
+            return usage(argv[0]);
         }
         params.fixedCpth = *cpth;
     }
