@@ -9,8 +9,10 @@
  *
  * The victim scans are templates over the eligibility predicate so the
  * per-access replacement path never goes through a std::function (the
- * predicate inlines into the scan loop); lruWay()/mruWay() sit on the
- * replay hot path.
+ * predicate inlines into the scan loop). lruWay() picks the private
+ * caches' victims on the capture path and mruWay() LHybrid's SRAM
+ * loop-block on the replay path; the hybrid LLC's own Fit-LRU victim
+ * search (HybridLlc::victimWay) reads stamp() in its single scan.
  */
 
 #ifndef HLLC_CACHE_LRU_HH

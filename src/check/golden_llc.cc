@@ -126,8 +126,6 @@ GoldenLlc::GoldenLlc(const hybrid::HybridLlcConfig &config,
     HLLC_ASSERT(config.numSets > 0 &&
                 (config.numSets & (config.numSets - 1)) == 0,
                 "numSets must be a power of two");
-    HLLC_ASSERT(config.replacement == hybrid::ReplacementKind::Lru,
-                "the golden model only covers LRU replacement");
 
     if (policy_.dueling) {
         dueling_ = std::make_unique<hybrid::SetDueling>(

@@ -11,16 +11,16 @@
  * dirty writebacks, migrations) — any divergence is a bug in one of the
  * two implementations.
  *
- * The golden model deliberately does NOT model fault maps or SRRIP: it
- * covers the degenerate configurations the differential checker drives
- * (compression off, SRAM-only, pristine NVM frames, LRU replacement),
- * where frame-capacity constraints never bind and (Fit-)LRU collapses
- * to plain LRU. Policy steering and the five structural policy traits
- * are re-derived here from the paper's tables (goldenPolicy,
- * goldenChoosePart) rather than read from hybrid::InsertionPolicy, so a
- * steering bug in either copy shows up as a divergence. Set Dueling is
- * the one component still shared with the fast LLC; it is cross-checked
- * by its own unit suite.
+ * The golden model deliberately does NOT model fault maps: it covers
+ * the degenerate configurations the differential checker drives
+ * (compression off, SRAM-only, pristine NVM frames), where
+ * frame-capacity constraints never bind and Fit-LRU, the fast LLC's
+ * one replacement rule, collapses to plain LRU. Policy steering and the
+ * five structural policy traits are re-derived here from the paper's
+ * tables (goldenPolicy, goldenChoosePart) rather than read from
+ * hybrid::InsertionPolicy, so a steering bug in either copy shows up as
+ * a divergence. Set Dueling is the one component still shared with the
+ * fast LLC; it is cross-checked by its own unit suite.
  */
 
 #ifndef HLLC_CHECK_GOLDEN_LLC_HH

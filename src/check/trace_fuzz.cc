@@ -224,7 +224,6 @@ fuzz(const FuzzConfig &config, GoldenOptions golden)
         llc.sramWays = config.sramWays;
         llc.nvmWays = config.nvmWays;
         llc.policy = policy;
-        llc.replacement = hybrid::ReplacementKind::Lru;
         // Short epochs so dueling actually flips CPth within a round.
         llc.epochCycles = 20'000;
         return llc;

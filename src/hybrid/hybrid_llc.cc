@@ -27,7 +27,6 @@ HybridLlc::HybridLlc(const HybridLlcConfig &config,
       valid_(tags_.size(), 0),
       dirty_(tags_.size(), 0),
       ecb_(tags_.size(), 0),
-      rrpv_(tags_.size(), 0),
       reuse_(tags_.size(), 0),
       hits_(tags_.size(), 0),
       lru_(config.numSets, config.totalWays()),
@@ -124,41 +123,8 @@ HybridLlc::findWay(std::uint32_t set, Addr block) const
 
 int
 HybridLlc::victimWay(std::uint32_t set, std::uint32_t begin,
-                     std::uint32_t end, unsigned ecb)
+                     std::uint32_t end, unsigned ecb) const
 {
-    if (config_.replacement == ReplacementKind::Srrip) {
-        // Empty frames with enough capacity first...
-        for (std::uint32_t w = begin; w < end; ++w) {
-            if (!valid_[index(set, w)] &&
-                frameCapacity(set, w) >= storedSize(w, ecb)) {
-                return static_cast<int>(w);
-            }
-        }
-        const auto fits = [&](std::uint32_t w) {
-            return valid_[index(set, w)] != 0 &&
-                   frameCapacity(set, w) >= storedSize(w, ecb);
-        };
-        // ...then evict the first fitting line predicted re-referenced in
-        // the distant future; age everyone until one exists.
-        bool any_fits = false;
-        for (std::uint32_t w = begin; w < end; ++w)
-            any_fits = any_fits || fits(w);
-        if (!any_fits)
-            return -1;
-        for (unsigned round = 0; round <= maxRrpv; ++round) {
-            for (std::uint32_t w = begin; w < end; ++w) {
-                if (fits(w) && rrpv_[index(set, w)] >= maxRrpv)
-                    return static_cast<int>(w);
-            }
-            for (std::uint32_t w = begin; w < end; ++w) {
-                const std::size_t i = index(set, w);
-                if (valid_[i] && rrpv_[i] < maxRrpv)
-                    ++rrpv_[i];
-            }
-        }
-        panic("SRRIP victim scan did not converge");
-    }
-
     // Fit-LRU in one scan, SRAM ways then NVM frames: the first empty
     // way with enough capacity wins outright; otherwise the least
     // recently used fitting line (first way on a stamp tie, as
@@ -248,7 +214,6 @@ HybridLlc::writeLine(std::uint32_t set, std::uint32_t way, Addr block,
     valid_[i] = 1;
     dirty_[i] = dirty ? 1 : 0;
     ecb_[i] = static_cast<std::uint8_t>(ecb);
-    rrpv_[i] = maxRrpv - 1; // SRRIP long re-reference insertion
     reuse_[i] = static_cast<std::uint8_t>(state.reuse);
     hits_[i] = state.hits;
     lru_.touch(set, way);
@@ -370,16 +335,11 @@ HybridLlc::insert(Addr block, bool dirty, unsigned ecb, ReuseState state)
         return;
     }
 
-    // SRAM insertion. Look for an empty way first.
-    int way = -1;
-    for (std::uint32_t w = 0; w < config_.sramWays; ++w) {
-        if (!valid_[index(set, w)]) {
-            way = static_cast<int>(w);
-            break;
-        }
-    }
-
-    if (way < 0) {
+    // SRAM insertion: the same Fit-LRU scan (every SRAM way fits).
+    int way = victimWay(set, 0, config_.sramWays, ecb);
+    HLLC_ASSERT(way >= 0);
+    const std::size_t vi = index(set, static_cast<std::uint32_t>(way));
+    if (valid_[vi]) {
         if (policy_.lhybridSramReplacement()) {
             // LHybrid: migrate the MRU loop-block to NVM to free a frame;
             // otherwise evict the LRU (paper Sec. II-C).
@@ -393,26 +353,15 @@ HybridLlc::insert(Addr block, bool dirty, unsigned ecb, ReuseState state)
             if (lb_way >= 0) {
                 migrateToNvm(set, static_cast<std::uint32_t>(lb_way));
                 way = lb_way;
-            } else {
-                way = lru_.lruWay(set, 0, config_.sramWays,
-                                  [](std::uint32_t) { return true; });
             }
-        } else {
-            way = lru_.lruWay(set, 0, config_.sramWays,
-                              [](std::uint32_t) { return true; });
-            HLLC_ASSERT(way >= 0);
-            const std::size_t vi =
-                index(set, static_cast<std::uint32_t>(way));
-            if (policy_.migrateReadReuseOnSramEviction() && valid_[vi] &&
-                reuse_[vi] == readReuse) {
-                // CA_RWR: a read-reused SRAM victim moves to NVM instead
-                // of leaving the LLC (paper Sec. IV-B).
-                migrateToNvm(set, static_cast<std::uint32_t>(way));
-            }
+        } else if (policy_.migrateReadReuseOnSramEviction() &&
+                   reuse_[vi] == readReuse) {
+            // CA_RWR: a read-reused SRAM victim moves to NVM instead of
+            // leaving the LLC (paper Sec. IV-B).
+            migrateToNvm(set, static_cast<std::uint32_t>(way));
         }
     }
 
-    HLLC_ASSERT(way >= 0);
     evict(set, static_cast<std::uint32_t>(way));
     writeLine(set, static_cast<std::uint32_t>(way), block, dirty, ecb,
               state);
@@ -440,7 +389,6 @@ HybridLlc::onGetS(Addr block)
         ++hits_[i];
     reuse_[i] = static_cast<std::uint8_t>(
         dirty_[i] ? ReuseClass::Write : ReuseClass::Read);
-    rrpv_[i] = 0;
     lru_.touch(set, static_cast<std::uint32_t>(way));
     if (dueling_)
         dueling_->recordHit(set);
@@ -507,7 +455,6 @@ HybridLlc::onPut(Addr block, bool dirty, unsigned ecb_bytes)
         ++*ctr_.putsPresent;
         const auto uway = static_cast<std::uint32_t>(way);
         const std::size_t i = index(set, uway);
-        rrpv_[i] = 0;
         lru_.touch(set, uway);
         if (!dirty)
             return;

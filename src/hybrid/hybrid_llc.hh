@@ -16,18 +16,19 @@
  * the forecast's aging phases.
  *
  * Implementation notes for the replay hot path: the tag store is kept as
- * structure-of-arrays (tags / valid / dirty / ecb / rrpv / reuse / hits
- * in separate flat vectors) so the per-access findWay() scan touches one
+ * structure-of-arrays (tags / valid / dirty / ecb / reuse / hits in
+ * separate flat vectors) so the per-access findWay() scan touches one
  * contiguous tag row and reads a valid byte only on a tag match. A
  * resident block's reuse tag (class and TAP hit count) lives in its
  * line: hits update it in place, a fill takes it out of the ReuseTracker,
  * a migration or dirty-Put relocation carries it to the new line, and
  * every way a block leaves the LLC (eviction, GetX invalidate-on-hit,
  * aging out, a bypassed fill) hands it back. The tracker thus only holds
- * blocks outside the LLC, and no hit probes it. The Fit-LRU victim
- * search is one scan per set (first fitting empty way, else the least
- * recently used fitting way), with the fault-map capacity check confined
- * to the NVM frames. Every stats counter the event paths bump is
+ * blocks outside the LLC, and no hit probes it. Fit-LRU is the only
+ * replacement rule, and every victim search (global, NVM part, SRAM
+ * part) is the same one scan per set (first fitting empty way, else the
+ * least recently used fitting way), with the fault-map capacity check
+ * confined to the NVM frames. Every stats counter the event paths bump is
  * resolved to a Counter pointer once at construction (std::map nodes
  * are pointer-stable) so no per-event string-keyed map lookups remain;
  * and the InsertionPolicy is held by value, so its traits are member
@@ -50,14 +51,6 @@
 
 namespace hllc::hybrid
 {
-
-/**
- * Replacement algorithm used inside each part. The paper uses (Fit-)LRU;
- * SRRIP (2-bit re-reference interval prediction) is provided as a
- * scan-resistant alternative for ablations. Fit constraints (frame
- * effective capacity) apply to both.
- */
-enum class ReplacementKind : std::uint8_t { Lru, Srrip };
 
 /**
  * Observer of the LLC's per-event structural decisions (which resident
@@ -119,7 +112,6 @@ struct HybridLlcConfig
     std::uint32_t sramWays = 4;
     std::uint32_t nvmWays = 12;
     PolicyKind policy = PolicyKind::CpSd;
-    ReplacementKind replacement = ReplacementKind::Lru;
     PolicyParams params;            //!< policy tunables
     Cycle epochCycles = 2'000'000;  //!< Set Dueling epoch (Sec. IV-C)
     /**
@@ -232,13 +224,18 @@ class HybridLlc
      */
     void revalidateAgainstFaultMap();
 
-    /** Drop all cached contents and reuse state (fresh replay). */
+    /**
+     * Empty every line and the reuse tracker before a fresh replay.
+     * Everything else carries over: the Set Dueling counters, epoch
+     * clock and winning CPth, the LRU stamps (victim searches compare
+     * them among valid lines only, so stale ones are harmless) and the
+     * stats (callers pair this with resetStats()). The forecast replays
+     * a cell's mixes through one LLC and its results depend on the
+     * dueling state carrying from one mix into the next.
+     */
     void reset();
 
   private:
-    /** SRRIP maximum RRPV (2-bit counters). */
-    static constexpr std::uint8_t maxRrpv = 3;
-
     std::size_t index(std::uint32_t set, std::uint32_t way) const
     {
         return static_cast<std::size_t>(set) * ways_ + way;
@@ -286,7 +283,7 @@ class HybridLlc
      * nothing fits.
      */
     int victimWay(std::uint32_t set, std::uint32_t begin,
-                  std::uint32_t end, unsigned ecb);
+                  std::uint32_t end, unsigned ecb) const;
 
     /**
      * Evict the resident of (set, way); dirty residents write back and
@@ -344,7 +341,6 @@ class HybridLlc
     std::vector<std::uint8_t> valid_;
     std::vector<std::uint8_t> dirty_;
     std::vector<std::uint8_t> ecb_;  //!< 64 when incompressible
-    std::vector<std::uint8_t> rrpv_; //!< SRRIP prediction (0 = imminent)
     std::vector<std::uint8_t> reuse_; //!< resident's ReuseClass
     std::vector<std::uint16_t> hits_; //!< resident's LLC hits (TAP)
 

@@ -33,15 +33,6 @@ constexpr std::size_t v2EventStride = 11;
 /** Events staged per Decoder::raw() call by the batched loaders. */
 constexpr std::size_t decodeBatch = 4096;
 
-hybrid::LlcEventType
-checkedEventType(std::uint8_t raw, const std::string &path)
-{
-    if (raw > static_cast<std::uint8_t>(hybrid::LlcEventType::PutDirty))
-        throw IoError("trace file '" + path + "' has invalid event type " +
-                      formatU64(raw));
-    return static_cast<hybrid::LlcEventType>(raw);
-}
-
 /**
  * Decode @p count event records of @p stride bytes in batches: one
  * bounds-checked Decoder::raw() per ~4096 records into a staging buffer,
@@ -58,6 +49,7 @@ decodeEventRecords(serial::Decoder &dec, std::uint64_t count,
     const std::uint64_t fit = dec.remaining() / stride;
     trace.reserve(static_cast<std::size_t>(std::min(count, fit)));
 
+    const std::string where = "trace file '" + path + "'";
     std::vector<std::uint8_t> buf(decodeBatch * stride);
     std::uint64_t done = 0;
     while (done < count) {
@@ -66,9 +58,8 @@ decodeEventRecords(serial::Decoder &dec, std::uint64_t count,
         dec.raw(buf.data(), n * stride);
         const std::uint8_t *p = buf.data();
         for (std::size_t i = 0; i < n; ++i, p += stride) {
-            trace.append(hybrid::LlcEvent{
-                serial::loadLe<std::uint64_t>(p),
-                checkedEventType(p[8], path), p[9], p[10] });
+            trace.append(checkedEvent(serial::loadLe<std::uint64_t>(p),
+                                      p[8], p[9], p[10], where));
         }
         done += n;
     }
@@ -173,6 +164,13 @@ loadV2(const std::vector<std::uint8_t> &bytes, const std::string &path)
 }
 
 } // anonymous namespace
+
+void
+throwBadEventField(const std::string &where, const char *field,
+                   unsigned value)
+{
+    throw IoError(where + ": bad " + field + " " + formatU64(value));
+}
 
 void
 LlcTrace::save(const std::string &path) const

@@ -28,6 +28,34 @@ namespace hllc::replay
 /** Number of cores the trace format carries. */
 inline constexpr std::size_t traceCores = 4;
 
+/**
+ * Throw hllc::IoError "<where>: bad <field> <value>". Out of line so
+ * checkedEvent() stays small enough to inline into decode loops.
+ */
+[[noreturn]] void throwBadEventField(const std::string &where,
+                                     const char *field, unsigned value);
+
+/**
+ * One LLC event from its raw encoded fields, checked against what the
+ * LLC accepts from any input: a known event type, an ECB size in
+ * [2, 64] (no encoding compresses a block below 2 bytes) and a core
+ * below traceCores. The .hlt loaders and the hllc-req-v1 decoder share
+ * it, so an event that decodes can never abort a replay. @p where names
+ * the input (file or protocol) in the error.
+ */
+inline hybrid::LlcEvent
+checkedEvent(Addr block, std::uint8_t type, std::uint8_t ecb,
+             std::uint8_t core, const std::string &where)
+{
+    if (type > static_cast<std::uint8_t>(hybrid::LlcEventType::PutDirty))
+        throwBadEventField(where, "event type", type);
+    if (ecb < 2 || ecb > blockBytes)
+        throwBadEventField(where, "ECB size", ecb);
+    if (core >= traceCores)
+        throwBadEventField(where, "core", core);
+    return { block, static_cast<hybrid::LlcEventType>(type), ecb, core };
+}
+
 /** Per-core capture statistics needed to rebuild timing during replay. */
 struct CoreMeta
 {

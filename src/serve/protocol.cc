@@ -29,23 +29,12 @@ encodeEvent(Encoder &enc, const hybrid::LlcEvent &event)
 hybrid::LlcEvent
 decodeEvent(Decoder &dec)
 {
-    hybrid::LlcEvent event;
-    event.blockNum = dec.u64();
+    static const std::string where = "hllc-req-v1";
+    const Addr block = dec.u64();
     const std::uint8_t type = dec.u8();
-    if (type > static_cast<std::uint8_t>(hybrid::LlcEventType::PutDirty))
-        throw IoError("hllc-req-v1: bad event type " + formatU64(type));
-    event.type = static_cast<hybrid::LlcEventType>(type);
-    event.ecbBytes = dec.u8();
-    // The LLC's own invariant: no encoding compresses 64 bytes below 2.
-    if (event.ecbBytes < 2 || event.ecbBytes > blockBytes) {
-        throw IoError("hllc-req-v1: bad ECB size " +
-                      formatU64(event.ecbBytes));
-    }
+    const std::uint8_t ecb = dec.u8();
     const std::uint8_t core = dec.u8();
-    if (core >= replay::traceCores)
-        throw IoError("hllc-req-v1: bad core " + formatU64(core));
-    event.core = core;
-    return event;
+    return replay::checkedEvent(block, type, ecb, core, where);
 }
 
 void

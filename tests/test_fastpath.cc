@@ -192,4 +192,22 @@ TEST(FastPath, OverdeclaredEventCountIsRejected)
     }
 }
 
+// Regression artifact for the loader's event validation: a v1 trace
+// (no CRC) whose second event is a PutClean with ECB size 0. The LLC
+// asserts on such a Put, so the loader must reject it and name the
+// file and the bad value instead of handing it to a replay.
+TEST(FastPath, ImplausibleEcbSizeIsRejected)
+{
+    const std::string path = std::string(HLLC_TESTS_CORPUS_DIR)
+        + "/bad_ecb.hlt.bad";
+    try {
+        replay::LlcTrace::load(path);
+        FAIL() << "a Put with ECB size 0 was accepted";
+    } catch (const IoError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("bad ECB size 0"), std::string::npos) << what;
+        EXPECT_NE(what.find("bad_ecb.hlt.bad"), std::string::npos) << what;
+    }
+}
+
 } // anonymous namespace

@@ -2,9 +2,10 @@
  * @file
  * HybridLlc behavioural tests: the non-inclusive protocol edge
  * (GetS/GetX/Put, invalidate-on-GetX-hit), part steering, Fit-LRU over
- * faulty frames, SRAM-eviction migration, LHybrid replacement, global
- * (Fit-)LRU baselines, wear recording, fault-map revalidation, and the
- * reuse-tag hand-off between lines and the ReuseTracker.
+ * faulty frames, LRU order in the SRAM part, SRAM-eviction migration,
+ * LHybrid replacement, global (Fit-)LRU baselines, wear recording,
+ * fault-map revalidation, and the reuse-tag hand-off between lines and
+ * the ReuseTracker.
  */
 
 #include <string>
@@ -187,6 +188,22 @@ TEST(HybridLlc, NvmFallbackToSramWhenNothingFits)
     // A tiny block still lands in NVM.
     rig.llc->onPut(blk(2), false, 9);
     EXPECT_EQ(rig.llc->partOf(blk(2)), Part::Nvm);
+}
+
+TEST(HybridLlc, SramVictimIsLeastRecentlyUsedNotFirstFilled)
+{
+    LlcRig rig = makeRig(PolicyKind::Ca); // fixedCpth 58: 64 B -> SRAM
+    rig.llc->onPut(blk(1), false, 64);
+    rig.llc->onPut(blk(2), false, 64);
+    // The hit makes block 1 the most recently used although it was
+    // filled first; CA does not migrate read-reused SRAM victims.
+    EXPECT_EQ(rig.llc->onGetS(blk(1)), AccessOutcome::HitSram);
+    rig.llc->onPut(blk(3), false, 64);
+    EXPECT_TRUE(rig.llc->contains(blk(1)));
+    EXPECT_FALSE(rig.llc->contains(blk(2)));
+    EXPECT_EQ(rig.llc->partOf(blk(3)), Part::Sram);
+    EXPECT_EQ(rig.llc->stats().counterValue("evictions_sram"), 1u);
+    EXPECT_EQ(rig.llc->stats().counterValue("inserts_nvm"), 0u);
 }
 
 TEST(HybridLlc, BhGlobalLruSpansBothParts)

@@ -156,7 +156,6 @@ llcConfigFor(const Options &opt, PolicyKind policy)
     llc.sramWays = opt.sram;
     llc.nvmWays = opt.nvm;
     llc.policy = policy;
-    llc.replacement = hybrid::ReplacementKind::Lru;
     // Short epochs relative to typical check traces, so Set Dueling
     // actually flips CPth inside the run.
     llc.epochCycles = 20'000;
