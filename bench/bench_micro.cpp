@@ -351,7 +351,7 @@ main(int argc, char **argv)
 #else
     json += "    \"build_type\": \"Debug\",\n";
 #endif
-#ifdef HLLC_ENABLE_SIMD
+#ifdef __SSE2__
     json += "    \"simd\": true,\n";
 #else
     json += "    \"simd\": false,\n";

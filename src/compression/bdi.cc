@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
-#if defined(HLLC_ENABLE_SIMD) && defined(__SSE2__)
+#ifdef __SSE2__
 #include <emmintrin.h>
 #endif
 
@@ -185,10 +185,11 @@ analyzeBlock(const BlockData &data)
 
     BlockAnalysis a;
 
-#if defined(HLLC_ENABLE_SIMD) && defined(__SSE2__)
-    // Explicit SIMD kernels for the equality scans and the 16-bit
-    // reduction; validated against the scalar path (and the brute-force
-    // reference decoder) by the differential tests.
+#ifdef __SSE2__
+    // SSE2 kernels for the equality scans and the 16-bit reduction;
+    // the scalar branch serves targets without SSE2. The differential
+    // tests check whichever is compiled against the brute-force
+    // reference decoder.
     {
         const auto *p = reinterpret_cast<const __m128i *>(data.data());
         __m128i zero_acc = _mm_setzero_si128();

@@ -9,14 +9,6 @@
 namespace hllc::hybrid
 {
 
-namespace
-{
-
-/** Sets are striped over 32 dueling slots (paper: groups of N/32 sets). */
-constexpr std::uint32_t duelingSlots = 32;
-
-} // anonymous namespace
-
 SetDueling::SetDueling(std::uint32_t num_sets,
                        std::vector<unsigned> candidates,
                        Cycle epoch_cycles,

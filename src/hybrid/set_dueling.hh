@@ -33,6 +33,12 @@ class Decoder;
 namespace hllc::hybrid
 {
 
+/**
+ * Sets are striped over 32 dueling slots (paper: groups of N/32 sets),
+ * so an LLC with Set Dueling needs at least this many sets.
+ */
+inline constexpr std::uint32_t duelingSlots = 32;
+
 class SetDueling
 {
   public:

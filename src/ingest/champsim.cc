@@ -22,6 +22,16 @@ using hybrid::LlcEventType;
 } // anonymous namespace
 
 void
+checkClassFractions(double hcr, double lcr)
+{
+    if (hcr < 0.0 || lcr < 0.0 || hcr + lcr > 1.0) {
+        throw IoError("content-class fractions must be >= 0 and sum"
+                      " to <= 1 (hcr " + formatDouble(hcr) + ", lcr " +
+                      formatDouble(lcr) + ")");
+    }
+}
+
+void
 synthesizeCaptureMeta(replay::LlcTrace &trace,
                       const std::string &mix_name)
 {
@@ -74,11 +84,7 @@ convertChampSim(ByteSource &source, const ConvertOptions &options,
                 ConvertStats *stats)
 {
     HLLC_FAILPOINT("ingest.decode");
-    if (options.hcrFraction < 0.0 || options.lcrFraction < 0.0 ||
-        options.hcrFraction + options.lcrFraction > 1.0) {
-        throw IoError("content-class fractions must be >= 0 and sum"
-                      " to <= 1");
-    }
+    checkClassFractions(options.hcrFraction, options.lcrFraction);
 
     replay::LlcTrace trace;
     ConvertStats local;

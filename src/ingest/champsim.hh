@@ -108,6 +108,14 @@ ConvertStats convertChampSimFile(const std::string &in_path,
                                  const ConvertOptions &options);
 
 /**
+ * Throw IoError unless the content-class fractions @p hcr and @p lcr
+ * are both >= 0 and sum to <= 1. The one check of the fractions for
+ * the converter and the scenario library, run before any payload is
+ * synthesized.
+ */
+void checkClassFractions(double hcr, double lcr);
+
+/**
  * Fill @p trace's per-core capture metadata from its own demand
  * counts (the trace_fuzz shape: enough synthetic private-level
  * activity that replay timing and resume diffs are non-vacuous) and

@@ -1,10 +1,13 @@
 #include "ingest/scenarios.hh"
 
+#include <algorithm>
 #include <array>
 #include <functional>
 #include <list>
 #include <unordered_map>
 
+#include "common/error.hh"
+#include "common/numfmt.hh"
 #include "common/rng.hh"
 #include "ingest/champsim.hh"
 #include "ingest/payload_synth.hh"
@@ -80,12 +83,20 @@ class CoreCache
 /**
  * Event sink: application touches filtered into LLC events. ECB sizes
  * are left for one PayloadSynth::fillEcbs pass over the finished trace.
+ *
+ * A family whose per-core working set fits the private filter stops
+ * emitting once the filter is warm, so its generator would never reach
+ * the target. World gives up after more consecutive silent touches
+ * than both the whole target and 2^20: longer than any silent stretch
+ * of a family that still emits (phase-shift's loop phase is target/8
+ * touches).
  */
 class World
 {
   public:
     explicit World(const ScenarioOptions &options)
-        : target_(options.events)
+        : target_(options.events),
+          silentLimit_(std::max<std::uint64_t>(options.events, 1u << 20))
     {
         // One sixteenth of the targeted LLC capacity of private cache
         // per core: small enough that warm working sets spill to the
@@ -98,14 +109,19 @@ class World
             l2_.emplace_back(cap);
     }
 
-    bool done() const { return trace_.size() >= target_; }
+    bool done() const { return trace_.size() >= target_ || stalled(); }
+
+    /** True once the generator has stopped producing LLC events. */
+    bool stalled() const { return silent_ > silentLimit_; }
 
     /** One application-level access through the private filter. */
     void
     touch(std::uint8_t core, Addr block, bool write)
     {
         CoreCache::Evicted evicted;
-        if (l2_[core].access(block, write, evicted)) {
+        const bool miss = l2_[core].access(block, write, evicted);
+        silent_ = miss ? 0 : silent_ + 1; // a victim needs a miss
+        if (miss) {
             emit(block, write ? LlcEventType::GetX : LlcEventType::GetS,
                  core);
         }
@@ -133,6 +149,8 @@ class World
     }
 
     std::uint64_t target_;
+    std::uint64_t silentLimit_;
+    std::uint64_t silent_ = 0; //!< consecutive touches with no event
     replay::LlcTrace trace_;
     std::vector<CoreCache> l2_;
 };
@@ -349,8 +367,17 @@ generateScenario(const std::string &name, const ScenarioOptions &options)
     for (const Family &family : families) {
         if (family.name != name)
             continue;
+        checkClassFractions(options.hcrFraction, options.lcrFraction);
         World world(options);
         family.gen(options, world);
+        if (world.stalled()) {
+            throw IoError("scenario '" + name + "' at " +
+                          formatU64(options.numSets) + " sets x " +
+                          formatU64(options.totalWays) +
+                          " ways stopped emitting LLC events: each "
+                          "core's working set fits its private cache; "
+                          "use a larger --sets/--ways");
+        }
         replay::LlcTrace trace = world.takeTrace();
         // entropy-hostile is compression-hostile by definition; the
         // other families honour the requested content mix.

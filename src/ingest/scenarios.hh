@@ -56,7 +56,9 @@ struct ScenarioOptions
  * Generate one trace of family @p name (a scenarioCatalog() entry).
  * Deterministic in @p options; the trace carries synthesized capture
  * metadata and the family name as its mix name. Throws IoError for an
- * unknown family name.
+ * unknown family name, for content-class fractions checkClassFractions
+ * rejects, and for a geometry so small that the family stops emitting
+ * LLC events before it reaches @p options.events.
  */
 replay::LlcTrace generateScenario(const std::string &name,
                                   const ScenarioOptions &options);

@@ -17,6 +17,7 @@
 #include "check/oracle.hh"
 #include "check/rig.hh"
 #include "common/error.hh"
+#include "ingest/byte_source.hh"
 #include "ingest/champsim.hh"
 #include "ingest/scenarios.hh"
 #include "replay/replayer.hh"
@@ -207,6 +208,46 @@ TEST(IngestScenarios, AdversarialFamiliesDefeatLruAtTargetGeometry)
     const double kv = replayHitRate(
         ingest::generateScenario("kv-server", options), config);
     EXPECT_GT(kv, 0.3);
+}
+
+TEST(IngestScenarios, FamiliesThatStopEmittingAreRejectedNamingGeometry)
+{
+    // At 1 set x 1 way each core's share of the working set fits its
+    // 16-block private filter: once warm, no touch reaches the LLC.
+    ingest::ScenarioOptions options = smallOptions();
+    options.numSets = 1;
+    options.totalWays = 1;
+    for (const std::string family : { "thrash", "graph-analytics" }) {
+        try {
+            ingest::generateScenario(family, options);
+            ADD_FAILURE() << family << " at 1x1 did not throw";
+        } catch (const IoError &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("'" + family + "'"), std::string::npos)
+                << what;
+            EXPECT_NE(what.find("1 sets x 1 ways"), std::string::npos)
+                << what;
+        }
+    }
+}
+
+TEST(IngestScenarios, ScenarioAndConvertShareTheFractionRule)
+{
+    EXPECT_NO_THROW(ingest::checkClassFractions(1.0, 0.0));
+    EXPECT_NO_THROW(ingest::checkClassFractions(0.0, 0.0));
+    EXPECT_THROW(ingest::checkClassFractions(-0.1, 0.3), IoError);
+    EXPECT_THROW(ingest::checkClassFractions(0.9, 0.9), IoError);
+
+    ingest::ScenarioOptions scenario = smallOptions(1'000);
+    scenario.hcrFraction = 0.9;
+    scenario.lcrFraction = 0.9;
+    EXPECT_THROW(ingest::generateScenario("kv-server", scenario), IoError);
+
+    ingest::ConvertOptions convert;
+    convert.hcrFraction = 0.9;
+    convert.lcrFraction = 0.9;
+    ingest::MemorySource source(ingest::synthesizeChampSimFixture(64, 1));
+    EXPECT_THROW(ingest::convertChampSim(source, convert), IoError);
 }
 
 TEST(IngestScenarios, BeladyBoundHoldsOnGeneratedTraces)

@@ -14,7 +14,10 @@
  *              [--corpus DIR] [--out <repro.hlt>]
  *
  * Geometry options (--sets/--sram/--nvm) apply to every replayed
- * configuration; --inject-lru-bug plants a deliberate off-by-one in the
+ * configuration. --sets must be a power of two, and at least 32 when a
+ * replayed policy uses Set Dueling (--fuzz replays all nine);
+ * --sram + --nvm must be at least 1, and --diff resume needs --nvm of
+ * at least 1. --inject-lru-bug plants a deliberate off-by-one in the
  * golden model's LRU scan to mutation-test the checkers themselves.
  *
  * Exit codes: 0 = all checks passed, 1 = a divergence/failure was found
@@ -44,6 +47,8 @@
 #include "common/numfmt.hh"
 #include "common/rng.hh"
 #include "compression/compressor.hh"
+#include "hybrid/insertion_policy.hh"
+#include "hybrid/set_dueling.hh"
 
 using namespace hllc;
 using check::DegenerateMode;
@@ -71,7 +76,9 @@ usage(const char *prog)
         "  --trace <t.hlt>       input trace (diff/oracle)\n"
         "  --policy <P[,P...]>   policies (default: all nine)\n"
         "  --mode <M>            pristine|compression-off|sram-only|all\n"
-        "  --sets/--sram/--nvm   LLC geometry (default 64/4/12)\n"
+        "  --sets/--sram/--nvm   LLC geometry (default 64/4/12); sets a\n"
+        "                        power of two, >= 32 with a Set Dueling\n"
+        "                        policy; at least one way\n"
         "  --events N            events per generated trace\n"
         "  --seed S --jobs N --budget SEC --iterations N --blocks N\n"
         "  --corpus DIR          regression corpus replayed before fuzzing\n"
@@ -146,6 +153,39 @@ struct Options
     std::string checkpointDir = ".";
     bool injectLruBug = false;
 };
+
+/**
+ * Reject a geometry the LLC would abort on, before any rig is built:
+ * zero ways, fewer sets than dueling slots under a Set Dueling policy,
+ * or a resume diff without NVM ways to forecast.
+ */
+void
+checkReplayGeometry(const Options &opt)
+{
+    if (opt.sram + opt.nvm == 0)
+        fatal("--sram %u --nvm %u leaves the LLC without ways", opt.sram,
+              opt.nvm);
+    if (opt.diffKind == "resume" && opt.nvm == 0)
+        fatal("--diff resume forecasts the NVM part; --nvm must be at "
+              "least 1");
+    // The fuzz campaign replays every policy; a resume diff only the
+    // first one listed.
+    std::vector<PolicyKind> replayed = opt.policies;
+    if (opt.action == "fuzz")
+        replayed = allPolicies();
+    else if (opt.diffKind == "resume")
+        replayed.resize(1);
+    for (PolicyKind policy : replayed) {
+        if (hybrid::policyTable[static_cast<std::size_t>(policy)]
+                .usesSetDueling &&
+            opt.sets < hybrid::duelingSlots) {
+            fatal("--sets %u is below the %u sets Set Dueling needs "
+                  "(policy %s)",
+                  opt.sets, hybrid::duelingSlots,
+                  std::string(hybrid::policyName(policy)).c_str());
+        }
+    }
+}
 
 /** One LLC configuration per policy at the tool's geometry. */
 hybrid::HybridLlcConfig
@@ -586,6 +626,8 @@ main(int argc, char **argv)
         return usage(argv[0]);
     if ((opt.sets & (opt.sets - 1)) != 0)
         fatal("--sets must be a power of two");
+    if (opt.action != "gen" && opt.action != "roundtrip")
+        checkReplayGeometry(opt);
 
     if (opt.action == "gen")
         return runGen(opt);
