@@ -21,8 +21,9 @@ using hybrid::PolicyKind;
 int
 main(int argc, char **argv)
 {
+    const sim::BenchArgs args =
+        sim::parseBenchArgs(argc, argv, { .jobs = true });
     setLogLevel(LogLevel::Warn);
-    const unsigned jobs = sim::parseJobsArg(argc, argv);
 
     std::printf("# Ablation: CP_SD under different compression schemes\n");
     std::printf("%-8s %10s %12s %12s %12s %12s\n", "scheme", "avg ECB",
@@ -32,7 +33,7 @@ main(int argc, char **argv)
          { Scheme::Bdi, Scheme::Fpc, Scheme::CPack }) {
         sim::SystemConfig config = sim::SystemConfig::tableIV();
         config.scheme = scheme;
-        config.jobs = jobs;
+        config.jobs = args.jobs;
         const sim::Experiment experiment(config, 10);
 
         // Both policy phases of this scheme replay in parallel.

@@ -23,9 +23,11 @@ using hybrid::PolicyKind;
 int
 main(int argc, char **argv)
 {
+    const sim::BenchArgs args =
+        sim::parseBenchArgs(argc, argv, { .jobs = true });
     setLogLevel(LogLevel::Warn);
     sim::SystemConfig config = sim::SystemConfig::tableIV();
-    config.jobs = sim::parseJobsArg(argc, argv);
+    config.jobs = args.jobs;
     sim::printConfigHeader(config,
                            "Ablation: intra-frame wear leveling");
     const sim::Experiment experiment(config, 10);

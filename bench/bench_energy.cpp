@@ -15,13 +15,15 @@
 #include "hierarchy/energy.hh"
 #include "hybrid/llc_rig.hh"
 #include "sim/experiment.hh"
+#include "sim/grid.hh"
 
 using namespace hllc;
 using hybrid::PolicyKind;
 
 int
-main()
+main(int argc, char **argv)
 {
+    sim::parseBenchArgs(argc, argv, {}); // takes no arguments
     setLogLevel(LogLevel::Warn);
     const sim::SystemConfig config = sim::SystemConfig::tableIV();
     sim::printConfigHeader(config, "LLC energy by insertion policy");

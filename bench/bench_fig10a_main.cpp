@@ -23,9 +23,10 @@ using hybrid::PolicyKind;
 int
 main(int argc, char **argv)
 {
+    const auto args = sim::parseBenchArgs(argc, argv, sim::allFlagGroups);
     setLogLevel(LogLevel::Warn);
     sim::SystemConfig config = sim::SystemConfig::tableIV();
-    config.jobs = sim::parseJobsArg(argc, argv);
+    config.jobs = args.jobs;
     sim::printConfigHeader(
         config, "Figures 1 / 10a: performance vs lifetime (main result)");
 
@@ -45,8 +46,7 @@ main(int argc, char **argv)
         sim::studyEntry(config, PolicyKind::CpSdTh, { .thPercent = 4.0 }),
         sim::studyEntry(config, PolicyKind::CpSdTh, { .thPercent = 8.0 }),
     };
-    return sim::runAndPrintForecastStudy(
-        experiment, entries, {}, sim::parseCheckpointArgs(argc, argv),
-        sim::parseStatsOutArg(argc, argv),
-        sim::parseResilienceArgs(argc, argv));
+    return sim::runAndPrintForecastStudy(experiment, entries, {},
+                                         args.checkpoint, args.statsOut,
+                                         args.resilience);
 }

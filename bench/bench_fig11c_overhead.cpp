@@ -21,9 +21,10 @@ using hybrid::PolicyKind;
 int
 main(int argc, char **argv)
 {
+    const auto args = sim::parseBenchArgs(argc, argv, sim::allFlagGroups);
     setLogLevel(LogLevel::Warn);
     sim::SystemConfig config = sim::SystemConfig::tableIV();
-    config.jobs = sim::parseJobsArg(argc, argv);
+    config.jobs = args.jobs;
     sim::printConfigHeader(
         config, "Figure 11c: equal-storage comparison (fault-map "
                 "overhead)");
@@ -47,8 +48,7 @@ main(int argc, char **argv)
                                 "w",
                             th });
     }
-    return sim::runAndPrintForecastStudy(
-        experiment, entries, {}, sim::parseCheckpointArgs(argc, argv),
-        sim::parseStatsOutArg(argc, argv),
-        sim::parseResilienceArgs(argc, argv));
+    return sim::runAndPrintForecastStudy(experiment, entries, {},
+                                         args.checkpoint, args.statsOut,
+                                         args.resilience);
 }

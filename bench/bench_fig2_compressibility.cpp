@@ -13,6 +13,7 @@
 
 #include "common/logging.hh"
 #include "sim/config.hh"
+#include "sim/grid.hh"
 #include "workload/mixes.hh"
 #include "workload/spec_profiles.hh"
 
@@ -21,8 +22,9 @@ using namespace hllc::workload;
 using compression::CompressClass;
 
 int
-main()
+main(int argc, char **argv)
 {
+    sim::parseBenchArgs(argc, argv, {}); // takes no arguments
     setLogLevel(LogLevel::Warn);
     const sim::SystemConfig config = sim::SystemConfig::tableIV();
 

@@ -24,8 +24,9 @@ using hybrid::PolicyKind;
 int
 main(int argc, char **argv)
 {
+    const sim::BenchArgs args =
+        sim::parseBenchArgs(argc, argv, { .statsOut = true });
     setLogLevel(LogLevel::Warn);
-    const std::string stats_out = sim::parseStatsOutArg(argc, argv);
     const sim::SystemConfig config = sim::SystemConfig::tableIV();
     sim::printConfigHeader(config,
                            "Figure 6: normalized LLC hit rate vs CPth");
@@ -63,6 +64,6 @@ main(int argc, char **argv)
                 cpsd.aggregate.hitRate / bh_hits);
     summaries.push_back(cpsd);
 
-    sim::exportPhaseStudy(stats_out, "fig6-hitrate", summaries);
+    sim::exportPhaseStudy(args.statsOut, "fig6-hitrate", summaries);
     return 0;
 }

@@ -45,9 +45,11 @@ printDistribution(const char *row_label,
 int
 main(int argc, char **argv)
 {
+    const sim::BenchArgs args =
+        sim::parseBenchArgs(argc, argv, { .jobs = true, .statsOut = true });
     setLogLevel(LogLevel::Warn);
     sim::SystemConfig config = sim::SystemConfig::tableIV();
-    config.jobs = sim::parseJobsArg(argc, argv);
+    config.jobs = args.jobs;
     sim::printConfigHeader(
         config, "Figure 8: distribution of per-epoch optimal CPth");
     const sim::Experiment experiment(config);
@@ -71,7 +73,7 @@ main(int argc, char **argv)
                           config.llcConfig(PolicyKind::CpSd), 1.0, mix });
     }
     const auto phases = sim::runPhaseGrid(experiment, cells);
-    sim::exportPhaseStudy(sim::parseStatsOutArg(argc, argv),
+    sim::exportPhaseStudy(args.statsOut,
                           "fig8-optimal-cpth", phases);
 
     std::printf("\ncolumns: CPth =");

@@ -31,9 +31,11 @@ constexpr double kThValues[] = { 0.0, 2.0, 4.0, 6.0, 8.0 };
 int
 main(int argc, char **argv)
 {
+    const sim::BenchArgs args =
+        sim::parseBenchArgs(argc, argv, { .jobs = true, .statsOut = true });
     setLogLevel(LogLevel::Warn);
     sim::SystemConfig config = sim::SystemConfig::tableIV();
-    config.jobs = sim::parseJobsArg(argc, argv);
+    config.jobs = args.jobs;
     sim::printConfigHeader(
         config,
         "Figure 9: CP_SD_Th hits vs NVM bytes written (Tw = 5%)");
@@ -62,7 +64,7 @@ main(int argc, char **argv)
         }
     }
     const auto phases = sim::runPhaseGrid(experiment, cells);
-    sim::exportPhaseStudy(sim::parseStatsOutArg(argc, argv),
+    sim::exportPhaseStudy(args.statsOut,
                           "fig9-th-tradeoff", phases);
 
     const double bh_hits =

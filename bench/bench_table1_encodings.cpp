@@ -9,14 +9,16 @@
 #include <string>
 
 #include "compression/bdi.hh"
+#include "sim/grid.hh"
 #include "workload/block_synth.hh"
 
 using namespace hllc;
 using namespace hllc::compression;
 
 int
-main()
+main(int argc, char **argv)
 {
+    sim::parseBenchArgs(argc, argv, {}); // takes no arguments
     std::printf("# Table I: modified-BDI compression encodings\n");
     std::printf("# (ECB = CB + 1-byte CE header; SECDED (527,516) lives "
                 "in a per-frame ECC field)\n");

@@ -4,12 +4,12 @@
  * the forecasting procedure for a chosen policy and prints the temporal
  * evolution of NVM capacity and IPC until 50% capacity is lost.
  *
- * Usage: lifetime_forecast [policy] [num_mixes]
+ * Usage: lifetime_forecast [policy] [num_mixes 1..10]
  */
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "common/argparse.hh"
 #include "common/logging.hh"
 #include "sim/experiment.hh"
 
@@ -27,12 +27,14 @@ main(int argc, char **argv)
     const PolicyKind policy = *parsed;
     if (policy == PolicyKind::SramOnly)
         fatal("policy SRAM has no NVM part, so no lifetime to forecast");
-    const std::size_t num_mixes =
-        argc > 2 ? static_cast<std::size_t>(std::atoi(argv[2])) : 10;
+    const auto num_mixes = argc > 2 ? parseUnsigned(argv[2], 1, 10) : 10u;
+    if (!num_mixes)
+        usageError("usage: lifetime_forecast [policy] [num_mixes 1..10]",
+                   "bad mix count '%s'", argv[2]);
 
     const sim::SystemConfig config = sim::SystemConfig::tableIV();
     sim::printConfigHeader(config, "lifetime forecast");
-    const sim::Experiment experiment(config, num_mixes);
+    const sim::Experiment experiment(config, *num_mixes);
 
     const double upper = experiment.upperBoundIpc();
     std::printf("# 16w-SRAM upper-bound IPC: %.4f\n", upper);

@@ -5,12 +5,12 @@
  * and IPC, normalized to the BH baseline (the paper's Sec. II-D
  * motivation study).
  *
- * Usage: policy_comparison [num_mixes]
+ * Usage: policy_comparison [num_mixes 1..10]
  */
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "common/argparse.hh"
 #include "common/logging.hh"
 #include "sim/experiment.hh"
 
@@ -21,12 +21,14 @@ int
 main(int argc, char **argv)
 {
     setLogLevel(LogLevel::Warn);
-    const std::size_t num_mixes =
-        argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 10;
+    const auto num_mixes = argc > 1 ? parseUnsigned(argv[1], 1, 10) : 10u;
+    if (!num_mixes)
+        usageError("usage: policy_comparison [num_mixes 1..10]",
+                   "bad mix count '%s'", argv[1]);
 
     const sim::SystemConfig config = sim::SystemConfig::tableIV();
     sim::printConfigHeader(config, "policy comparison (100% NVM capacity)");
-    const sim::Experiment experiment(config, num_mixes);
+    const sim::Experiment experiment(config, *num_mixes);
 
     struct Row
     {

@@ -89,6 +89,17 @@ fatal(const char *fmt, ...)
 }
 
 void
+usageError(const std::string &usage, const char *fmt, ...)
+{
+    std::va_list ap;
+    va_start(ap, fmt);
+    vreport("error", fmt, ap);
+    va_end(ap);
+    std::fprintf(stderr, "%s\n", usage.c_str());
+    std::exit(2);
+}
+
+void
 warn(const char *fmt, ...)
 {
     if (g_level.load(std::memory_order_relaxed) < LogLevel::Warn)

@@ -3,8 +3,9 @@
  * gem5-style status/error reporting: panic, fatal, warn, inform.
  *
  * panic() flags an internal simulator bug and aborts; fatal() flags a user
- * error (bad configuration) and exits cleanly; warn()/inform() report
- * conditions without stopping the simulation.
+ * error (bad configuration) and exits cleanly; usageError() flags a bad
+ * command line; warn()/inform() report conditions without stopping the
+ * simulation.
  */
 
 #ifndef HLLC_COMMON_LOGGING_HH
@@ -55,6 +56,13 @@ logEnabled(LogLevel level)
  */
 [[noreturn]] void fatal(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
+
+/**
+ * Report a bad command line: "error: <message>", then @p usage, then
+ * exit(2), so a script can tell a bad invocation from a failed run (1).
+ */
+[[noreturn]] void usageError(const std::string &usage, const char *fmt, ...)
+    __attribute__((format(printf, 2, 3)));
 
 /** Report a suspicious-but-survivable condition on stderr. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));

@@ -2,8 +2,10 @@
 
 #include <cstdlib>
 
+#include "common/argparse.hh"
 #include "common/failpoint.hh"
 #include "common/interrupt.hh"
+#include "common/logging.hh"
 
 namespace hllc
 {
@@ -85,11 +87,11 @@ ThreadPool::workerLoop()
 unsigned
 defaultJobs()
 {
-    if (const char *env = std::getenv("HLLC_JOBS")) {
-        const long parsed = std::strtol(env, nullptr, 10);
-        if (parsed >= 1)
-            return static_cast<unsigned>(parsed);
-        return 1;
+    const char *env = std::getenv("HLLC_JOBS");
+    if (env != nullptr && env[0] != '\0') {
+        if (const auto parsed = parseUnsigned(env, 1))
+            return *parsed;
+        warn("ignoring invalid HLLC_JOBS '%s'", env);
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : hw;

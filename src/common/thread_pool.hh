@@ -108,8 +108,8 @@ class ThreadPool
 
 /**
  * Number of parallel jobs to use by default: the HLLC_JOBS environment
- * variable if set (values < 1 clamp to 1), otherwise
- * hardware_concurrency().
+ * variable if set to an integer >= 1, otherwise hardware_concurrency()
+ * (with a warning when HLLC_JOBS is set but malformed).
  */
 unsigned defaultJobs();
 

@@ -22,6 +22,9 @@ scaleFromEnv()
     }
     // Snap to a power of two so set counts stay powers of two.
     const double snapped = std::exp2(std::round(std::log2(raw)));
+    if (!(snapped >= 0.25 && snapped <= 64.0))
+        fatal("HLLC_SCALE '%s' is outside the supported [0.25, 64] range",
+              env);
     if (snapped != raw)
         inform("HLLC_SCALE %.3f snapped to %.3f", raw, snapped);
     return snapped;

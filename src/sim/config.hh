@@ -90,7 +90,11 @@ struct SystemConfig
     hybrid::HybridLlcConfig llcConfigSramBound(std::uint32_t ways) const;
 };
 
-/** HLLC_SCALE from the environment (default 1.0), snapped to 2^k. */
+/**
+ * HLLC_SCALE from the environment (default 1.0), snapped to 2^k. An
+ * unparsable value warns and gives 1.0; a value that snaps outside
+ * [0.25, 64] is fatal().
+ */
 double scaleFromEnv();
 
 } // namespace hllc::sim

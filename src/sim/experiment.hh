@@ -38,7 +38,7 @@ struct ForecastSummary
 /**
  * Crash-safety knobs of a checkpointed forecast grid (CLI surface:
  * --checkpoint-dir DIR, --checkpoint-every N, --resume; parsed by
- * sim::parseCheckpointArgs). With a directory set, every grid cell
+ * sim::parseBenchArgs). With a directory set, every grid cell
  * checkpoints its forecast state to "DIR/cell<i>_<label>.ckpt" and a
  * SIGINT/SIGTERM is turned into a final checkpoint plus a clean
  * non-zero exit instead of lost work.
@@ -219,7 +219,7 @@ StudyEntry studyEntry(const SystemConfig &config, hybrid::PolicyKind kind,
  * simulated state, so a resumed run writes a byte-identical file to an
  * uninterrupted one. Nothing is exported on interrupt.
  *
- * With @p resilience configured (CLI: sim::parseResilienceArgs), failing
+ * With @p resilience configured (CLI: sim::parseBenchArgs), failing
  * cells retry with deterministic backoff and quarantine after their
  * attempt budget, slow cells are cancelled by a watchdog, and the
  * per-cell hllc-failures-v1 report lands at resilience.failuresOut —

@@ -1,8 +1,12 @@
 #include "sim/grid.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
+#include <string_view>
+#include <type_traits>
 #include <sys/stat.h>
 
 #include "common/argparse.hh"
@@ -20,69 +24,118 @@ resolveJobs(unsigned jobs)
     return jobs == 0 ? defaultJobs() : jobs;
 }
 
-unsigned
-parseJobsArg(int argc, char **argv)
+namespace
 {
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--jobs") != 0 &&
-            std::strcmp(argv[i], "-j") != 0) {
-            continue;
-        }
-        if (i + 1 >= argc)
-            fatal("%s requires a value", argv[i]);
-        const auto parsed = parseUnsigned(argv[i + 1], 1);
-        if (!parsed)
-            fatal("bad jobs value '%s'", argv[i + 1]);
-        return *parsed;
+
+/** One command-line flag: its spellings, group and value placeholder. */
+struct FlagSpec
+{
+    std::string_view name;
+    std::string_view alias;
+    bool FlagGroups::*group;
+    const char *value; //!< nullptr for a switch
+};
+
+constexpr FlagSpec flagSpecs[] = {
+    { "--jobs", "-j", &FlagGroups::jobs, "N" },
+    { "--stats-out", "", &FlagGroups::statsOut, "FILE.{json,csv}" },
+    { "--checkpoint-dir", "", &FlagGroups::checkpoint, "DIR" },
+    { "--checkpoint-every", "", &FlagGroups::checkpoint, "N" },
+    { "--resume", "", &FlagGroups::checkpoint, nullptr },
+    { "--retries", "", &FlagGroups::resilience, "0..100" },
+    { "--retry-delay-ms", "", &FlagGroups::resilience, "MS" },
+    { "--retry-jitter-seed", "", &FlagGroups::resilience, "SEED" },
+    { "--cell-timeout-ms", "", &FlagGroups::resilience, "MS" },
+    { "--failures-out", "", &FlagGroups::resilience, "FILE.json" },
+};
+
+/** Store @p value of flag @p name into @p a; false if it is malformed. */
+bool
+applyFlag(BenchArgs &a, std::string_view name, const char *value)
+{
+    const auto store = [value](auto &out, std::uint64_t min = 0,
+                               std::uint64_t max = UINT64_MAX) {
+        const auto parsed = parseU64(value, min, max);
+        if (parsed)
+            out = static_cast<std::remove_reference_t<decltype(out)>>(
+                *parsed);
+        return parsed.has_value();
+    };
+    const std::string_view path = value != nullptr ? value : "";
+    if (name == "--jobs")
+        return store(a.jobs, 1, UINT32_MAX);
+    if (name == "--stats-out") {
+        a.statsOut = path;
+        return path.ends_with(".json") || path.ends_with(".csv");
     }
-    return 0;
+    if (name == "--checkpoint-every")
+        return store(a.checkpoint.every, 1);
+    if (name == "--retries") // N retries are N + 1 attempts
+        return store(a.resilience.retry.maxAttempts, 0, 100) &&
+               ++a.resilience.retry.maxAttempts;
+    if (name == "--retry-delay-ms")
+        return store(a.resilience.retry.baseDelayMs);
+    if (name == "--retry-jitter-seed")
+        return store(a.resilience.retry.jitterSeed);
+    if (name == "--cell-timeout-ms")
+        return store(a.resilience.cellTimeoutMs, 1);
+    if (name == "--failures-out") {
+        a.resilience.failuresOut = path;
+        return path.ends_with(".json");
+    }
+    if (name == "--checkpoint-dir")
+        a.checkpoint.dir = path;
+    if (name == "--resume")
+        a.checkpoint.resume = true;
+    return true;
 }
 
-CheckpointOptions
-parseCheckpointArgs(int argc, char **argv)
-{
-    CheckpointOptions options;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--checkpoint-dir") == 0) {
-            if (i + 1 >= argc)
-                fatal("--checkpoint-dir requires a directory");
-            options.dir = argv[++i];
-        } else if (std::strcmp(argv[i], "--checkpoint-every") == 0) {
-            if (i + 1 >= argc)
-                fatal("--checkpoint-every requires a step count");
-            const auto parsed = parseU64(argv[i + 1], 1);
-            if (!parsed)
-                fatal("bad --checkpoint-every value '%s'", argv[i + 1]);
-            options.every = static_cast<std::size_t>(*parsed);
-            ++i;
-        } else if (std::strcmp(argv[i], "--resume") == 0) {
-            options.resume = true;
-        }
-    }
-    if (options.resume && !options.enabled())
-        fatal("--resume requires --checkpoint-dir");
-    return options;
-}
+} // anonymous namespace
 
-std::string
-parseStatsOutArg(int argc, char **argv)
+BenchArgs
+parseBenchArgs(int argc, char **argv, FlagGroups accepted, int first,
+               const char *positional)
 {
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--stats-out") != 0)
+    BenchArgs args;
+    std::string &usage = args.usage;
+    usage = std::string("usage: ") + argv[0] + positional;
+    for (const FlagSpec &spec : flagSpecs) {
+        if (!(accepted.*spec.group))
             continue;
-        if (i + 1 >= argc)
-            fatal("--stats-out requires a file path");
-        const std::string path = argv[i + 1];
-        const bool json = path.size() >= 5 &&
-            path.compare(path.size() - 5, 5, ".json") == 0;
-        const bool csv = path.size() >= 4 &&
-            path.compare(path.size() - 4, 4, ".csv") == 0;
-        if (!json && !csv)
-            fatal("--stats-out path '%s' must end in .json or .csv",
-                  path.c_str());
-        return path;
+        usage += " [" + std::string(spec.name);
+        if (!spec.alias.empty())
+            usage += "|" + std::string(spec.alias);
+        if (spec.value != nullptr)
+            usage += std::string(" ") + spec.value;
+        usage += "]";
     }
-    return "";
+    std::vector<const FlagSpec *> seen;
+    for (int i = first; i < argc; ++i) {
+        const std::string_view arg = argv[i];
+        const auto spec = std::find_if(
+            std::begin(flagSpecs), std::end(flagSpecs),
+            [arg](const FlagSpec &f) {
+                return arg == f.name || (!f.alias.empty() && arg == f.alias);
+            });
+        if (spec == std::end(flagSpecs))
+            usageError(usage, "%s '%s'",
+                       arg.starts_with('-') ? "unknown flag"
+                                            : "unexpected argument",
+                       argv[i]);
+        if (!(accepted.*spec->group))
+            usageError(usage, "%s does not take %s", argv[0], argv[i]);
+        if (std::find(seen.begin(), seen.end(), spec) != seen.end())
+            usageError(usage, "%s given twice", argv[i]);
+        seen.push_back(spec);
+        if (spec->value != nullptr && i + 1 >= argc)
+            usageError(usage, "%s requires a value", argv[i]);
+        const char *value = spec->value != nullptr ? argv[++i] : nullptr;
+        if (!applyFlag(args, spec->name, value))
+            usageError(usage, "bad %s value '%s'", argv[i - 1], value);
+    }
+    if (args.checkpoint.resume && !args.checkpoint.enabled())
+        usageError(usage, "--resume requires --checkpoint-dir");
+    return args;
 }
 
 std::string

@@ -15,7 +15,8 @@
  *  - jobs == 1 runs the cells inline (the serial reference path).
  *
  * The jobs knob resolves, in order: explicit argument > --jobs N on the
- * command line > HLLC_JOBS environment variable > hardware_concurrency.
+ * command line (parseBenchArgs) > HLLC_JOBS environment variable >
+ * hardware_concurrency.
  */
 
 #ifndef HLLC_SIM_GRID_HH
@@ -35,25 +36,41 @@ namespace hllc::sim
 /** Resolve a jobs knob: 0 means "auto" (HLLC_JOBS, else hardware). */
 unsigned resolveJobs(unsigned jobs);
 
-/**
- * Scan a bench/tool command line for `--jobs N` (or `-j N`); returns 0
- * (auto) when absent, fatal() on a malformed value.
- */
-unsigned parseJobsArg(int argc, char **argv);
+/** The flag groups one bench/tool command line accepts. */
+struct FlagGroups
+{
+    bool jobs = false;       //!< --jobs N / -j N
+    bool statsOut = false;   //!< --stats-out FILE.{json,csv}
+    bool checkpoint = false; //!< --checkpoint-dir/-every, --resume
+    bool resilience = false; //!< --retr*, --cell-timeout-ms, --failures-out
+};
+
+/** Every flag group: what the Fig. 10/11 forecast benches accept. */
+inline constexpr FlagGroups allFlagGroups{ true, true, true, true };
+
+/** A bench/tool command line, parsed once by parseBenchArgs(). */
+struct BenchArgs
+{
+    unsigned jobs = 0;            //!< 0 = auto (see resolveJobs)
+    std::string statsOut;         //!< stats export path; "" = none
+    CheckpointOptions checkpoint; //!< crash safety; off by default
+    ResilienceOptions resilience; //!< retry/watchdog; off by default
+    std::string usage;            //!< "usage: prog <positional> [flags]"
+};
 
 /**
- * Scan a bench command line for the crash-safety flags --checkpoint-dir
- * DIR, --checkpoint-every N and --resume; fatal() on malformed values
- * or --resume without a checkpoint directory.
+ * Parse argv[first, argc) as flags of the @p accepted groups; argv[1,
+ * first) are the positionals @p positional describes in the usage line.
+ * Each of these is a usage error (usageError(): message, usage line,
+ * exit 2) reported before any simulation starts: an unknown flag, a flag
+ * of a group not accepted, a stray positional, a missing value, a
+ * repeated flag, a malformed or out-of-range value (a --stats-out path
+ * must end in .json or .csv, a --failures-out path in .json), and
+ * --resume without --checkpoint-dir. --retries counts *retries*, so
+ * N=2 means up to three attempts per cell.
  */
-CheckpointOptions parseCheckpointArgs(int argc, char **argv);
-
-/**
- * Scan a bench/tool command line for `--stats-out FILE`; returns ""
- * when absent. The file must end in .json or .csv (fatal() otherwise,
- * so a typo fails before hours of simulation rather than after).
- */
-std::string parseStatsOutArg(int argc, char **argv);
+BenchArgs parseBenchArgs(int argc, char **argv, FlagGroups accepted,
+                         int first = 1, const char *positional = "");
 
 /**
  * Checkpoint file of grid cell @p index labelled @p label under the

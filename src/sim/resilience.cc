@@ -1,9 +1,7 @@
 #include "sim/resilience.hh"
 
 #include <algorithm>
-#include <cstring>
 
-#include "common/argparse.hh"
 #include "common/error.hh"
 #include "common/interrupt.hh"
 #include "common/logging.hh"
@@ -71,59 +69,6 @@ cellStatusName(CellStatus status)
         return "interrupted";
     }
     return "unknown";
-}
-
-ResilienceOptions
-parseResilienceArgs(int argc, char **argv)
-{
-    ResilienceOptions options;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--retries") == 0) {
-            if (i + 1 >= argc)
-                fatal("--retries requires a count");
-            const auto parsed = parseU64(argv[i + 1], 0);
-            if (!parsed || *parsed > 100)
-                fatal("bad --retries value '%s'", argv[i + 1]);
-            options.retry.maxAttempts =
-                static_cast<std::size_t>(*parsed) + 1;
-            ++i;
-        } else if (std::strcmp(argv[i], "--retry-delay-ms") == 0) {
-            if (i + 1 >= argc)
-                fatal("--retry-delay-ms requires a value");
-            const auto parsed = parseU64(argv[i + 1], 0);
-            if (!parsed)
-                fatal("bad --retry-delay-ms value '%s'", argv[i + 1]);
-            options.retry.baseDelayMs = *parsed;
-            ++i;
-        } else if (std::strcmp(argv[i], "--retry-jitter-seed") == 0) {
-            if (i + 1 >= argc)
-                fatal("--retry-jitter-seed requires a value");
-            const auto parsed = parseU64(argv[i + 1], 0);
-            if (!parsed)
-                fatal("bad --retry-jitter-seed value '%s'", argv[i + 1]);
-            options.retry.jitterSeed = *parsed;
-            ++i;
-        } else if (std::strcmp(argv[i], "--cell-timeout-ms") == 0) {
-            if (i + 1 >= argc)
-                fatal("--cell-timeout-ms requires a value");
-            const auto parsed = parseU64(argv[i + 1], 1);
-            if (!parsed)
-                fatal("bad --cell-timeout-ms value '%s'", argv[i + 1]);
-            options.cellTimeoutMs = *parsed;
-            ++i;
-        } else if (std::strcmp(argv[i], "--failures-out") == 0) {
-            if (i + 1 >= argc)
-                fatal("--failures-out requires a file path");
-            const std::string path = argv[i + 1];
-            if (path.size() < 5 ||
-                path.compare(path.size() - 5, 5, ".json") != 0)
-                fatal("--failures-out path '%s' must end in .json",
-                      path.c_str());
-            options.failuresOut = path;
-            ++i;
-        }
-    }
-    return options;
 }
 
 std::vector<std::string>

@@ -116,14 +116,6 @@ struct ResilienceOptions
 };
 
 /**
- * Scan a bench/tool command line for --retries N, --retry-delay-ms MS,
- * --retry-jitter-seed S, --cell-timeout-ms MS and --failures-out FILE;
- * fatal() on malformed values. --retries counts *retries*, so N=2 means
- * up to three attempts per cell.
- */
-ResilienceOptions parseResilienceArgs(int argc, char **argv);
-
-/**
  * Result of runWithRetry(): the terminal status plus the diagnosis the
  * report needs. On success `error` holds the *last* failure (empty when
  * the first attempt succeeded).

@@ -11,14 +11,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.hh"
 #include "common/numfmt.hh"
 #include "common/rng.hh"
+#include "common/thread_pool.hh"
 #include "compression/bdi.hh"
 #include "ingest/byte_source.hh"
 #include "ingest/champsim.hh"
@@ -34,11 +37,12 @@ using namespace hllc;
 class ScopedJobs
 {
   public:
-    explicit ScopedJobs(unsigned jobs)
+    explicit ScopedJobs(unsigned jobs) : ScopedJobs(formatU64(jobs)) {}
+    explicit ScopedJobs(const std::string &value)
     {
         if (const char *old = std::getenv("HLLC_JOBS"))
             old_ = old;
-        ::setenv("HLLC_JOBS", formatU64(jobs).c_str(), 1);
+        ::setenv("HLLC_JOBS", value.c_str(), 1);
     }
     ~ScopedJobs()
     {
@@ -99,6 +103,18 @@ expectSameStats(const ingest::ConvertStats &a, const ingest::ConvertStats &b)
     EXPECT_EQ(a.events, b.events);
     EXPECT_EQ(a.distinctBlocks, b.distinctBlocks);
     EXPECT_EQ(a.container, b.container);
+}
+
+TEST(DefaultJobs, MalformedHllcJobsFallsBackToHardware)
+{
+    // strtol used to read "abc" as 1 worker and "999x" as 999.
+    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+    for (const char *junk : { "abc", "999x", "0", "-2", "" }) {
+        ScopedJobs env(junk);
+        EXPECT_EQ(defaultJobs(), hw) << "HLLC_JOBS='" << junk << "'";
+    }
+    ScopedJobs env(3);
+    EXPECT_EQ(defaultJobs(), 3u);
 }
 
 TEST(IngestParallel, ConversionIsIdenticalAtEveryJobCount)

@@ -48,6 +48,21 @@ TEST(Config, ScaleFromEnvSnapsToPowerOfTwo)
     EXPECT_DOUBLE_EQ(scaleFromEnv(), 1.0);
 }
 
+TEST(ConfigDeathTest, OutOfRangeScaleIsFatal)
+{
+    // 0.125 and 128 are powers of two, so they reach the range check
+    // unsnapped; the programmatic tableIV(double) keeps its assert.
+    for (const char *scale : { "0.125", "128" }) {
+        EXPECT_EXIT(
+            {
+                setenv("HLLC_SCALE", scale, 1);
+                scaleFromEnv();
+            },
+            ::testing::ExitedWithCode(1),
+            "outside the supported \\[0\\.25, 64\\] range");
+    }
+}
+
 TEST(Config, LlcConfigCarriesPolicyAndGeometry)
 {
     const SystemConfig cfg = SystemConfig::tableIV(0.5);

@@ -145,8 +145,9 @@ TEST(Grid, ResolveAndParseJobs)
     char flag[] = "--jobs";
     char value[] = "6";
     char *argv[] = { prog, flag, value };
-    EXPECT_EQ(sim::parseJobsArg(3, argv), 6u);
-    EXPECT_EQ(sim::parseJobsArg(1, argv), 0u); // absent -> auto
+    const sim::FlagGroups jobs{ .jobs = true };
+    EXPECT_EQ(sim::parseBenchArgs(3, argv, jobs).jobs, 6u);
+    EXPECT_EQ(sim::parseBenchArgs(1, argv, jobs).jobs, 0u); // auto
 }
 
 TEST(Grid, ChildStreamIsOrderAndThreadFree)

@@ -21,8 +21,10 @@
  * golden model's LRU scan to mutation-test the checkers themselves.
  *
  * Exit codes: 0 = all checks passed, 1 = a divergence/failure was found
- * (fuzz failures leave a shrunken reproducer plus manifest at --out),
- * 2 = usage error.
+ * or an input failed to load (fuzz failures leave a shrunken reproducer
+ * plus manifest at --out), 2 = usage error: an unknown or conflicting
+ * option, a bad value, a missing --trace, or a geometry the LLC cannot
+ * run.
  */
 
 #include <algorithm>
@@ -57,37 +59,31 @@ using hybrid::PolicyKind;
 namespace
 {
 
-int
-usage(const char *prog)
-{
-    std::fprintf(
-        stderr,
-        "usage: %s <action> [options]\n"
-        "actions:\n"
-        "  --gen <out.hlt>       generate a fuzz-grammar trace + manifest\n"
-        "  --diff golden         fast LLC vs. golden shadow model\n"
-        "  --diff rerun          same configuration replayed twice\n"
-        "  --diff jobs           replay grid at --jobs N vs. jobs=1\n"
-        "  --diff resume         forecast straight-through vs. resumed\n"
-        "  --oracle              per-set policy hits <= Belady/OPT bound\n"
-        "  --roundtrip           compressor round-trip sweeps\n"
-        "  --fuzz                fuzz campaign with ddmin shrinking\n"
-        "options:\n"
-        "  --trace <t.hlt>       input trace (diff/oracle)\n"
-        "  --policy <P[,P...]>   policies (default: all nine)\n"
-        "  --mode <M>            pristine|compression-off|sram-only|all\n"
-        "  --sets/--sram/--nvm   LLC geometry (default 64/4/12); sets a\n"
-        "                        power of two, >= 32 with a Set Dueling\n"
-        "                        policy; at least one way\n"
-        "  --events N            events per generated trace\n"
-        "  --seed S --jobs N --budget SEC --iterations N --blocks N\n"
-        "  --corpus DIR          regression corpus replayed before fuzzing\n"
-        "  --out <repro.hlt>     where a shrunken reproducer is written\n"
-        "  --dir D               checkpoint directory (diff resume)\n"
-        "  --inject-lru-bug      mutation-test the golden model's LRU\n",
-        prog);
-    return 2;
-}
+/** Printed after every usage error (exit 2). */
+constexpr const char *kUsage =
+    "usage: hllc_check <action> [options]\n"
+    "actions:\n"
+    "  --gen <out.hlt>       generate a fuzz-grammar trace + manifest\n"
+    "  --diff golden         fast LLC vs. golden shadow model\n"
+    "  --diff rerun          same configuration replayed twice\n"
+    "  --diff jobs           replay grid at --jobs N vs. jobs=1\n"
+    "  --diff resume         forecast straight-through vs. resumed\n"
+    "  --oracle              per-set policy hits <= Belady/OPT bound\n"
+    "  --roundtrip           compressor round-trip sweeps\n"
+    "  --fuzz                fuzz campaign with ddmin shrinking\n"
+    "options:\n"
+    "  --trace <t.hlt>       input trace (diff/oracle)\n"
+    "  --policy <P[,P...]>   policies (default: all nine)\n"
+    "  --mode <M>            pristine|compression-off|sram-only|all\n"
+    "  --sets/--sram/--nvm   LLC geometry (default 64/4/12); sets a\n"
+    "                        power of two, >= 32 with a Set Dueling\n"
+    "                        policy; at least one way\n"
+    "  --events N            events per generated trace\n"
+    "  --seed S --jobs N --budget SEC --iterations N --blocks N\n"
+    "  --corpus DIR          regression corpus replayed before fuzzing\n"
+    "  --out <repro.hlt>     where a shrunken reproducer is written\n"
+    "  --dir D               checkpoint directory (diff resume)\n"
+    "  --inject-lru-bug      mutation-test the golden model's LRU";
 
 std::vector<PolicyKind>
 parsePolicyList(const std::string &arg)
@@ -98,11 +94,11 @@ parsePolicyList(const std::string &arg)
     while (std::getline(stream, token, ',')) {
         const auto kind = hybrid::policyFromName(token);
         if (!kind)
-            fatal("unknown policy '%s'", token.c_str());
+            usageError(kUsage, "unknown policy '%s'", token.c_str());
         policies.push_back(*kind);
     }
     if (policies.empty())
-        fatal("empty policy list '%s'", arg.c_str());
+        usageError(kUsage, "empty policy list '%s'", arg.c_str());
     return policies;
 }
 
@@ -127,8 +123,9 @@ parseModes(const std::string &arg)
         return { DegenerateMode::CompressionOff };
     if (arg == "sram-only")
         return { DegenerateMode::SramOnly };
-    fatal("unknown mode '%s' (pristine|compression-off|sram-only|all)",
-          arg.c_str());
+    usageError(kUsage,
+               "unknown mode '%s' (pristine|compression-off|sram-only|all)",
+               arg.c_str());
 }
 
 struct Options
@@ -163,11 +160,11 @@ void
 checkReplayGeometry(const Options &opt)
 {
     if (opt.sram + opt.nvm == 0)
-        fatal("--sram %u --nvm %u leaves the LLC without ways", opt.sram,
-              opt.nvm);
+        usageError(kUsage, "--sram %u --nvm %u leaves the LLC without ways",
+                   opt.sram, opt.nvm);
     if (opt.diffKind == "resume" && opt.nvm == 0)
-        fatal("--diff resume forecasts the NVM part; --nvm must be at "
-              "least 1");
+        usageError(kUsage, "--diff resume forecasts the NVM part; --nvm "
+                           "must be at least 1");
     // The fuzz campaign replays every policy; a resume diff only the
     // first one listed.
     std::vector<PolicyKind> replayed = opt.policies;
@@ -179,10 +176,11 @@ checkReplayGeometry(const Options &opt)
         if (hybrid::policyTable[static_cast<std::size_t>(policy)]
                 .usesSetDueling &&
             opt.sets < hybrid::duelingSlots) {
-            fatal("--sets %u is below the %u sets Set Dueling needs "
-                  "(policy %s)",
-                  opt.sets, hybrid::duelingSlots,
-                  std::string(hybrid::policyName(policy)).c_str());
+            usageError(kUsage,
+                       "--sets %u is below the %u sets Set Dueling needs "
+                       "(policy %s)",
+                       opt.sets, hybrid::duelingSlots,
+                       std::string(hybrid::policyName(policy)).c_str());
         }
     }
 }
@@ -205,8 +203,6 @@ llcConfigFor(const Options &opt, PolicyKind policy)
 replay::LlcTrace
 loadTrace(const Options &opt)
 {
-    if (opt.tracePath.empty())
-        fatal("--trace <file.hlt> is required for this action");
     replay::LlcTrace trace;
     try {
         trace = replay::LlcTrace::load(opt.tracePath);
@@ -318,20 +314,12 @@ runDiffResume(const Options &opt)
     // grid creates its own; one that cannot be is a usage error, not a
     // divergence of the resume net.
     const char *dir = opt.checkpointDir.c_str();
-    if (::mkdir(dir, 0777) != 0 && errno != EEXIST) {
-        std::fprintf(stderr,
-                     "hllc_check: cannot create checkpoint directory "
-                     "'%s': %s\n",
-                     dir, std::strerror(errno));
-        return 2;
-    }
-    if (!std::filesystem::is_directory(opt.checkpointDir)) {
-        std::fprintf(stderr,
-                     "hllc_check: checkpoint directory '%s' is not a "
-                     "directory\n",
-                     dir);
-        return 2;
-    }
+    if (::mkdir(dir, 0777) != 0 && errno != EEXIST)
+        usageError(kUsage, "cannot create checkpoint directory '%s': %s",
+                   dir, std::strerror(errno));
+    if (!std::filesystem::is_directory(opt.checkpointDir))
+        usageError(kUsage, "checkpoint directory '%s' is not a directory",
+                   dir);
     const replay::LlcTrace trace = loadTrace(opt);
     const hybrid::HybridLlcConfig llc =
         llcConfigFor(opt, opt.policies.front());
@@ -528,15 +516,16 @@ int
 main(int argc, char **argv)
 {
     Options opt;
-    const auto need = [&](int i) -> const char * {
+    // The value of the flag at argv[i]; advances i past it.
+    const auto need = [&](int &i) -> const char * {
         if (i + 1 >= argc)
-            fatal("%s expects a value", argv[i]);
-        return argv[i + 1];
+            usageError(kUsage, "%s expects a value", argv[i]);
+        return argv[++i];
     };
     const auto setAction = [&](const std::string &action) {
         if (!opt.action.empty())
-            fatal("conflicting actions --%s and --%s",
-                  opt.action.c_str(), action.c_str());
+            usageError(kUsage, "conflicting actions --%s and --%s",
+                       opt.action.c_str(), action.c_str());
         opt.action = action;
     };
 
@@ -545,16 +534,14 @@ main(int argc, char **argv)
         if (arg == "--gen") {
             setAction("gen");
             opt.genPath = need(i);
-            ++i;
         } else if (arg == "--diff") {
             setAction("diff");
             opt.diffKind = need(i);
-            ++i;
             if (opt.diffKind != "golden" && opt.diffKind != "rerun" &&
                 opt.diffKind != "jobs" && opt.diffKind != "resume") {
-                fatal("unknown diff kind '%s' "
-                      "(golden|rerun|jobs|resume)",
-                      opt.diffKind.c_str());
+                usageError(kUsage,
+                           "unknown diff kind '%s' (golden|rerun|jobs|resume)",
+                           opt.diffKind.c_str());
             }
         } else if (arg == "--oracle") {
             setAction("oracle");
@@ -564,30 +551,24 @@ main(int argc, char **argv)
             setAction("fuzz");
         } else if (arg == "--trace") {
             opt.tracePath = need(i);
-            ++i;
         } else if (arg == "--policy") {
             opt.policies = parsePolicyList(need(i));
-            ++i;
         } else if (arg == "--mode") {
             opt.modes = parseModes(need(i));
-            ++i;
         } else if (arg == "--corpus") {
             opt.corpusDir = need(i);
-            ++i;
         } else if (arg == "--out") {
             opt.outPath = need(i);
-            ++i;
         } else if (arg == "--dir") {
             opt.checkpointDir = need(i);
-            ++i;
         } else if (arg == "--inject-lru-bug") {
             opt.injectLruBug = true;
         } else if (arg == "--sets" || arg == "--sram" || arg == "--nvm" ||
                    arg == "--jobs") {
-            const auto v = parseUnsigned(need(i), arg == "--sets" ? 1 : 0);
+            const char *value = need(i);
+            const auto v = parseUnsigned(value, arg == "--sets" ? 1 : 0);
             if (!v)
-                fatal("bad value '%s' for %s", argv[i + 1], arg.c_str());
-            ++i;
+                usageError(kUsage, "bad value '%s' for %s", value, arg.c_str());
             if (arg == "--sets")
                 opt.sets = *v;
             else if (arg == "--sram")
@@ -598,10 +579,10 @@ main(int argc, char **argv)
                 opt.jobs = *v;
         } else if (arg == "--seed" || arg == "--events" ||
                    arg == "--iterations" || arg == "--blocks") {
-            const auto v = parseU64(need(i));
+            const char *value = need(i);
+            const auto v = parseU64(value);
             if (!v)
-                fatal("bad value '%s' for %s", argv[i + 1], arg.c_str());
-            ++i;
+                usageError(kUsage, "bad value '%s' for %s", value, arg.c_str());
             if (arg == "--seed")
                 opt.seed = *v;
             else if (arg == "--events")
@@ -611,21 +592,22 @@ main(int argc, char **argv)
             else
                 opt.blocks = *v;
         } else if (arg == "--budget") {
-            const auto v = parseDouble(need(i));
+            const char *value = need(i);
+            const auto v = parseDouble(value);
             if (!v || *v <= 0.0)
-                fatal("bad value '%s' for --budget", argv[i + 1]);
+                usageError(kUsage, "bad value '%s' for --budget", value);
             opt.budgetSeconds = *v;
-            ++i;
         } else {
-            std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0],
-                         arg.c_str());
-            return usage(argv[0]);
+            usageError(kUsage, "unknown argument '%s'", arg.c_str());
         }
     }
     if (opt.action.empty())
-        return usage(argv[0]);
+        usageError(kUsage, "no action given");
     if ((opt.sets & (opt.sets - 1)) != 0)
-        fatal("--sets must be a power of two");
+        usageError(kUsage, "--sets must be a power of two");
+    if ((opt.action == "diff" || opt.action == "oracle") &&
+        opt.tracePath.empty())
+        usageError(kUsage, "--trace <file.hlt> is required for this action");
     if (opt.action != "gen" && opt.action != "roundtrip")
         checkReplayGeometry(opt);
 

@@ -7,7 +7,8 @@
  * Usage: hllc_replay <trace.hlt> [policy[,policy...]] [cpth] [--jobs N]
  *                    [--stats-out <file>.{json,csv}]
  *
- * The policy list and CPth are positional and come before any flag.
+ * The policy list and CPth are positional and come before any flag;
+ * any other argument is a usage error (exit 2).
  *
  * Several comma-separated policies form a grid replayed in parallel
  * (sim::runGrid); results print in the order given on the command line
@@ -18,9 +19,7 @@
  * schema.
  */
 
-#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -120,43 +119,33 @@ struct IntervalState
     std::uint64_t nvmBytes = 0;
 };
 
-int
-usage(const char *prog)
-{
-    std::fprintf(stderr,
-                 "usage: %s <trace.hlt> [policy[,policy...]] [cpth] "
-                 "[--jobs N] [--stats-out <file>.{json,csv}]\n",
-                 prog);
-    return 2;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    if (argc < 2)
-        return usage(argv[0]);
     // The policy list and CPth are positional only before the first
     // flag; from there on every argument is a flag or a flag's value.
-    int first_flag = 2;
-    while (first_flag < argc && argv[first_flag][0] != '-')
+    int first_flag = 1;
+    while (first_flag < argc && first_flag < 4 &&
+           argv[first_flag][0] != '-')
         ++first_flag;
+    const sim::BenchArgs args = sim::parseBenchArgs(
+        argc, argv, { .jobs = true, .statsOut = true }, first_flag,
+        " <trace.hlt> [policy[,policy...]] [cpth]");
+    if (first_flag == 1)
+        usageError(args.usage, "missing <trace.hlt>");
     const char *policy_arg = first_flag > 2 ? argv[2] : nullptr;
-    const char *cpth_arg = first_flag > 3 ? argv[3] : nullptr;
-    for (int i = std::min(first_flag, 4); i < argc; ++i) {
-        if (std::strcmp(argv[i], "--jobs") == 0 ||
-            std::strcmp(argv[i], "-j") == 0 ||
-            std::strcmp(argv[i], "--stats-out") == 0) {
-            ++i; // the value; its parser below reports a missing one
-            continue;
-        }
-        std::fprintf(stderr, "%s: unexpected argument '%s'\n", argv[0],
-                     argv[i]);
-        return usage(argv[0]);
+    hybrid::PolicyParams params;
+    if (first_flag > 3) {
+        // CPth is a byte threshold within a 64-byte block.
+        const auto cpth = parseUnsigned(argv[3], 1, 64);
+        if (!cpth)
+            usageError(args.usage,
+                       "bad cpth '%s' (expected an integer in 1..64)",
+                       argv[3]);
+        params.fixedCpth = *cpth;
     }
-    const unsigned jobs = sim::parseJobsArg(argc, argv);
-    const std::string stats_out = sim::parseStatsOutArg(argc, argv);
     replay::LlcTrace trace;
     try {
         trace = replay::LlcTrace::load(argv[1]);
@@ -173,19 +162,6 @@ main(int argc, char **argv)
             : std::vector<PolicyKind>{ PolicyKind::CpSd };
 
     const sim::SystemConfig config = sim::SystemConfig::tableIV();
-    hybrid::PolicyParams params;
-    if (cpth_arg != nullptr) {
-        // CPth is a byte threshold within a 64-byte block.
-        const auto cpth = parseUnsigned(cpth_arg, 1, 64);
-        if (!cpth) {
-            std::fprintf(stderr,
-                         "%s: bad cpth '%s' (expected an integer in "
-                         "1..64)\n",
-                         argv[0], cpth_arg);
-            return usage(argv[0]);
-        }
-        params.fixedCpth = *cpth;
-    }
 
     const auto results = sim::runGrid(
         policies.size(),
@@ -205,7 +181,7 @@ main(int argc, char **argv)
             // safe because the callback fires synchronously mid-replay.
             replay::TraceReplayer::IntervalCallback on_interval;
             const double warmup_fraction = 0.2;
-            if (!stats_out.empty()) {
+            if (!args.statsOut.empty()) {
                 const std::size_t warmup_end = static_cast<std::size_t>(
                     warmup_fraction *
                     static_cast<double>(trace.size()));
@@ -291,7 +267,7 @@ main(int argc, char **argv)
             result.statsDump = stats.str();
             return result;
         },
-        jobs);
+        args.jobs);
 
     std::printf("trace %s (%s): %zu events\n", argv[1],
                 trace.meta().mixName.c_str(), trace.size());
@@ -305,7 +281,7 @@ main(int argc, char **argv)
         std::printf("\nLLC statistics:\n%s", result.statsDump.c_str());
     }
 
-    if (!stats_out.empty()) {
+    if (!args.statsOut.empty()) {
         std::vector<metrics::CellExport> cells;
         for (const auto &result : results) {
             metrics::CellExport cell;
@@ -322,11 +298,11 @@ main(int argc, char **argv)
             cells.push_back(std::move(cell));
         }
         try {
-            metrics::writeStatsFile(stats_out, cells, "hllc-replay");
+            metrics::writeStatsFile(args.statsOut, cells, "hllc-replay");
         } catch (const IoError &e) {
             fatal("%s", e.what());
         }
-        inform("wrote stats to '%s'", stats_out.c_str());
+        inform("wrote stats to '%s'", args.statsOut.c_str());
     }
     return 0;
 }
