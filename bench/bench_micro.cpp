@@ -21,16 +21,15 @@
  * provenance (compiler, build type, SIMD) is what comparisons need.
  */
 
-#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "check/differential.hh"
+#include "common/argparse.hh"
 #include "common/logging.hh"
 #include "common/numfmt.hh"
 #include "common/serialize.hh"
@@ -226,27 +225,6 @@ appendTiming(std::string &json, const Timing &t, const char *rate_key,
     json += "\": " + formatFixed(t.nsPerAccess, 3);
 }
 
-/** Strict decimal u64 parse (from_chars: locale-free, full-string). */
-bool
-parseU64Arg(const char *text, std::uint64_t &out)
-{
-    const char *end = text + std::strlen(text);
-    const auto [ptr, ec] = std::from_chars(text, end, out);
-    return ec == std::errc{} && ptr == end;
-}
-
-int
-usage(const char *argv0)
-{
-    std::fprintf(stderr,
-                 "usage: %s [--out FILE] [--events N] [--repeats N] "
-                 "[--skip-identity]\n"
-                 "  --events N  references per core in the captured "
-                 "trace (default 100000)\n",
-                 argv0);
-    return 2;
-}
-
 } // namespace
 
 int
@@ -255,26 +233,22 @@ main(int argc, char **argv)
     std::string out = "BENCH_micro.json";
     std::uint64_t refs_per_core = 100'000;
     unsigned repeats = 3;
-    bool check_identity = true;
+    bool skip_identity = false;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--out" && i + 1 < argc) {
-            out = argv[++i];
-        } else if (arg == "--events" && i + 1 < argc) {
-            if (!parseU64Arg(argv[++i], refs_per_core))
-                return usage(argv[0]);
-        } else if (arg == "--repeats" && i + 1 < argc) {
-            std::uint64_t n = 0;
-            if (!parseU64Arg(argv[++i], n))
-                return usage(argv[0]);
-            repeats = static_cast<unsigned>(n);
-        } else if (arg == "--skip-identity") {
-            check_identity = false;
-        } else {
-            return usage(argv[0]);
-        }
-    }
+    ArgParser cli(argv[0]);
+    cli.add({
+        { "--out", "", "FILE",
+          "hllc-bench-v1 report (default BENCH_micro.json)",
+          storeText(out) },
+        { "--events", "", "N",
+          "references per core in the captured trace (default 100000)",
+          storeNumber(refs_per_core) },
+        { "--repeats", "", "N", "best-of repeats per timing (default 3)",
+          storeNumber(repeats) },
+        { "--skip-identity", "", nullptr, "skip the golden identity check",
+          storeSwitch(skip_identity) },
+    });
+    cli.parse(argc, argv);
     if (repeats == 0)
         repeats = 1;
 
@@ -303,7 +277,7 @@ main(int argc, char **argv)
 
         PolicyResult result;
         result.name = entry.name;
-        if (check_identity) {
+        if (!skip_identity) {
             const check::GoldenDiffResult diff = check::diffGolden(
                 trace, config, check::DegenerateMode::Pristine);
             result.identical = diff.ok();
@@ -382,7 +356,7 @@ main(int argc, char **argv)
                                       reference.eventsPerSec
                                 : 0.0,
                             2);
-        if (check_identity) {
+        if (!skip_identity) {
             json += std::string(", \"identical_to_reference\": ") +
                     (p.identical ? "true" : "false");
             json += ", \"events_compared\": " +
@@ -411,7 +385,7 @@ main(int argc, char **argv)
                         2) +
             ",\n";
     json += std::string("    \"all_identical_to_reference\": ") +
-            (check_identity ? (all_identical ? "true" : "false")
+            (!skip_identity ? (all_identical ? "true" : "false")
                             : "null") +
             "\n";
     json += "  }\n";

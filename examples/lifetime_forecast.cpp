@@ -8,6 +8,8 @@
  */
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "common/argparse.hh"
 #include "common/logging.hh"
@@ -20,17 +22,19 @@ int
 main(int argc, char **argv)
 {
     setLogLevel(LogLevel::Warn);
+    ArgParser cli(argv[0], "[policy] [num_mixes 1..10]", 0, 2);
+    const std::vector<std::string> args = cli.parse(argc, argv);
     const auto parsed =
-        argc > 1 ? hybrid::policyFromName(argv[1]) : PolicyKind::CpSd;
+        args.empty() ? PolicyKind::CpSd : hybrid::policyFromName(args[0]);
     if (!parsed)
-        fatal("unknown policy '%s'", argv[1]);
+        cli.fail("unknown policy '%s'", args[0].c_str());
     const PolicyKind policy = *parsed;
     if (policy == PolicyKind::SramOnly)
-        fatal("policy SRAM has no NVM part, so no lifetime to forecast");
-    const auto num_mixes = argc > 2 ? parseUnsigned(argv[2], 1, 10) : 10u;
+        cli.fail("policy SRAM has no NVM part, so no lifetime to forecast");
+    const auto num_mixes =
+        args.size() < 2 ? 10u : parseUnsigned(args[1].c_str(), 1, 10);
     if (!num_mixes)
-        usageError("usage: lifetime_forecast [policy] [num_mixes 1..10]",
-                   "bad mix count '%s'", argv[2]);
+        cli.fail("bad mix count '%s'", args[1].c_str());
 
     const sim::SystemConfig config = sim::SystemConfig::tableIV();
     sim::printConfigHeader(config, "lifetime forecast");

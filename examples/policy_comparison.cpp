@@ -9,6 +9,8 @@
  */
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "common/argparse.hh"
 #include "common/logging.hh"
@@ -21,10 +23,12 @@ int
 main(int argc, char **argv)
 {
     setLogLevel(LogLevel::Warn);
-    const auto num_mixes = argc > 1 ? parseUnsigned(argv[1], 1, 10) : 10u;
+    ArgParser cli(argv[0], "[num_mixes 1..10]", 0, 1);
+    const std::vector<std::string> args = cli.parse(argc, argv);
+    const auto num_mixes =
+        args.empty() ? 10u : parseUnsigned(args[0].c_str(), 1, 10);
     if (!num_mixes)
-        usageError("usage: policy_comparison [num_mixes 1..10]",
-                   "bad mix count '%s'", argv[1]);
+        cli.fail("bad mix count '%s'", args[0].c_str());
 
     const sim::SystemConfig config = sim::SystemConfig::tableIV();
     sim::printConfigHeader(config, "policy comparison (100% NVM capacity)");

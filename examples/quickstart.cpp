@@ -10,7 +10,10 @@
 
 #include <cstdio>
 #include <iostream>
+#include <string>
+#include <vector>
 
+#include "common/argparse.hh"
 #include "common/logging.hh"
 #include "sim/system.hh"
 
@@ -19,10 +22,12 @@ using namespace hllc;
 int
 main(int argc, char **argv)
 {
-    const auto policy = argc > 1 ? hybrid::policyFromName(argv[1])
-                                 : hybrid::PolicyKind::CpSd;
+    ArgParser cli(argv[0], "[policy]", 0, 1);
+    const std::vector<std::string> args = cli.parse(argc, argv);
+    const auto policy = args.empty() ? hybrid::PolicyKind::CpSd
+                                     : hybrid::policyFromName(args[0]);
     if (!policy)
-        fatal("unknown policy '%s'", argv[1]);
+        cli.fail("unknown policy '%s'", args[0].c_str());
 
     // 1. A Table IV system (HLLC_SCALE-scaled), running mix 1.
     const sim::SystemConfig config = sim::SystemConfig::tableIV();

@@ -1,11 +1,19 @@
 /**
  * @file
- * Minimal validated number parsing for the CLI tools and bench drivers.
+ * The command line of every binary: validated number parsing and one
+ * table-driven flag parser.
  *
  * std::atoi silently turns "12abc" and "xyz" into usable-looking values
  * (12 and 0); these helpers instead parse the whole token or return
  * nothing, so the tools can reject malformed arguments with a usage
  * message instead of running a subtly wrong experiment.
+ *
+ * ArgParser reads argv against a table of Flag rows. Each row names the
+ * flag, its value placeholder and its one-line help, so the usage text
+ * is built from the same table the parser reads: a flag cannot be
+ * parsed but missing from the help. Every bad command line goes through
+ * usageError() (message, usage text, exit 2) before the binary does any
+ * work, so a script can tell a typo from a failed run (exit 1).
  */
 
 #ifndef HLLC_COMMON_ARGPARSE_HH
@@ -15,7 +23,12 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
+#include <limits>
 #include <optional>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/numfmt.hh"
 
@@ -65,6 +78,119 @@ parseDouble(const char *token)
         return std::nullopt;
     return parsed;
 }
+
+/** One flag of a command line. */
+struct Flag
+{
+    std::string_view name;  //!< "--jobs"
+    std::string_view alias; //!< "-j", or "" for none
+    const char *value;      //!< value placeholder; nullptr for a switch
+    std::string_view help;  //!< one line for the usage text
+    /** Store the value (nullptr for a switch); false if it is junk. */
+    std::function<bool(const char *)> apply;
+};
+
+/** Flag::apply of an integer flag: stores a value in [min, max]. */
+template <typename T>
+std::function<bool(const char *)>
+storeNumber(T &out, std::uint64_t min = 0,
+            std::uint64_t max = std::numeric_limits<T>::max())
+{
+    return [&out, min, max](const char *value) {
+        const auto parsed = parseU64(value, min, max);
+        if (parsed)
+            out = static_cast<T>(*parsed);
+        return parsed.has_value();
+    };
+}
+
+/** Flag::apply of a text flag: stores any value. */
+inline std::function<bool(const char *)>
+storeText(std::string &out)
+{
+    return [&out](const char *value) {
+        out = value;
+        return true;
+    };
+}
+
+/** Flag::apply of a switch: sets @p out. */
+inline std::function<bool(const char *)>
+storeSwitch(bool &out)
+{
+    return [&out](const char *) {
+        out = true;
+        return true;
+    };
+}
+
+/**
+ * A command line declared as a table of flags plus min..max positional
+ * arguments. parse() reports each of these through fail(): an unknown
+ * flag, a flag this binary refuses, a repeated flag, a missing or
+ * malformed value, a positional beyond the maximum, and fewer
+ * positionals than the minimum. A token that starts with '-' is a flag;
+ * any other token is a positional.
+ */
+class ArgParser
+{
+  public:
+    /**
+     * A parser for program @p prog whose usage line names its
+     * @p positionals ("<mix 1..10> <out.hlt> [refs]"); it accepts
+     * @p min to @p max of them.
+     */
+    explicit ArgParser(std::string prog, std::string positionals = "",
+                       std::size_t min = 0, std::size_t max = 0);
+
+    // action() flags hold this parser's address.
+    ArgParser(const ArgParser &) = delete;
+    ArgParser &operator=(const ArgParser &) = delete;
+
+    /** Add @p flags to the table, in usage-line order. */
+    void add(std::vector<Flag> flags);
+
+    /**
+     * Know @p name (and @p alias) as a flag other binaries take but this
+     * one does not: "<prog> does not take <flag>" instead of "unknown".
+     */
+    void refuse(std::string_view name, std::string_view alias = "");
+
+    /**
+     * Parse argv[first, argc), applying every flag in command-line
+     * order; returns the positionals.
+     */
+    std::vector<std::string> parse(int argc, char **argv, int first = 1);
+
+    /**
+     * Flag::apply of one of several exclusive action flags: sets
+     * @p chosen to @p name, then stores the value through @p store (if
+     * any); a second action is a usage error.
+     */
+    std::function<bool(const char *)>
+    action(std::string &chosen, std::string name,
+           std::function<bool(const char *)> store = nullptr) const;
+
+    /** "usage: <prog> <positionals> [flag VALUE]..." */
+    std::string usageLine() const;
+
+    /** The usage line, then one line per flag with its help text. */
+    std::string usage() const;
+
+    /** Report a bad command line: usageError() with usage(), exit 2. */
+    [[noreturn]] void fail(const char *fmt, ...) const
+        __attribute__((format(printf, 2, 3)));
+
+  private:
+    const Flag *find(std::string_view arg) const;
+
+    std::string prog_;
+    std::string positionals_;
+    std::size_t min_;
+    std::size_t max_;
+    std::vector<Flag> flags_;
+    std::vector<std::string_view> refused_;
+};
 
 } // namespace hllc
 

@@ -1,5 +1,7 @@
 #include "hybrid/insertion_policy.hh"
 
+#include <sstream>
+
 #include "common/logging.hh"
 
 namespace hllc::hybrid
@@ -20,6 +22,27 @@ policyFromName(std::string_view name)
             return row.kind;
     }
     return std::nullopt;
+}
+
+std::optional<std::vector<PolicyKind>>
+parsePolicyList(std::string_view list, std::string &unknown)
+{
+    std::vector<PolicyKind> policies;
+    std::stringstream stream{ std::string(list) };
+    std::string token;
+    while (std::getline(stream, token, ',')) {
+        const auto kind = policyFromName(token);
+        if (!kind) {
+            unknown = token;
+            return std::nullopt;
+        }
+        policies.push_back(*kind);
+    }
+    if (policies.empty()) {
+        unknown = list;
+        return std::nullopt;
+    }
+    return policies;
 }
 
 namespace

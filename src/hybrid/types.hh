@@ -9,7 +9,9 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/types.hh"
 
@@ -58,6 +60,14 @@ std::string_view policyName(PolicyKind kind);
 
 /** Inverse of policyName(); nullopt for any other string. */
 std::optional<PolicyKind> policyFromName(std::string_view name);
+
+/**
+ * Parse a comma-separated list of policyName()s ("BH,CP_SD"). nullopt
+ * when the list is empty or an entry names no policy; that entry then
+ * goes to @p unknown, for the caller's usage error.
+ */
+std::optional<std::vector<PolicyKind>>
+parsePolicyList(std::string_view list, std::string &unknown);
 
 /** One LLC-level request, as recorded in traces and replayed. */
 struct LlcEvent

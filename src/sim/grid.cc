@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <cstring>
 #include <string_view>
-#include <type_traits>
 #include <sys/stat.h>
 
 #include "common/argparse.hh"
@@ -24,118 +23,68 @@ resolveJobs(unsigned jobs)
     return jobs == 0 ? defaultJobs() : jobs;
 }
 
-namespace
-{
-
-/** One command-line flag: its spellings, group and value placeholder. */
-struct FlagSpec
-{
-    std::string_view name;
-    std::string_view alias;
-    bool FlagGroups::*group;
-    const char *value; //!< nullptr for a switch
-};
-
-constexpr FlagSpec flagSpecs[] = {
-    { "--jobs", "-j", &FlagGroups::jobs, "N" },
-    { "--stats-out", "", &FlagGroups::statsOut, "FILE.{json,csv}" },
-    { "--checkpoint-dir", "", &FlagGroups::checkpoint, "DIR" },
-    { "--checkpoint-every", "", &FlagGroups::checkpoint, "N" },
-    { "--resume", "", &FlagGroups::checkpoint, nullptr },
-    { "--retries", "", &FlagGroups::resilience, "0..100" },
-    { "--retry-delay-ms", "", &FlagGroups::resilience, "MS" },
-    { "--retry-jitter-seed", "", &FlagGroups::resilience, "SEED" },
-    { "--cell-timeout-ms", "", &FlagGroups::resilience, "MS" },
-    { "--failures-out", "", &FlagGroups::resilience, "FILE.json" },
-};
-
-/** Store @p value of flag @p name into @p a; false if it is malformed. */
-bool
-applyFlag(BenchArgs &a, std::string_view name, const char *value)
-{
-    const auto store = [value](auto &out, std::uint64_t min = 0,
-                               std::uint64_t max = UINT64_MAX) {
-        const auto parsed = parseU64(value, min, max);
-        if (parsed)
-            out = static_cast<std::remove_reference_t<decltype(out)>>(
-                *parsed);
-        return parsed.has_value();
-    };
-    const std::string_view path = value != nullptr ? value : "";
-    if (name == "--jobs")
-        return store(a.jobs, 1, UINT32_MAX);
-    if (name == "--stats-out") {
-        a.statsOut = path;
-        return path.ends_with(".json") || path.ends_with(".csv");
-    }
-    if (name == "--checkpoint-every")
-        return store(a.checkpoint.every, 1);
-    if (name == "--retries") // N retries are N + 1 attempts
-        return store(a.resilience.retry.maxAttempts, 0, 100) &&
-               ++a.resilience.retry.maxAttempts;
-    if (name == "--retry-delay-ms")
-        return store(a.resilience.retry.baseDelayMs);
-    if (name == "--retry-jitter-seed")
-        return store(a.resilience.retry.jitterSeed);
-    if (name == "--cell-timeout-ms")
-        return store(a.resilience.cellTimeoutMs, 1);
-    if (name == "--failures-out") {
-        a.resilience.failuresOut = path;
-        return path.ends_with(".json");
-    }
-    if (name == "--checkpoint-dir")
-        a.checkpoint.dir = path;
-    if (name == "--resume")
-        a.checkpoint.resume = true;
-    return true;
-}
-
-} // anonymous namespace
-
 BenchArgs
 parseBenchArgs(int argc, char **argv, FlagGroups accepted, int first,
                const char *positional)
 {
-    BenchArgs args;
-    std::string &usage = args.usage;
-    usage = std::string("usage: ") + argv[0] + positional;
-    for (const FlagSpec &spec : flagSpecs) {
-        if (!(accepted.*spec.group))
-            continue;
-        usage += " [" + std::string(spec.name);
-        if (!spec.alias.empty())
-            usage += "|" + std::string(spec.alias);
-        if (spec.value != nullptr)
-            usage += std::string(" ") + spec.value;
-        usage += "]";
-    }
-    std::vector<const FlagSpec *> seen;
-    for (int i = first; i < argc; ++i) {
-        const std::string_view arg = argv[i];
-        const auto spec = std::find_if(
-            std::begin(flagSpecs), std::end(flagSpecs),
-            [arg](const FlagSpec &f) {
-                return arg == f.name || (!f.alias.empty() && arg == f.alias);
-            });
-        if (spec == std::end(flagSpecs))
-            usageError(usage, "%s '%s'",
-                       arg.starts_with('-') ? "unknown flag"
-                                            : "unexpected argument",
-                       argv[i]);
-        if (!(accepted.*spec->group))
-            usageError(usage, "%s does not take %s", argv[0], argv[i]);
-        if (std::find(seen.begin(), seen.end(), spec) != seen.end())
-            usageError(usage, "%s given twice", argv[i]);
-        seen.push_back(spec);
-        if (spec->value != nullptr && i + 1 >= argc)
-            usageError(usage, "%s requires a value", argv[i]);
-        const char *value = spec->value != nullptr ? argv[++i] : nullptr;
-        if (!applyFlag(args, spec->name, value))
-            usageError(usage, "bad %s value '%s'", argv[i - 1], value);
-    }
-    if (args.checkpoint.resume && !args.checkpoint.enabled())
-        usageError(usage, "--resume requires --checkpoint-dir");
-    return args;
+    BenchArgs a;
+    std::string_view names = positional;
+    while (names.starts_with(' '))
+        names.remove_prefix(1);
+    ArgParser cli(argv[0], std::string(names));
+    // A flag of a group this binary does not take is known but refused.
+    const auto offer = [&](bool FlagGroups::*group,
+                           std::vector<Flag> flags) {
+        if (accepted.*group)
+            return cli.add(std::move(flags));
+        for (const Flag &flag : flags)
+            cli.refuse(flag.name, flag.alias);
+    };
+    // A path flag whose value must end in @p ext or @p alt.
+    const auto path = [](std::string &out, std::string_view ext,
+                         std::string_view alt) {
+        return [&out, ext, alt](const char *value) {
+            out = value;
+            return out.ends_with(ext) || out.ends_with(alt);
+        };
+    };
+    auto &retry = a.resilience.retry;
+    offer(&FlagGroups::jobs,
+          { { "--jobs", "-j", "N", "worker threads (default: HLLC_JOBS)",
+              storeNumber(a.jobs, 1) } });
+    offer(&FlagGroups::statsOut,
+          { { "--stats-out", "", "FILE.{json,csv}",
+              "write the hllc-stats-v1 export",
+              path(a.statsOut, ".json", ".csv") } });
+    offer(&FlagGroups::checkpoint,
+          { { "--checkpoint-dir", "", "DIR", "checkpoint every cell here",
+              storeText(a.checkpoint.dir) },
+            { "--checkpoint-every", "", "N", "checkpoint every N steps",
+              storeNumber(a.checkpoint.every, 1) },
+            { "--resume", "", nullptr, "resume from the checkpoints",
+              storeSwitch(a.checkpoint.resume) } });
+    offer(&FlagGroups::resilience,
+          { { "--retries", "", "0..100", "retries of a failing cell",
+              [&retry](const char *value) { // N retries: N + 1 attempts
+                  const auto n = parseU64(value, 0, 100);
+                  if (n)
+                      retry.maxAttempts = *n + 1;
+                  return n.has_value();
+              } },
+            { "--retry-delay-ms", "", "MS", "base retry backoff",
+              storeNumber(retry.baseDelayMs) },
+            { "--retry-jitter-seed", "", "SEED", "retry jitter seed",
+              storeNumber(retry.jitterSeed) },
+            { "--cell-timeout-ms", "", "MS", "cancel a cell after MS",
+              storeNumber(a.resilience.cellTimeoutMs, 1) },
+            { "--failures-out", "", "FILE.json",
+              "write the hllc-failures-v1 report",
+              path(a.resilience.failuresOut, ".json", ".json") } });
+    cli.parse(argc, argv, first);
+    if (a.checkpoint.resume && !a.checkpoint.enabled())
+        cli.fail("--resume requires --checkpoint-dir");
+    a.usage = cli.usageLine();
+    return a;
 }
 
 std::string

@@ -61,12 +61,13 @@ struct BenchArgs
 /**
  * Parse argv[first, argc) as flags of the @p accepted groups; argv[1,
  * first) are the positionals @p positional describes in the usage line.
- * Each of these is a usage error (usageError(): message, usage line,
- * exit 2) reported before any simulation starts: an unknown flag, a flag
- * of a group not accepted, a stray positional, a missing value, a
- * repeated flag, a malformed or out-of-range value (a --stats-out path
- * must end in .json or .csv, a --failures-out path in .json), and
- * --resume without --checkpoint-dir. --retries counts *retries*, so
+ * One client of hllc::ArgParser (common/argparse.hh). Each of these is
+ * a usage error (usageError(): message, usage text, exit 2) reported
+ * before any simulation starts: an unknown flag, a flag of a group not
+ * accepted, a stray positional, a missing value, a repeated flag, a
+ * malformed or out-of-range value (a --stats-out path must end in .json
+ * or .csv, a --failures-out path in .json), and --resume without
+ * --checkpoint-dir. --retries counts *retries*, so
  * N=2 means up to three attempts per cell.
  */
 BenchArgs parseBenchArgs(int argc, char **argv, FlagGroups accepted,

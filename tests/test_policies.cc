@@ -11,6 +11,7 @@
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "check/golden_llc.hh"
 #include "compression/encoding.hh"
@@ -299,6 +300,19 @@ TEST(PolicyNames, NearMissesAreRejected)
            "BH_", "tap", "?" }) {
         EXPECT_EQ(policyFromName(name), std::nullopt) << '"' << name << '"';
     }
+}
+
+TEST(PolicyNames, ListKeepsOrderAndNamesTheUnknownEntry)
+{
+    std::string unknown;
+    EXPECT_EQ(parsePolicyList("TAP,BH,TAP", unknown),
+              (std::vector<PolicyKind>{ PolicyKind::Tap, PolicyKind::Bh,
+                                        PolicyKind::Tap }));
+    EXPECT_EQ(parsePolicyList("BH,XYZ,TAP", unknown), std::nullopt);
+    EXPECT_EQ(unknown, "XYZ");
+    EXPECT_EQ(parsePolicyList("BH,,TAP", unknown), std::nullopt);
+    EXPECT_EQ(unknown, "");
+    EXPECT_EQ(parsePolicyList("", unknown), std::nullopt);
 }
 
 } // namespace

@@ -2,17 +2,6 @@
  * @file
  * hllc_check: simulator self-validation driver.
  *
- * Usage:
- *   hllc_check --gen <out.hlt> [--events N] [--seed S] [--sets N]
- *   hllc_check --diff golden --trace <t.hlt> [--policy LIST] [--mode M]
- *   hllc_check --diff rerun --trace <t.hlt> [--policy P]
- *   hllc_check --diff jobs --trace <t.hlt> [--jobs N]
- *   hllc_check --diff resume --trace <t.hlt> [--dir D]
- *   hllc_check --oracle --trace <t.hlt> [--policy P]
- *   hllc_check --roundtrip [--blocks N] [--seed S]
- *   hllc_check --fuzz [--budget SEC] [--seed S] [--iterations N]
- *              [--corpus DIR] [--out <repro.hlt>]
- *
  * Geometry options (--sets/--sram/--nvm) apply to every replayed
  * configuration. --sets must be a power of two, and at least 32 when a
  * replayed policy uses Set Dueling (--fuzz replays all nine);
@@ -22,9 +11,9 @@
  *
  * Exit codes: 0 = all checks passed, 1 = a divergence/failure was found
  * or an input failed to load (fuzz failures leave a shrunken reproducer
- * plus manifest at --out), 2 = usage error: an unknown or conflicting
- * option, a bad value, a missing --trace, or a geometry the LLC cannot
- * run.
+ * plus manifest at --out), 2 = usage error: an unknown, repeated or
+ * conflicting option, a bad value, a missing --trace or --corpus
+ * directory, or a geometry the LLC cannot run.
  */
 
 #include <algorithm>
@@ -32,7 +21,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -59,49 +47,6 @@ using hybrid::PolicyKind;
 namespace
 {
 
-/** Printed after every usage error (exit 2). */
-constexpr const char *kUsage =
-    "usage: hllc_check <action> [options]\n"
-    "actions:\n"
-    "  --gen <out.hlt>       generate a fuzz-grammar trace + manifest\n"
-    "  --diff golden         fast LLC vs. golden shadow model\n"
-    "  --diff rerun          same configuration replayed twice\n"
-    "  --diff jobs           replay grid at --jobs N vs. jobs=1\n"
-    "  --diff resume         forecast straight-through vs. resumed\n"
-    "  --oracle              per-set policy hits <= Belady/OPT bound\n"
-    "  --roundtrip           compressor round-trip sweeps\n"
-    "  --fuzz                fuzz campaign with ddmin shrinking\n"
-    "options:\n"
-    "  --trace <t.hlt>       input trace (diff/oracle)\n"
-    "  --policy <P[,P...]>   policies (default: all nine)\n"
-    "  --mode <M>            pristine|compression-off|sram-only|all\n"
-    "  --sets/--sram/--nvm   LLC geometry (default 64/4/12); sets a\n"
-    "                        power of two, >= 32 with a Set Dueling\n"
-    "                        policy; at least one way\n"
-    "  --events N            events per generated trace\n"
-    "  --seed S --jobs N --budget SEC --iterations N --blocks N\n"
-    "  --corpus DIR          regression corpus replayed before fuzzing\n"
-    "  --out <repro.hlt>     where a shrunken reproducer is written\n"
-    "  --dir D               checkpoint directory (diff resume)\n"
-    "  --inject-lru-bug      mutation-test the golden model's LRU";
-
-std::vector<PolicyKind>
-parsePolicyList(const std::string &arg)
-{
-    std::vector<PolicyKind> policies;
-    std::stringstream stream(arg);
-    std::string token;
-    while (std::getline(stream, token, ',')) {
-        const auto kind = hybrid::policyFromName(token);
-        if (!kind)
-            usageError(kUsage, "unknown policy '%s'", token.c_str());
-        policies.push_back(*kind);
-    }
-    if (policies.empty())
-        usageError(kUsage, "empty policy list '%s'", arg.c_str());
-    return policies;
-}
-
 std::vector<PolicyKind>
 allPolicies()
 {
@@ -110,8 +55,9 @@ allPolicies()
              PolicyKind::LHybrid, PolicyKind::Tap,  PolicyKind::SramOnly };
 }
 
+/** The degenerate modes @p arg names; empty for an unknown name. */
 std::vector<DegenerateMode>
-parseModes(const std::string &arg)
+parseModes(std::string_view arg)
 {
     if (arg == "all") {
         return { DegenerateMode::Pristine, DegenerateMode::CompressionOff,
@@ -123,9 +69,7 @@ parseModes(const std::string &arg)
         return { DegenerateMode::CompressionOff };
     if (arg == "sram-only")
         return { DegenerateMode::SramOnly };
-    usageError(kUsage,
-               "unknown mode '%s' (pristine|compression-off|sram-only|all)",
-               arg.c_str());
+    return {};
 }
 
 struct Options
@@ -157,14 +101,14 @@ struct Options
  * or a resume diff without NVM ways to forecast.
  */
 void
-checkReplayGeometry(const Options &opt)
+checkReplayGeometry(const ArgParser &cli, const Options &opt)
 {
     if (opt.sram + opt.nvm == 0)
-        usageError(kUsage, "--sram %u --nvm %u leaves the LLC without ways",
-                   opt.sram, opt.nvm);
+        cli.fail("--sram %u --nvm %u leaves the LLC without ways", opt.sram,
+                 opt.nvm);
     if (opt.diffKind == "resume" && opt.nvm == 0)
-        usageError(kUsage, "--diff resume forecasts the NVM part; --nvm "
-                           "must be at least 1");
+        cli.fail("--diff resume forecasts the NVM part; --nvm must be at "
+                 "least 1");
     // The fuzz campaign replays every policy; a resume diff only the
     // first one listed.
     std::vector<PolicyKind> replayed = opt.policies;
@@ -176,11 +120,10 @@ checkReplayGeometry(const Options &opt)
         if (hybrid::policyTable[static_cast<std::size_t>(policy)]
                 .usesSetDueling &&
             opt.sets < hybrid::duelingSlots) {
-            usageError(kUsage,
-                       "--sets %u is below the %u sets Set Dueling needs "
-                       "(policy %s)",
-                       opt.sets, hybrid::duelingSlots,
-                       std::string(hybrid::policyName(policy)).c_str());
+            cli.fail("--sets %u is below the %u sets Set Dueling needs "
+                     "(policy %s)",
+                     opt.sets, hybrid::duelingSlots,
+                     std::string(hybrid::policyName(policy)).c_str());
         }
     }
 }
@@ -310,16 +253,6 @@ runDiffJobs(const Options &opt)
 int
 runDiffResume(const Options &opt)
 {
-    // A checkpoint directory that is missing is created, the way the
-    // grid creates its own; one that cannot be is a usage error, not a
-    // divergence of the resume net.
-    const char *dir = opt.checkpointDir.c_str();
-    if (::mkdir(dir, 0777) != 0 && errno != EEXIST)
-        usageError(kUsage, "cannot create checkpoint directory '%s': %s",
-                   dir, std::strerror(errno));
-    if (!std::filesystem::is_directory(opt.checkpointDir))
-        usageError(kUsage, "checkpoint directory '%s' is not a directory",
-                   dir);
     const replay::LlcTrace trace = loadTrace(opt);
     const hybrid::HybridLlcConfig llc =
         llcConfigFor(opt, opt.policies.front());
@@ -516,100 +449,98 @@ int
 main(int argc, char **argv)
 {
     Options opt;
-    // The value of the flag at argv[i]; advances i past it.
-    const auto need = [&](int &i) -> const char * {
-        if (i + 1 >= argc)
-            usageError(kUsage, "%s expects a value", argv[i]);
-        return argv[++i];
-    };
-    const auto setAction = [&](const std::string &action) {
-        if (!opt.action.empty())
-            usageError(kUsage, "conflicting actions --%s and --%s",
-                       opt.action.c_str(), action.c_str());
-        opt.action = action;
-    };
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--gen") {
-            setAction("gen");
-            opt.genPath = need(i);
-        } else if (arg == "--diff") {
-            setAction("diff");
-            opt.diffKind = need(i);
-            if (opt.diffKind != "golden" && opt.diffKind != "rerun" &&
-                opt.diffKind != "jobs" && opt.diffKind != "resume") {
-                usageError(kUsage,
-                           "unknown diff kind '%s' (golden|rerun|jobs|resume)",
-                           opt.diffKind.c_str());
-            }
-        } else if (arg == "--oracle") {
-            setAction("oracle");
-        } else if (arg == "--roundtrip") {
-            setAction("roundtrip");
-        } else if (arg == "--fuzz") {
-            setAction("fuzz");
-        } else if (arg == "--trace") {
-            opt.tracePath = need(i);
-        } else if (arg == "--policy") {
-            opt.policies = parsePolicyList(need(i));
-        } else if (arg == "--mode") {
-            opt.modes = parseModes(need(i));
-        } else if (arg == "--corpus") {
-            opt.corpusDir = need(i);
-        } else if (arg == "--out") {
-            opt.outPath = need(i);
-        } else if (arg == "--dir") {
-            opt.checkpointDir = need(i);
-        } else if (arg == "--inject-lru-bug") {
-            opt.injectLruBug = true;
-        } else if (arg == "--sets" || arg == "--sram" || arg == "--nvm" ||
-                   arg == "--jobs") {
-            const char *value = need(i);
-            const auto v = parseUnsigned(value, arg == "--sets" ? 1 : 0);
-            if (!v)
-                usageError(kUsage, "bad value '%s' for %s", value, arg.c_str());
-            if (arg == "--sets")
-                opt.sets = *v;
-            else if (arg == "--sram")
-                opt.sram = *v;
-            else if (arg == "--nvm")
-                opt.nvm = *v;
-            else
-                opt.jobs = *v;
-        } else if (arg == "--seed" || arg == "--events" ||
-                   arg == "--iterations" || arg == "--blocks") {
-            const char *value = need(i);
-            const auto v = parseU64(value);
-            if (!v)
-                usageError(kUsage, "bad value '%s' for %s", value, arg.c_str());
-            if (arg == "--seed")
-                opt.seed = *v;
-            else if (arg == "--events")
-                opt.events = *v;
-            else if (arg == "--iterations")
-                opt.iterations = *v;
-            else
-                opt.blocks = *v;
-        } else if (arg == "--budget") {
-            const char *value = need(i);
-            const auto v = parseDouble(value);
-            if (!v || *v <= 0.0)
-                usageError(kUsage, "bad value '%s' for --budget", value);
-            opt.budgetSeconds = *v;
-        } else {
-            usageError(kUsage, "unknown argument '%s'", arg.c_str());
-        }
-    }
+    ArgParser cli(argv[0]);
+    cli.add({
+        { "--gen", "", "OUT.hlt", "generate a fuzz-grammar trace + manifest",
+          cli.action(opt.action, "gen", storeText(opt.genPath)) },
+        { "--diff", "", "golden|rerun|jobs|resume",
+          "LLC vs. golden shadow / rerun / jobs=N / resumed forecast",
+          cli.action(opt.action, "diff",
+                     [&](const char *kind) {
+                         opt.diffKind = kind;
+                         return opt.diffKind == "golden" ||
+                                opt.diffKind == "rerun" ||
+                                opt.diffKind == "jobs" ||
+                                opt.diffKind == "resume";
+                     }) },
+        { "--oracle", "", nullptr, "per-set policy hits <= Belady/OPT bound",
+          cli.action(opt.action, "oracle") },
+        { "--roundtrip", "", nullptr, "compressor round-trip sweeps",
+          cli.action(opt.action, "roundtrip") },
+        { "--fuzz", "", nullptr, "fuzz campaign with ddmin shrinking",
+          cli.action(opt.action, "fuzz") },
+        { "--trace", "", "T.hlt", "input trace (diff/oracle)",
+          storeText(opt.tracePath) },
+        { "--policy", "", "P[,P...]", "policies (default: all nine)",
+          [&](const char *list) {
+              std::string unknown;
+              auto policies = hybrid::parsePolicyList(list, unknown);
+              if (!policies)
+                  cli.fail("unknown policy '%s'", unknown.c_str());
+              opt.policies = std::move(*policies);
+              return true;
+          } },
+        { "--mode", "", "pristine|compression-off|sram-only|all",
+          "degenerate modes of the golden diff (default all)",
+          [&](const char *mode) {
+              opt.modes = parseModes(mode);
+              return !opt.modes.empty();
+          } },
+        { "--sets", "", "N",
+          "LLC sets (default 64): a power of two, >= 32 under Set Dueling",
+          storeNumber(opt.sets, 1) },
+        { "--sram", "", "N", "SRAM ways (default 4)", storeNumber(opt.sram) },
+        { "--nvm", "", "N", "NVM ways (default 12)", storeNumber(opt.nvm) },
+        { "--events", "", "N", "events per generated trace",
+          storeNumber(opt.events) },
+        { "--seed", "", "S", "generator / fuzz seed", storeNumber(opt.seed) },
+        { "--jobs", "", "N", "workers of --diff jobs (default 4)",
+          storeNumber(opt.jobs) },
+        { "--budget", "", "SEC", "fuzz time budget (default 60)",
+          [&](const char *value) {
+              const auto v = parseDouble(value);
+              opt.budgetSeconds = v.value_or(0.0);
+              return opt.budgetSeconds > 0.0;
+          } },
+        { "--iterations", "", "N", "fuzz iterations (default: budget)",
+          storeNumber(opt.iterations) },
+        { "--blocks", "", "N", "random blocks of --roundtrip",
+          storeNumber(opt.blocks) },
+        { "--corpus", "", "DIR", "regression corpus replayed before fuzzing",
+          storeText(opt.corpusDir) },
+        { "--out", "", "REPRO.hlt", "where a shrunken reproducer is written",
+          storeText(opt.outPath) },
+        { "--dir", "", "D", "checkpoint directory (diff resume)",
+          storeText(opt.checkpointDir) },
+        { "--inject-lru-bug", "", nullptr,
+          "mutation-test the golden model's LRU",
+          storeSwitch(opt.injectLruBug) },
+    });
+    cli.parse(argc, argv);
     if (opt.action.empty())
-        usageError(kUsage, "no action given");
+        cli.fail("no action given");
     if ((opt.sets & (opt.sets - 1)) != 0)
-        usageError(kUsage, "--sets must be a power of two");
+        cli.fail("--sets must be a power of two");
     if ((opt.action == "diff" || opt.action == "oracle") &&
         opt.tracePath.empty())
-        usageError(kUsage, "--trace <file.hlt> is required for this action");
+        cli.fail("--trace <file.hlt> is required for this action");
     if (opt.action != "gen" && opt.action != "roundtrip")
-        checkReplayGeometry(opt);
+        checkReplayGeometry(cli, opt);
+    if (opt.action == "fuzz" && !opt.corpusDir.empty() &&
+        !std::filesystem::is_directory(opt.corpusDir))
+        cli.fail("corpus directory '%s' does not exist",
+                 opt.corpusDir.c_str());
+    if (opt.diffKind == "resume") {
+        // A missing checkpoint directory is created, the way the grid
+        // creates its own; one that cannot be is a usage error, not a
+        // divergence of the resume net.
+        const char *dir = opt.checkpointDir.c_str();
+        if (::mkdir(dir, 0777) != 0 && errno != EEXIST)
+            cli.fail("cannot create checkpoint directory '%s': %s", dir,
+                     std::strerror(errno));
+        if (!std::filesystem::is_directory(opt.checkpointDir))
+            cli.fail("checkpoint directory '%s' is not a directory", dir);
+    }
 
     if (opt.action == "gen")
         return runGen(opt);

@@ -7,7 +7,9 @@
  * rest of the tooling trusts: atomic .hlt write, seed-stamped
  * manifest, and (optionally) an hllc-ingest-v1 JSON conversion report
  * for machine consumption. Exit codes: 0 = success, 1 = failure
- * (malformed input, I/O), 2 = usage error.
+ * (malformed input, I/O, a scenario that stops emitting), 2 = usage
+ * error (checked before any work: an unknown, repeated or malformed
+ * flag, two actions, a missing --out, bad --hcr/--lcr fractions).
  */
 
 #include <chrono>
@@ -26,33 +28,6 @@ using namespace hllc;
 
 namespace
 {
-
-int
-usage(const char *prog)
-{
-    std::fprintf(
-        stderr,
-        "usage: %s <action> [options]\n"
-        "actions:\n"
-        "  --convert <in>        ChampSim CRC2 stream (raw/.gz/.xz) ->\n"
-        "                        .hlt + manifest\n"
-        "  --scenario <name>     generate a scenario-library trace\n"
-        "  --list-scenarios      print the scenario catalog\n"
-        "  --gen-fixture <out>   write a synthetic CRC2 fixture stream\n"
-        "options:\n"
-        "  --out <t.hlt>         output trace (convert/scenario)\n"
-        "  --seed S              synthesis/generation seed (default 1)\n"
-        "  --hcr F --lcr F       content-class fractions (0.4/0.3)\n"
-        "  --events N            scenario events (default 100000)\n"
-        "  --max-events N        cap converted events (default: all)\n"
-        "  --records N           fixture records (default 4096)\n"
-        "  --sets N --ways N     geometry scenarios target (128/16)\n"
-        "  --drop-prefetch       do not emit prefetches as events\n"
-        "  --mix NAME            mix name recorded on convert\n"
-        "  --report <r.json>     write the hllc-ingest-v1 report\n",
-        prog);
-    return 2;
-}
 
 struct Options
 {
@@ -214,60 +189,62 @@ int
 main(int argc, char **argv)
 {
     Options opt;
-    const auto need = [&](int &i) -> const char * {
-        if (i + 1 >= argc)
-            fatal("missing value after %s", argv[i]);
-        return argv[++i];
+    ArgParser cli(argv[0]);
+    // Any number; checkClassFractions() owns the range rule.
+    const auto fraction = [](double &out) {
+        return [&out](const char *value) {
+            const auto v = parseDouble(value);
+            out = v.value_or(out);
+            return v.has_value();
+        };
     };
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--convert" || arg == "--scenario" ||
-            arg == "--gen-fixture") {
-            opt.action = arg.substr(2);
-            opt.input = need(i);
-        } else if (arg == "--list-scenarios") {
-            opt.action = "list-scenarios";
-        } else if (arg == "--out") {
-            opt.out = need(i);
-        } else if (arg == "--report") {
-            opt.report = need(i);
-        } else if (arg == "--mix") {
-            opt.mixName = need(i);
-        } else if (arg == "--drop-prefetch") {
-            opt.dropPrefetch = true;
-        } else if (arg == "--seed" || arg == "--events" ||
-                   arg == "--max-events" || arg == "--records") {
-            const auto v = parseU64(need(i));
-            if (!v)
-                fatal("bad value for %s", arg.c_str());
-            if (arg == "--seed")
-                opt.seed = *v;
-            else if (arg == "--events")
-                opt.events = *v;
-            else if (arg == "--max-events")
-                opt.maxEvents = *v;
-            else
-                opt.records = *v;
-        } else if (arg == "--sets" || arg == "--ways") {
-            const auto v = parseUnsigned(need(i), 1);
-            if (!v)
-                fatal("bad value for %s", arg.c_str());
-            (arg == "--sets" ? opt.sets : opt.ways) = *v;
-        } else if (arg == "--hcr" || arg == "--lcr") {
-            const auto v = parseDouble(need(i));
-            if (!v || *v < 0.0 || *v > 1.0)
-                fatal("bad fraction for %s", arg.c_str());
-            (arg == "--hcr" ? opt.hcr : opt.lcr) = *v;
-        } else {
-            return usage(argv[0]);
-        }
-    }
+    cli.add({
+        { "--convert", "", "IN",
+          "ChampSim CRC2 stream (raw/.gz/.xz) -> .hlt + manifest",
+          cli.action(opt.action, "convert", storeText(opt.input)) },
+        { "--scenario", "", "NAME", "generate a scenario-library trace",
+          cli.action(opt.action, "scenario", storeText(opt.input)) },
+        { "--list-scenarios", "", nullptr, "print the scenario catalog",
+          cli.action(opt.action, "list-scenarios") },
+        { "--gen-fixture", "", "OUT", "write a synthetic CRC2 fixture stream",
+          cli.action(opt.action, "gen-fixture", storeText(opt.input)) },
+        { "--out", "", "T.hlt", "output trace (convert/scenario)",
+          storeText(opt.out) },
+        { "--report", "", "R.json", "write the hllc-ingest-v1 report",
+          storeText(opt.report) },
+        { "--mix", "", "NAME", "mix name recorded on convert",
+          storeText(opt.mixName) },
+        { "--drop-prefetch", "", nullptr, "do not emit prefetches as events",
+          storeSwitch(opt.dropPrefetch) },
+        { "--seed", "", "S", "synthesis/generation seed (default 1)",
+          storeNumber(opt.seed) },
+        { "--events", "", "N", "scenario events (default 100000)",
+          storeNumber(opt.events) },
+        { "--max-events", "", "N", "cap converted events (default: all)",
+          storeNumber(opt.maxEvents) },
+        { "--records", "", "N", "fixture records (default 4096)",
+          storeNumber(opt.records) },
+        { "--sets", "", "N", "sets scenarios target (default 128)",
+          storeNumber(opt.sets, 1) },
+        { "--ways", "", "N", "ways scenarios target (default 16)",
+          storeNumber(opt.ways, 1) },
+        { "--hcr", "", "F", "high-compressibility fraction (default 0.4)",
+          fraction(opt.hcr) },
+        { "--lcr", "", "F", "low-compressibility fraction (default 0.3)",
+          fraction(opt.lcr) },
+    });
+    cli.parse(argc, argv);
     if (opt.action.empty())
-        return usage(argv[0]);
-    if ((opt.action == "convert" || opt.action == "scenario") &&
-        opt.out.empty()) {
-        fatal("--out <trace.hlt> is required for --%s",
-              opt.action.c_str());
+        cli.fail("no action given");
+    if (opt.action == "convert" || opt.action == "scenario") {
+        if (opt.out.empty())
+            cli.fail("--out <trace.hlt> is required for --%s",
+                     opt.action.c_str());
+        try {
+            ingest::checkClassFractions(opt.hcr, opt.lcr);
+        } catch (const IoError &e) {
+            cli.fail("%s", e.what());
+        }
     }
 
     try {
@@ -275,12 +252,10 @@ main(int argc, char **argv)
             return runConvert(opt);
         if (opt.action == "scenario")
             return runScenario(opt);
-        if (opt.action == "list-scenarios")
-            return runListScenarios();
         if (opt.action == "gen-fixture")
             return runGenFixture(opt);
     } catch (const IoError &e) {
         fatal("%s", e.what());
     }
-    return usage(argv[0]);
+    return runListScenarios();
 }

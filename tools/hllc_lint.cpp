@@ -3,9 +3,6 @@
  * hllc_lint: enforce the project's hard-won invariants as named,
  * suppressible static-analysis rules (see DESIGN.md §11).
  *
- * Usage: hllc_lint [--root DIR] [--format text|json] [--list-rules]
- *                  [PATH...]
- *
  * PATHs are directories or files relative to --root (default: the
  * current directory); with none given the project default set
  * `src tools bench tests examples` is walked. Every file is lexed once;
@@ -13,62 +10,49 @@
  * (failpoint-coverage, lock-discipline, rng-discipline, schema-drift,
  * include-graph) run over that one pass. Exit status: 0 when the tree
  * is clean, 1 when findings remain, 2 on usage or I/O errors — the
- * contract the CI lint job relies on.
+ * contract the CI lint job relies on. --help prints the usage text and
+ * exits 0.
  */
 
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/argparse.hh"
 #include "common/error.hh"
 #include "lint/lint.hh"
 
 using namespace hllc;
-
-namespace
-{
-
-int
-usage(const char *argv0)
-{
-    std::fprintf(stderr,
-                 "usage: %s [--root DIR] [--format text|json]"
-                 " [--list-rules] [PATH...]\n",
-                 argv0);
-    return 2;
-}
-
-} // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
     std::string root = ".";
     std::string format = "text";
-    std::vector<std::string> paths;
-
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strcmp(arg, "--root") == 0 && i + 1 < argc) {
-            root = argv[++i];
-        } else if (std::strcmp(arg, "--format") == 0 && i + 1 < argc) {
-            format = argv[++i];
-            if (format != "text" && format != "json")
-                return usage(argv[0]);
-        } else if (std::strcmp(arg, "--list-rules") == 0) {
-            for (const std::string &rule : lint::allRules())
-                std::printf("%s\n", rule.c_str());
-            return 0;
-        } else if (std::strcmp(arg, "--help") == 0 ||
-                   std::strcmp(arg, "-h") == 0) {
-            usage(argv[0]);
-            return 0;
-        } else if (arg[0] == '-') {
-            return usage(argv[0]);
-        } else {
-            paths.push_back(arg);
-        }
+    bool list_rules = false;
+    bool help = false;
+    ArgParser cli(argv[0], "[PATH...]", 0, SIZE_MAX);
+    cli.add({
+        { "--root", "", "DIR", "tree root (default .)", storeText(root) },
+        { "--format", "", "text|json", "report format (default text)",
+          [&](const char *value) {
+              format = value;
+              return format == "text" || format == "json";
+          } },
+        { "--list-rules", "", nullptr, "print the rule names",
+          storeSwitch(list_rules) },
+        { "--help", "-h", nullptr, "print this text", storeSwitch(help) },
+    });
+    const std::vector<std::string> paths = cli.parse(argc, argv);
+    if (help) {
+        std::fprintf(stderr, "%s\n", cli.usage().c_str());
+        return 0;
+    }
+    if (list_rules) {
+        for (const std::string &rule : lint::allRules())
+            std::printf("%s\n", rule.c_str());
+        return 0;
     }
 
     try {

@@ -2,11 +2,6 @@
  * @file
  * hllc_loadgen: seeded load generator for the hllc-serve daemon.
  *
- * Usage:
- *   hllc_loadgen (--socket <path> | --port <n>) [--clients K]
- *                [--requests N] [--window W] [--seed S] [--refs N]
- *                [--out BENCH_serve.json] [--results-out <file>]
- *
  * K concurrent clients each open one connection and push N requests
  * through it with up to W frames in flight (pipelining is what makes
  * backpressure observable). The request stream is a pure function of
@@ -29,7 +24,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <string>
 #include <thread>
@@ -317,88 +311,42 @@ typeName(serve::RequestType type)
     return "?";
 }
 
-int
-usage(const char *argv0)
-{
-    std::fprintf(
-        stderr,
-        "usage: %s (--socket <path> | --port <n>) [--clients K]\n"
-        "          [--requests N] [--window W] [--seed S] [--refs N]\n"
-        "          [--stall-limit-s N] [--out <file>.json]\n"
-        "          [--results-out <file>]\n",
-        argv0);
-    return 2;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     Options opt;
-    bool endpoint_set = false;
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        const char *value = i + 1 < argc ? argv[i + 1] : nullptr;
-        auto want = [&](const char *name) {
-            if (std::strcmp(arg, name) != 0)
-                return false;
-            if (value == nullptr)
-                fatal("%s needs a value", name);
-            ++i;
-            return true;
-        };
-        if (want("--socket")) {
-            opt.endpoint.unixPath = value;
-            endpoint_set = true;
-        } else if (want("--port")) {
-            const auto port = parseUnsigned(value, 1, 65535);
-            if (!port)
-                fatal("bad --port '%s'", value);
-            opt.endpoint.tcpPort = static_cast<std::uint16_t>(*port);
-            endpoint_set = true;
-        } else if (want("--clients")) {
-            const auto n = parseUnsigned(value, 1, 4096);
-            if (!n)
-                fatal("bad --clients '%s'", value);
-            opt.clients = *n;
-        } else if (want("--requests")) {
-            const auto n = parseUnsigned(value, 1, 1u << 20);
-            if (!n)
-                fatal("bad --requests '%s'", value);
-            opt.requests = *n;
-        } else if (want("--window")) {
-            const auto n = parseUnsigned(value, 1, 1024);
-            if (!n)
-                fatal("bad --window '%s'", value);
-            opt.window = *n;
-        } else if (want("--seed")) {
-            const auto n = parseU64(value);
-            if (!n)
-                fatal("bad --seed '%s'", value);
-            opt.seed = *n;
-        } else if (want("--refs")) {
-            const auto n = parseU64(value, 1);
-            if (!n)
-                fatal("bad --refs '%s'", value);
-            opt.refs = *n;
-        } else if (want("--stall-limit-s")) {
-            const auto n = parseU64(value, 1, 3'600);
-            if (!n)
-                fatal("bad --stall-limit-s '%s'", value);
-            opt.stallLimitS = *n;
-        } else if (want("--out")) {
-            opt.out = value;
-        } else if (want("--results-out")) {
-            opt.resultsOut = value;
-        } else {
-            std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0],
-                         arg);
-            return usage(argv[0]);
-        }
-    }
-    if (!endpoint_set)
-        return usage(argv[0]);
+    bool tcp = false;
+    ArgParser cli(argv[0]);
+    cli.add({
+        { "--socket", "", "PATH", "daemon's unix socket",
+          storeText(opt.endpoint.unixPath) },
+        { "--port", "", "N", "daemon's port on 127.0.0.1",
+          [&](const char *value) {
+              tcp = true;
+              return storeNumber(opt.endpoint.tcpPort, 1)(value);
+          } },
+        { "--clients", "", "K", "concurrent connections (default 8)",
+          storeNumber(opt.clients, 1, 4096) },
+        { "--requests", "", "N", "requests per client (default 50)",
+          storeNumber(opt.requests, 1, 1u << 20) },
+        { "--window", "", "W", "frames in flight per client (default 4)",
+          storeNumber(opt.window, 1, 1024) },
+        { "--seed", "", "S", "request stream seed (default 1)",
+          storeNumber(opt.seed) },
+        { "--refs", "", "N", "refs per core of a Replay (default 2000)",
+          storeNumber(opt.refs, 1) },
+        { "--stall-limit-s", "", "N", "silence before reconnecting",
+          storeNumber(opt.stallLimitS, 1, 3'600) },
+        { "--out", "", "FILE.json",
+          "hllc-serve-bench-v1 report ('' = none)", storeText(opt.out) },
+        { "--results-out", "", "FILE", "per-request results, sorted by id",
+          storeText(opt.resultsOut) },
+    });
+    cli.parse(argc, argv);
+    if (tcp == !opt.endpoint.unixPath.empty())
+        cli.fail("give exactly one of --socket and --port");
 
     using Clock = std::chrono::steady_clock;
     std::vector<std::vector<Outcome>> per_client(opt.clients);

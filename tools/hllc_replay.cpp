@@ -8,7 +8,8 @@
  *                    [--stats-out <file>.{json,csv}]
  *
  * The policy list and CPth are positional and come before any flag;
- * any other argument is a usage error (exit 2).
+ * any other argument, an unknown policy name and a bad CPth are usage
+ * errors (exit 2).
  *
  * Several comma-separated policies form a grid replayed in parallel
  * (sim::runGrid); results print in the order given on the command line
@@ -40,23 +41,6 @@ using hybrid::PolicyKind;
 
 namespace
 {
-
-std::vector<PolicyKind>
-parsePolicyList(const char *arg)
-{
-    std::vector<PolicyKind> policies;
-    std::stringstream stream(arg);
-    std::string token;
-    while (std::getline(stream, token, ',')) {
-        const auto kind = hybrid::policyFromName(token);
-        if (!kind)
-            fatal("unknown policy '%s'", token.c_str());
-        policies.push_back(*kind);
-    }
-    if (policies.empty())
-        fatal("empty policy list '%s'", arg);
-    return policies;
-}
 
 /** Everything one grid cell reports, pre-formatted off-thread. */
 struct ReplayResult
@@ -135,7 +119,14 @@ main(int argc, char **argv)
         " <trace.hlt> [policy[,policy...]] [cpth]");
     if (first_flag == 1)
         usageError(args.usage, "missing <trace.hlt>");
-    const char *policy_arg = first_flag > 2 ? argv[2] : nullptr;
+    std::vector<PolicyKind> policies{ PolicyKind::CpSd };
+    if (first_flag > 2) {
+        std::string unknown;
+        auto parsed = hybrid::parsePolicyList(argv[2], unknown);
+        if (!parsed)
+            usageError(args.usage, "unknown policy '%s'", unknown.c_str());
+        policies = std::move(*parsed);
+    }
     hybrid::PolicyParams params;
     if (first_flag > 3) {
         // CPth is a byte threshold within a 64-byte block.
@@ -156,10 +147,6 @@ main(int argc, char **argv)
     // is not the one that was captured; refuse to replay it.
     if (const auto mismatch = check::verifyManifest(argv[1], trace))
         fatal("%s", mismatch->c_str());
-    const std::vector<PolicyKind> policies =
-        policy_arg != nullptr
-            ? parsePolicyList(policy_arg)
-            : std::vector<PolicyKind>{ PolicyKind::CpSd };
 
     const sim::SystemConfig config = sim::SystemConfig::tableIV();
 

@@ -2,21 +2,14 @@
  * @file
  * hllc-serve: run the sharded policy-evaluation daemon.
  *
- * Usage:
- *   hllc_serve [--socket <path> | --port <n>] [--shards N]
- *              [--queue-depth N] [--batch-max N] [--stats-out <f>.json]
- *              [--stats-interval-ms N] [--max-refs N]
- *              [--max-batch-events N]
- *
- * Binds the endpoint (an explicit --port of 0 picks an ephemeral port,
- * printed on the "listening" line so a harness can parse it), serves
- * hllc-req-v1 requests until SIGINT/SIGTERM, then drains: accepted
- * requests are finished and answered, the final hllc-stats-v1 export is
- * written atomically, and the process exits 0.
+ * Binds the endpoint (exactly one of --socket and --port; a --port of 0
+ * picks an ephemeral port, printed on the "listening" line so a harness
+ * can parse it), serves hllc-req-v1 requests until SIGINT/SIGTERM, then
+ * drains: accepted requests are finished and answered, the final
+ * hllc-stats-v1 export is written atomically, and the process exits 0.
  */
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "common/argparse.hh"
@@ -27,91 +20,38 @@
 
 using namespace hllc;
 
-namespace
-{
-
-int
-usage(const char *argv0)
-{
-    std::fprintf(
-        stderr,
-        "usage: %s [--socket <path> | --port <n>] [--shards N]\n"
-        "          [--queue-depth N] [--batch-max N]\n"
-        "          [--stats-out <file>.json] [--stats-interval-ms N]\n"
-        "          [--max-refs N] [--max-batch-events N]\n",
-        argv0);
-    return 2;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
     serve::ServerConfig config;
-    bool endpoint_set = false;
-
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        const char *value = i + 1 < argc ? argv[i + 1] : nullptr;
-        auto want = [&](const char *name) {
-            if (std::strcmp(arg, name) != 0)
-                return false;
-            if (value == nullptr)
-                fatal("%s needs a value", name);
-            ++i;
-            return true;
-        };
-        if (want("--socket")) {
-            config.endpoint.unixPath = value;
-            endpoint_set = true;
-        } else if (want("--port")) {
-            const auto port = parseUnsigned(value, 0, 65535);
-            if (!port)
-                fatal("bad --port '%s'", value);
-            config.endpoint.tcpPort =
-                static_cast<std::uint16_t>(*port);
-            endpoint_set = true;
-        } else if (want("--shards")) {
-            const auto n = parseUnsigned(value, 1, 256);
-            if (!n)
-                fatal("bad --shards '%s' (expected 1..256)", value);
-            config.shards = *n;
-        } else if (want("--queue-depth")) {
-            const auto n = parseUnsigned(value, 1, 1u << 20);
-            if (!n)
-                fatal("bad --queue-depth '%s'", value);
-            config.queueDepth = *n;
-        } else if (want("--batch-max")) {
-            const auto n = parseUnsigned(value, 1, 4096);
-            if (!n)
-                fatal("bad --batch-max '%s'", value);
-            config.batchMax = *n;
-        } else if (want("--stats-out")) {
-            config.statsOut = value;
-        } else if (want("--stats-interval-ms")) {
-            const auto n = parseU64(value, 10, 3'600'000);
-            if (!n)
-                fatal("bad --stats-interval-ms '%s'", value);
-            config.statsIntervalMs = *n;
-        } else if (want("--max-refs")) {
-            const auto n = parseU64(value, 1);
-            if (!n)
-                fatal("bad --max-refs '%s'", value);
-            config.limits.maxRefsPerCore = *n;
-        } else if (want("--max-batch-events")) {
-            const auto n = parseUnsigned(value, 1, 1u << 24);
-            if (!n)
-                fatal("bad --max-batch-events '%s'", value);
-            config.limits.maxBatchEvents = *n;
-        } else {
-            std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0],
-                         arg);
-            return usage(argv[0]);
-        }
-    }
-    if (!endpoint_set)
-        return usage(argv[0]);
+    bool tcp = false;
+    ArgParser cli(argv[0]);
+    cli.add({
+        { "--socket", "", "PATH", "listen on a unix socket",
+          storeText(config.endpoint.unixPath) },
+        { "--port", "", "N", "listen on 127.0.0.1:N (0 = ephemeral)",
+          [&](const char *value) {
+              tcp = true;
+              return storeNumber(config.endpoint.tcpPort)(value);
+          } },
+        { "--shards", "", "1..256", "worker shards",
+          storeNumber(config.shards, 1, 256) },
+        { "--queue-depth", "", "N", "requests queued per shard",
+          storeNumber(config.queueDepth, 1, 1u << 20) },
+        { "--batch-max", "", "N", "requests one shard takes at once",
+          storeNumber(config.batchMax, 1, 4096) },
+        { "--stats-out", "", "FILE.json", "hllc-stats-v1 export path",
+          storeText(config.statsOut) },
+        { "--stats-interval-ms", "", "MS", "export interval",
+          storeNumber(config.statsIntervalMs, 10, 3'600'000) },
+        { "--max-refs", "", "N", "refs per core a Replay may ask for",
+          storeNumber(config.limits.maxRefsPerCore, 1) },
+        { "--max-batch-events", "", "N", "events a Batch may carry",
+          storeNumber(config.limits.maxBatchEvents, 1, 1u << 24) },
+    });
+    cli.parse(argc, argv);
+    if (tcp == !config.endpoint.unixPath.empty())
+        cli.fail("give exactly one of --socket and --port");
 
     installInterruptHandlers();
 

@@ -26,12 +26,6 @@
  *  - stats.json    deterministic per-cell results (one line per cell,
  *                  so partial grids can be compared cell-by-cell);
  *  - failures.json the hllc-failures-v1 resilience report.
- *
- * Usage:
- *   hllc_torture [--mode all|chaos|kill|corrupt] [--iterations N]
- *                [--seed S] [--dir D] [--keep]
- *   hllc_torture --worker --dir D [--retries N] [--chaos SPEC]
- *                  (internal: one grid run; spawned by the kill mode)
  */
 
 #include <cstdio>
@@ -540,46 +534,28 @@ TortureConfig
 parseArgs(int argc, char **argv)
 {
     TortureConfig torture;
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        const auto value = [&]() -> const char * {
-            if (i + 1 >= argc)
-                fatal("%s requires a value", arg);
-            return argv[++i];
-        };
-        if (std::strcmp(arg, "--mode") == 0) {
-            torture.mode = value();
-            if (torture.mode != "all" && torture.mode != "chaos" &&
-                torture.mode != "kill" && torture.mode != "corrupt")
-                fatal("unknown mode '%s'", torture.mode.c_str());
-        } else if (std::strcmp(arg, "--dir") == 0) {
-            torture.dir = value();
-        } else if (std::strcmp(arg, "--seed") == 0) {
-            const auto parsed = parseU64(value());
-            if (!parsed)
-                fatal("bad --seed value");
-            torture.seed = *parsed;
-        } else if (std::strcmp(arg, "--iterations") == 0) {
-            const auto parsed = parseU64(value(), 1, 10000);
-            if (!parsed)
-                fatal("bad --iterations value");
-            torture.iterations = static_cast<std::size_t>(*parsed);
-        } else if (std::strcmp(arg, "--retries") == 0) {
-            const auto parsed = parseU64(value(), 0, 100);
-            if (!parsed)
-                fatal("bad --retries value");
-            torture.retries = static_cast<std::size_t>(*parsed);
-        } else if (std::strcmp(arg, "--chaos") == 0) {
-            torture.chaos = value();
-        } else if (std::strcmp(arg, "--worker") == 0) {
-            torture.worker = true;
-        } else if (std::strcmp(arg, "--keep") == 0) {
-            torture.keep = true;
-        } else {
-            fatal("unknown argument '%s' (see the file comment for "
-                  "usage)", arg);
-        }
-    }
+    ArgParser cli(argv[0]);
+    cli.add({
+        { "--mode", "", "all|chaos|kill|corrupt", "campaigns to run",
+          [&](const char *mode) {
+              torture.mode = mode;
+              return torture.mode == "all" || torture.mode == "chaos" ||
+                     torture.mode == "kill" || torture.mode == "corrupt";
+          } },
+        { "--iterations", "", "1..10000", "iterations per campaign",
+          storeNumber(torture.iterations, 1, 10000) },
+        { "--seed", "", "S", "campaign seed", storeNumber(torture.seed) },
+        { "--dir", "", "D", "campaign directory", storeText(torture.dir) },
+        { "--keep", "", nullptr, "keep the campaign directory",
+          storeSwitch(torture.keep) },
+        { "--worker", "", nullptr, "internal: one grid run (kill mode)",
+          storeSwitch(torture.worker) },
+        { "--retries", "", "0..100", "worker: retries per cell",
+          storeNumber(torture.retries, 0, 100) },
+        { "--chaos", "", "SPEC", "worker: failpoint schedule",
+          storeText(torture.chaos) },
+    });
+    cli.parse(argc, argv);
     return torture;
 }
 

@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "check/manifest.hh"
 #include "common/argparse.hh"
@@ -22,42 +23,23 @@
 
 using namespace hllc;
 
-namespace
-{
-
-int
-usage(const char *prog)
-{
-    std::fprintf(stderr,
-                 "usage: %s <mix 1..10> <output.hlt> [refs_per_core]\n",
-                 prog);
-    return 2;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
-    if (argc < 3)
-        return usage(argv[0]);
-    const auto mix_number = parseUnsigned(argv[1], 1, 10);
-    if (!mix_number) {
-        std::fprintf(stderr, "%s: bad mix number '%s'\n", argv[0],
-                     argv[1]);
-        return usage(argv[0]);
-    }
-    const std::string path = argv[2];
+    ArgParser cli(argv[0], "<mix 1..10> <output.hlt> [refs_per_core]", 2,
+                  3);
+    const std::vector<std::string> args = cli.parse(argc, argv);
+    const auto mix_number = parseUnsigned(args[0].c_str(), 1, 10);
+    if (!mix_number)
+        cli.fail("bad mix number '%s'", args[0].c_str());
+    const std::string &path = args[1];
 
     const sim::SystemConfig config = sim::SystemConfig::tableIV();
     std::uint64_t refs = config.refsPerCore;
-    if (argc > 3) {
-        const auto parsed = parseU64(argv[3], 1);
-        if (!parsed) {
-            std::fprintf(stderr, "%s: bad refs_per_core '%s'\n", argv[0],
-                         argv[3]);
-            return usage(argv[0]);
-        }
+    if (args.size() > 2) {
+        const auto parsed = parseU64(args[2].c_str(), 1);
+        if (!parsed)
+            cli.fail("bad refs_per_core '%s'", args[2].c_str());
         refs = *parsed;
     }
 
