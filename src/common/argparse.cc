@@ -60,6 +60,22 @@ ArgParser::find(std::string_view arg) const
     return it != flags_.end() ? &*it : nullptr;
 }
 
+bool
+ArgParser::actionReads(const Flag &flag) const
+{
+    if (flag.readBy.empty() || action_.empty())
+        return true;
+    std::string_view list = flag.readBy;
+    while (!list.empty()) {
+        const std::size_t slash = list.find('/');
+        const std::string_view entry = list.substr(0, slash);
+        if (entry == action_ || entry == actionWithValue_)
+            return true;
+        list.remove_prefix(slash == list.npos ? list.size() : slash + 1);
+    }
+    return false;
+}
+
 std::vector<std::string>
 ArgParser::parse(int argc, char **argv, int first)
 {
@@ -96,12 +112,19 @@ ArgParser::parse(int argc, char **argv, int first)
     if (positionals.size() < min_)
         fail("missing argument (%zu given, %zu needed)",
              positionals.size(), min_);
+    // After the loop: the action may come after the flags it reads.
+    for (const Flag *flag : seen) {
+        if (!actionReads(*flag))
+            fail("--%s does not read %s (only %s does)",
+                 actionWithValue_.c_str(), std::string(flag->name).c_str(),
+                 std::string(flag->readBy).c_str());
+    }
     return positionals;
 }
 
 std::function<bool(const char *)>
 ArgParser::action(std::string &chosen, std::string name,
-                  std::function<bool(const char *)> store) const
+                  std::function<bool(const char *)> store)
 {
     return [this, &chosen, name = std::move(name),
             store = std::move(store)](const char *value) {
@@ -109,6 +132,9 @@ ArgParser::action(std::string &chosen, std::string name,
             fail("conflicting actions --%s and --%s", chosen.c_str(),
                  name.c_str());
         chosen = name;
+        action_ = name;
+        actionWithValue_ =
+            value != nullptr ? name + " " + value : name;
         return !store || store(value);
     };
 }
@@ -146,6 +172,8 @@ ArgParser::usage() const
             .append(std::max(column, spelled.size()) - spelled.size() + 2,
                     ' ')
             .append(flag.help);
+        if (!flag.readBy.empty())
+            text.append(" (").append(flag.readBy).append(")");
     }
     return text;
 }

@@ -88,6 +88,12 @@ struct Flag
     std::string_view help;  //!< one line for the usage text
     /** Store the value (nullptr for a switch); false if it is junk. */
     std::function<bool(const char *)> apply;
+    /**
+     * The actions that read this flag, '/'-separated ("diff/oracle"); an
+     * entry "diff resume" names one value of an action. Empty: every
+     * action reads it. The usage text shows the list after the help.
+     */
+    std::string_view readBy = "";
 };
 
 /** Flag::apply of an integer flag: stores a value in [min, max]. */
@@ -128,9 +134,10 @@ storeSwitch(bool &out)
  * A command line declared as a table of flags plus min..max positional
  * arguments. parse() reports each of these through fail(): an unknown
  * flag, a flag this binary refuses, a repeated flag, a missing or
- * malformed value, a positional beyond the maximum, and fewer
- * positionals than the minimum. A token that starts with '-' is a flag;
- * any other token is a positional.
+ * malformed value, a positional beyond the maximum, fewer positionals
+ * than the minimum, and a flag the chosen action does not read (see
+ * Flag::readBy). A token that starts with '-' is a flag; any other
+ * token is a positional.
  */
 class ArgParser
 {
@@ -165,11 +172,12 @@ class ArgParser
     /**
      * Flag::apply of one of several exclusive action flags: sets
      * @p chosen to @p name, then stores the value through @p store (if
-     * any); a second action is a usage error.
+     * any); a second action is a usage error. The parser keeps the name
+     * and value to check every flag's Flag::readBy against.
      */
     std::function<bool(const char *)>
     action(std::string &chosen, std::string name,
-           std::function<bool(const char *)> store = nullptr) const;
+           std::function<bool(const char *)> store = nullptr);
 
     /** "usage: <prog> <positionals> [flag VALUE]..." */
     std::string usageLine() const;
@@ -183,6 +191,8 @@ class ArgParser
 
   private:
     const Flag *find(std::string_view arg) const;
+    /** Whether the chosen action (if any) reads @p flag. */
+    bool actionReads(const Flag &flag) const;
 
     std::string prog_;
     std::string positionals_;
@@ -190,6 +200,8 @@ class ArgParser
     std::size_t max_;
     std::vector<Flag> flags_;
     std::vector<std::string_view> refused_;
+    std::string action_;          //!< name of the chosen action; "" = none
+    std::string actionWithValue_; //!< "diff golden"; the name of a switch
 };
 
 } // namespace hllc

@@ -5,8 +5,8 @@
  * The compressor evaluates every encoding of ceTable() in parallel
  * (sequentially in software) and picks the one with the smallest ECB, as
  * the hardware CE selection tree does. encode()/decode() produce and
- * consume real ECB byte vectors so the fault-map/rearrangement pipeline
- * can be exercised end-to-end with bit fidelity.
+ * consume real ECB byte vectors, so round-trip checks exercise every
+ * encoding with bit fidelity.
  */
 
 #ifndef HLLC_COMPRESSION_BDI_HH

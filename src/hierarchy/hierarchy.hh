@@ -49,7 +49,6 @@ class MixSimulation
     void exportMeta(replay::TraceMeta &meta) const;
 
     const workload::MixSpec &mix() const { return mix_; }
-    CoreHierarchy &coreHierarchy(std::size_t i) { return *cores_.at(i); }
     workload::AppModel &app(std::size_t i) { return *apps_.at(i); }
     std::size_t numCores() const { return cores_.size(); }
 

@@ -47,7 +47,6 @@ class System
     {
         return *rig_.endurance;
     }
-    hierarchy::MixSimulation &mixSim() { return *mixSim_; }
     const SystemConfig &config() const { return config_; }
 
   private:

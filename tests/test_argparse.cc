@@ -3,8 +3,8 @@
  * ArgParser contract tests: flags apply in command-line order, the usage
  * text is built from the flag table, and every usage-error class (an
  * unknown, refused or repeated flag, a missing or malformed value, too
- * many or too few positionals, a second action) exits 2 with the
- * message and usage text.
+ * many or too few positionals, a second action, a flag the action does
+ * not read) exits 2 with the message and usage text.
  */
 
 #include <gtest/gtest.h>
@@ -165,6 +165,43 @@ TEST(ArgParserDeathTest, SecondActionIsAUsageError)
     char *argv[] = { prog, a, b };
     EXPECT_EXIT(cli.parse(3, argv), ::testing::ExitedWithCode(2),
                 "conflicting actions --a and --b");
+}
+
+/**
+ * "prog" with the actions --list and --diff KIND and a --dir that only
+ * "--diff resume" reads; returns the --dir value.
+ */
+std::string
+parseDiff(std::vector<std::string> args)
+{
+    args.insert(args.begin(), "prog");
+    std::vector<char *> argv;
+    for (std::string &arg : args)
+        argv.push_back(arg.data());
+    std::string action, kind, dir;
+    ArgParser cli("prog");
+    cli.add({ { "--list", "", nullptr, "", cli.action(action, "list") },
+              { "--diff", "", "KIND", "",
+                cli.action(action, "diff", storeText(kind)) },
+              { "--dir", "", "D", "checkpoints", storeText(dir),
+                "diff resume" } });
+    cli.parse(static_cast<int>(argv.size()), argv.data());
+    return dir;
+}
+
+TEST(ArgParserDeathTest, FlagTheActionDoesNotReadIsAUsageError)
+{
+    // The action may come after the flags it reads.
+    EXPECT_EQ(parseDiff({ "--dir", "d", "--diff", "resume" }), "d");
+    // The usage text names the readers from the same table entry.
+    EXPECT_EXIT(parseDiff({ "--dir", "d", "--diff", "golden" }),
+                ::testing::ExitedWithCode(2),
+                "error: --diff golden does not read --dir \\(only diff "
+                "resume does\\)\n.*--dir D +checkpoints \\(diff "
+                "resume\\)");
+    EXPECT_EXIT(parseDiff({ "--list", "--dir", "d" }),
+                ::testing::ExitedWithCode(2),
+                "--list does not read --dir");
 }
 
 TEST(ArgParserDeathTest, FailPrintsTheUsageText)

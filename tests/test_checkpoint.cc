@@ -22,7 +22,6 @@
 #include "common/metrics.hh"
 #include "common/rng.hh"
 #include "common/serialize.hh"
-#include "fault/wear_level.hh"
 #include "forecast/forecast.hh"
 #include "hierarchy/hierarchy.hh"
 #include "hybrid/set_dueling.hh"
@@ -62,28 +61,6 @@ TEST(RngSnapshot, RestoredStreamContinuesIdentically)
         EXPECT_EQ(other.next(), expected[i]);
         EXPECT_EQ(other.nextGaussian(), expected_gauss[i]);
     }
-}
-
-TEST(WearLevelSnapshot, RoundTripsAndRejectsMismatch)
-{
-    fault::WearLevelCounter counter(3600.0, 64);
-    counter.elapse(5.5 * 3600.0);
-    serial::Encoder enc;
-    counter.snapshot(enc);
-
-    fault::WearLevelCounter restored(3600.0, 64);
-    serial::Decoder dec(enc.bytes());
-    restored.restore(dec);
-    EXPECT_EQ(restored.value(), counter.value());
-    // The sub-period remainder must survive: another half period on
-    // both counters advances (or not) in lockstep.
-    counter.elapse(1800.0);
-    restored.elapse(1800.0);
-    EXPECT_EQ(restored.value(), counter.value());
-
-    fault::WearLevelCounter wrong(3600.0, 32);
-    serial::Decoder dec2(enc.bytes());
-    EXPECT_THROW(wrong.restore(dec2), IoError);
 }
 
 TEST(SetDuelingSnapshot, RoundTripsAndRejectsMismatch)

@@ -1,14 +1,12 @@
 /**
  * @file
- * Endurance model, fault map (byte- and frame-disabling), aging and
- * wear-leveling counter tests.
+ * Endurance model, fault map (byte- and frame-disabling) and aging tests.
  */
 
 #include <gtest/gtest.h>
 
 #include "fault/endurance.hh"
 #include "fault/fault_map.hh"
-#include "fault/wear_level.hh"
 
 namespace
 {
@@ -193,36 +191,6 @@ TEST(FaultMap, WearConcentratesAsBytesDie)
     map.age(1.0);
     EXPECT_DOUBLE_EQ(map.writesSoFar(0, 32), 2.0);
     EXPECT_DOUBLE_EQ(map.writesSoFar(0, 0), 0.0); // dead: no wear applied
-}
-
-TEST(WearLevel, AdvancesOncePerPeriod)
-{
-    WearLevelCounter counter(100.0, 64);
-    EXPECT_EQ(counter.value(), 0u);
-    counter.elapse(99.0);
-    EXPECT_EQ(counter.value(), 0u);
-    counter.elapse(1.0);
-    EXPECT_EQ(counter.value(), 1u);
-    counter.elapse(250.0);
-    EXPECT_EQ(counter.value(), 3u);
-}
-
-TEST(WearLevel, WrapsAtModulo)
-{
-    WearLevelCounter counter(1.0, 4);
-    counter.elapse(10.0);
-    EXPECT_EQ(counter.value(), 10u % 4u);
-    counter.advance();
-    EXPECT_EQ(counter.value(), 3u);
-    counter.advance();
-    EXPECT_EQ(counter.value(), 0u);
-}
-
-TEST(WearLevel, LongJumpCatchesUp)
-{
-    WearLevelCounter counter(3600.0, 64); // 1h period
-    counter.elapse(30.0 * 24.0 * 3600.0); // one month
-    EXPECT_EQ(counter.value(), (30u * 24u) % 64u);
 }
 
 } // namespace

@@ -12,8 +12,9 @@
  * Exit codes: 0 = all checks passed, 1 = a divergence/failure was found
  * or an input failed to load (fuzz failures leave a shrunken reproducer
  * plus manifest at --out), 2 = usage error: an unknown, repeated or
- * conflicting option, a bad value, a missing --trace or --corpus
- * directory, or a geometry the LLC cannot run.
+ * conflicting option, an option the chosen action does not read, a bad
+ * value, a missing --trace or --corpus directory, or a geometry the LLC
+ * cannot run.
  */
 
 #include <algorithm>
@@ -469,8 +470,8 @@ main(int argc, char **argv)
           cli.action(opt.action, "roundtrip") },
         { "--fuzz", "", nullptr, "fuzz campaign with ddmin shrinking",
           cli.action(opt.action, "fuzz") },
-        { "--trace", "", "T.hlt", "input trace (diff/oracle)",
-          storeText(opt.tracePath) },
+        { "--trace", "", "T.hlt", "input trace", storeText(opt.tracePath),
+          "diff/oracle" },
         { "--policy", "", "P[,P...]", "policies (default: all nine)",
           [&](const char *list) {
               std::string unknown;
@@ -479,42 +480,48 @@ main(int argc, char **argv)
                   cli.fail("unknown policy '%s'", unknown.c_str());
               opt.policies = std::move(*policies);
               return true;
-          } },
+          },
+          "diff/oracle/fuzz" },
         { "--mode", "", "pristine|compression-off|sram-only|all",
           "degenerate modes of the golden diff (default all)",
           [&](const char *mode) {
               opt.modes = parseModes(mode);
               return !opt.modes.empty();
-          } },
+          },
+          "diff golden/fuzz" },
         { "--sets", "", "N",
           "LLC sets (default 64): a power of two, >= 32 under Set Dueling",
-          storeNumber(opt.sets, 1) },
-        { "--sram", "", "N", "SRAM ways (default 4)", storeNumber(opt.sram) },
-        { "--nvm", "", "N", "NVM ways (default 12)", storeNumber(opt.nvm) },
+          storeNumber(opt.sets, 1), "gen/diff/oracle/fuzz" },
+        { "--sram", "", "N", "SRAM ways (default 4)", storeNumber(opt.sram),
+          "diff/oracle/fuzz" },
+        { "--nvm", "", "N", "NVM ways (default 12)", storeNumber(opt.nvm),
+          "diff/oracle/fuzz" },
         { "--events", "", "N", "events per generated trace",
-          storeNumber(opt.events) },
-        { "--seed", "", "S", "generator / fuzz seed", storeNumber(opt.seed) },
-        { "--jobs", "", "N", "workers of --diff jobs (default 4)",
-          storeNumber(opt.jobs) },
-        { "--budget", "", "SEC", "fuzz time budget (default 60)",
+          storeNumber(opt.events), "gen" },
+        { "--seed", "", "S", "generator / round-trip / fuzz seed",
+          storeNumber(opt.seed), "gen/roundtrip/fuzz" },
+        { "--jobs", "", "N", "workers of the second run (default 4)",
+          storeNumber(opt.jobs), "diff jobs" },
+        { "--budget", "", "SEC", "time budget (default 60)",
           [&](const char *value) {
               const auto v = parseDouble(value);
               opt.budgetSeconds = v.value_or(0.0);
               return opt.budgetSeconds > 0.0;
-          } },
-        { "--iterations", "", "N", "fuzz iterations (default: budget)",
-          storeNumber(opt.iterations) },
-        { "--blocks", "", "N", "random blocks of --roundtrip",
-          storeNumber(opt.blocks) },
+          },
+          "fuzz" },
+        { "--iterations", "", "N", "iterations (default: budget)",
+          storeNumber(opt.iterations), "fuzz" },
+        { "--blocks", "", "N", "random blocks (default 2000)",
+          storeNumber(opt.blocks), "roundtrip" },
         { "--corpus", "", "DIR", "regression corpus replayed before fuzzing",
-          storeText(opt.corpusDir) },
+          storeText(opt.corpusDir), "fuzz" },
         { "--out", "", "REPRO.hlt", "where a shrunken reproducer is written",
-          storeText(opt.outPath) },
-        { "--dir", "", "D", "checkpoint directory (diff resume)",
-          storeText(opt.checkpointDir) },
+          storeText(opt.outPath), "fuzz" },
+        { "--dir", "", "D", "checkpoint directory",
+          storeText(opt.checkpointDir), "diff resume" },
         { "--inject-lru-bug", "", nullptr,
           "mutation-test the golden model's LRU",
-          storeSwitch(opt.injectLruBug) },
+          storeSwitch(opt.injectLruBug), "diff golden/fuzz" },
     });
     cli.parse(argc, argv);
     if (opt.action.empty())

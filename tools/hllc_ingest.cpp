@@ -9,7 +9,8 @@
  * for machine consumption. Exit codes: 0 = success, 1 = failure
  * (malformed input, I/O, a scenario that stops emitting), 2 = usage
  * error (checked before any work: an unknown, repeated or malformed
- * flag, two actions, a missing --out, bad --hcr/--lcr fractions).
+ * flag, two actions, a flag the action does not read, a missing --out,
+ * bad --hcr/--lcr fractions).
  */
 
 #include <chrono>
@@ -208,30 +209,30 @@ main(int argc, char **argv)
           cli.action(opt.action, "list-scenarios") },
         { "--gen-fixture", "", "OUT", "write a synthetic CRC2 fixture stream",
           cli.action(opt.action, "gen-fixture", storeText(opt.input)) },
-        { "--out", "", "T.hlt", "output trace (convert/scenario)",
-          storeText(opt.out) },
+        { "--out", "", "T.hlt", "output trace", storeText(opt.out),
+          "convert/scenario" },
         { "--report", "", "R.json", "write the hllc-ingest-v1 report",
-          storeText(opt.report) },
-        { "--mix", "", "NAME", "mix name recorded on convert",
-          storeText(opt.mixName) },
+          storeText(opt.report), "convert/scenario" },
+        { "--mix", "", "NAME", "mix name recorded in the trace",
+          storeText(opt.mixName), "convert" },
         { "--drop-prefetch", "", nullptr, "do not emit prefetches as events",
-          storeSwitch(opt.dropPrefetch) },
+          storeSwitch(opt.dropPrefetch), "convert" },
         { "--seed", "", "S", "synthesis/generation seed (default 1)",
-          storeNumber(opt.seed) },
-        { "--events", "", "N", "scenario events (default 100000)",
-          storeNumber(opt.events) },
+          storeNumber(opt.seed), "convert/scenario/gen-fixture" },
+        { "--events", "", "N", "events (default 100000)",
+          storeNumber(opt.events), "scenario" },
         { "--max-events", "", "N", "cap converted events (default: all)",
-          storeNumber(opt.maxEvents) },
+          storeNumber(opt.maxEvents), "convert" },
         { "--records", "", "N", "fixture records (default 4096)",
-          storeNumber(opt.records) },
+          storeNumber(opt.records), "gen-fixture" },
         { "--sets", "", "N", "sets scenarios target (default 128)",
-          storeNumber(opt.sets, 1) },
+          storeNumber(opt.sets, 1), "scenario" },
         { "--ways", "", "N", "ways scenarios target (default 16)",
-          storeNumber(opt.ways, 1) },
+          storeNumber(opt.ways, 1), "scenario" },
         { "--hcr", "", "F", "high-compressibility fraction (default 0.4)",
-          fraction(opt.hcr) },
+          fraction(opt.hcr), "convert/scenario" },
         { "--lcr", "", "F", "low-compressibility fraction (default 0.3)",
-          fraction(opt.lcr) },
+          fraction(opt.lcr), "convert/scenario" },
     });
     cli.parse(argc, argv);
     if (opt.action.empty())
