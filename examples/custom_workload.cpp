@@ -1,19 +1,25 @@
 /**
  * @file
- * Example: defining a custom application profile and evaluating how the
- * CP_SD insertion policy adapts its compression threshold to it.
+ * Example: defining a custom application profile, and watching CP_SD
+ * adapt its compression threshold to a mix with bimodal content.
  *
- * Builds a deliberately bimodal workload (highly compressible loop data
- * + incompressible streams), runs it behind the private stacks against
- * CP_SD, and prints the Set Dueling winner history — the runtime CPth
- * adaptation of paper Sec. IV-C in action.
+ * A MixSpec names stock profiles only, so the CP_SD run uses a stock
+ * mix of zeusmp06 (mostly highly compressible blocks) and milc06
+ * (incompressible blocks): it captures the mix behind the private
+ * stacks, replays the trace against CP_SD and prints the Set Dueling
+ * winner history, the runtime CPth adaptation of paper Sec. IV-C. The
+ * custom profile then drives an AppModel directly, to show the working
+ * sets it derives.
  */
 
 #include <cstdio>
 #include <map>
 
 #include "common/logging.hh"
-#include "sim/system.hh"
+#include "forecast/forecast.hh"
+#include "hierarchy/hierarchy.hh"
+#include "hybrid/llc_rig.hh"
+#include "sim/config.hh"
 
 using namespace hllc;
 
@@ -21,6 +27,43 @@ int
 main()
 {
     setLogLevel(LogLevel::Warn);
+
+    // The CP_SD run: a stock mix alternating a compressible and an
+    // incompressible application (the custom profile is not in it).
+    const sim::SystemConfig config = sim::SystemConfig::tableIV();
+    workload::MixSpec mix{ "custom", { "zeusmp06", "milc06",
+                                       "zeusmp06", "milc06" } };
+
+    std::printf("Running a bimodal mix (compressible zeusmp06 + "
+                "incompressible milc06) under CP_SD...\n");
+    const replay::LlcTrace trace =
+        hierarchy::captureTrace(mix, config.llcBlocks(),
+                                config.privateCaches, config.refsPerCore,
+                                config.seed);
+    const hybrid::LlcRig rig = hybrid::buildLlcRig(
+        config.llcConfig(hybrid::PolicyKind::CpSd), config.endurance,
+        config.seed);
+    const forecast::PhaseAggregate result = forecast::replayAllTraces(
+        { &trace }, *rig.llc, config.timing, 0.2);
+
+    const auto *dueling = rig.llc->dueling();
+    std::printf("\nLLC hit rate %.4f | NVM bytes written %llu | "
+                "mean IPC %.3f\n",
+                result.hitRate,
+                static_cast<unsigned long long>(result.nvmBytesWritten),
+                result.meanIpc);
+
+    std::map<unsigned, unsigned> winners;
+    for (unsigned w : dueling->winnerHistory())
+        ++winners[w];
+    std::printf("\nSet Dueling winner distribution over %llu epochs:\n",
+                static_cast<unsigned long long>(
+                    dueling->epochsCompleted()));
+    for (const auto &[cpth, count] : winners) {
+        std::printf("  CPth %2u: %5.1f%%\n", cpth,
+                    100.0 * count / dueling->winnerHistory().size());
+    }
+    std::printf("\ncurrent winner: CPth = %u\n", dueling->winner());
 
     // A custom app: small, very compressible loop working set plus a
     // large incompressible streaming footprint and a hot write set.
@@ -37,39 +80,7 @@ main()
     custom.memIntensity = 0.35;
     custom.baseCpi = 0.45;
 
-    // Register-free composition: a MixSpec can name stock profiles; for
-    // a fully custom app we drive the System's mix machinery with four
-    // instances of the same custom profile via a scratch mix.
-    const sim::SystemConfig config = sim::SystemConfig::tableIV();
-    workload::MixSpec mix{ "custom", { "zeusmp06", "milc06",
-                                       "zeusmp06", "milc06" } };
-
-    std::printf("Running a bimodal mix (compressible loops + "
-                "incompressible streams) under CP_SD...\n");
-    sim::System system(config, mix, hybrid::PolicyKind::CpSd);
-    system.run(config.refsPerCore);
-
-    const auto *dueling = system.llc().dueling();
-    std::printf("\nLLC hit rate %.4f | NVM bytes written %llu | "
-                "mean IPC %.3f\n",
-                system.llc().hitRate(),
-                static_cast<unsigned long long>(
-                    system.llc().nvmBytesWritten()),
-                system.meanIpc());
-
-    std::map<unsigned, unsigned> winners;
-    for (unsigned w : dueling->winnerHistory())
-        ++winners[w];
-    std::printf("\nSet Dueling winner distribution over %llu epochs:\n",
-                static_cast<unsigned long long>(
-                    dueling->epochsCompleted()));
-    for (const auto &[cpth, count] : winners) {
-        std::printf("  CPth %2u: %5.1f%%\n", cpth,
-                    100.0 * count / dueling->winnerHistory().size());
-    }
-    std::printf("\ncurrent winner: CPth = %u\n", dueling->winner());
-
-    // The custom profile object itself can drive an AppModel directly:
+    // A custom profile drives an AppModel directly:
     workload::AppModel app(custom, 0, config.llcBlocks(),
                            Xoshiro256StarStar(1));
     std::printf("\ncustom profile '%s': loop %llu blocks, write set "

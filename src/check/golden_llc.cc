@@ -497,7 +497,7 @@ AccessOutcome
 GoldenLlc::handle(const LlcEvent &event, std::vector<DecisionRecord> *log)
 {
     if (dueling_)
-        dueling_->tick(config_.cyclesPerEvent);
+        dueling_->tick(hybrid::cyclesPerEvent);
     switch (event.type) {
       case LlcEventType::GetS:
         return onGetS(event.blockNum, log);

@@ -1,77 +1,10 @@
 #include "hierarchy/hierarchy.hh"
 
-#include "common/logging.hh"
-#include "hierarchy/trace_recorder.hh"
+#include <memory>
+#include <vector>
 
 namespace hllc::hierarchy
 {
-
-MixSimulation::MixSimulation(const workload::MixSpec &mix,
-                             std::uint64_t llc_blocks,
-                             const PrivateCacheConfig &config,
-                             std::uint64_t seed,
-                             compression::Scheme scheme)
-    : mix_(mix), config_(config),
-      apps_(workload::instantiateMix(mix, llc_blocks, seed, scheme))
-{
-    // CoreHierarchy instances are created in run() because they bind to
-    // a sink.
-    cores_.resize(apps_.size());
-}
-
-void
-MixSimulation::run(std::uint64_t refs_per_core, LlcSink &sink)
-{
-    // (Re)bind the private stacks to this sink. Private-cache state does
-    // not persist across run() calls: each run is an independent window.
-    for (std::size_t i = 0; i < apps_.size(); ++i) {
-        cores_[i] = std::make_unique<CoreHierarchy>(
-            static_cast<CoreId>(i), config_, apps_[i].get(), &sink);
-    }
-
-    // Round-robin interleave: one reference per core per step, the usual
-    // approximation of four cores progressing in parallel.
-    for (std::uint64_t r = 0; r < refs_per_core; ++r) {
-        for (std::size_t i = 0; i < cores_.size(); ++i)
-            cores_[i]->access(apps_[i]->next());
-    }
-}
-
-CoreActivity
-MixSimulation::activityOf(std::size_t i) const
-{
-    const CoreHierarchy &core = *cores_.at(i);
-    const workload::AppProfile &profile = apps_.at(i)->profile();
-
-    CoreActivity a;
-    a.refs = core.refs();
-    a.instructions = static_cast<std::uint64_t>(
-        static_cast<double>(core.refs()) / profile.memIntensity);
-    a.l1Hits = core.l1Hits();
-    a.l2Hits = core.l2Hits();
-    a.llcHitsSram = core.llcHitsSram();
-    a.llcHitsNvm = core.llcHitsNvm();
-    a.llcMisses = core.llcMisses();
-    a.baseCpi = profile.baseCpi;
-    return a;
-}
-
-void
-MixSimulation::exportMeta(replay::TraceMeta &meta) const
-{
-    meta.mixName = mix_.name;
-    for (std::size_t i = 0; i < cores_.size() && i < replay::traceCores;
-         ++i) {
-        const CoreActivity a = activityOf(i);
-        replay::CoreMeta &m = meta.cores[i];
-        m.instructions = a.instructions;
-        m.refs = a.refs;
-        m.l1Hits = a.l1Hits;
-        m.l2Hits = a.l2Hits;
-        m.llcDemands = cores_[i]->llcDemands();
-        m.baseCpi = a.baseCpi;
-    }
-}
 
 replay::LlcTrace
 captureTrace(const workload::MixSpec &mix, std::uint64_t llc_blocks,
@@ -79,10 +12,36 @@ captureTrace(const workload::MixSpec &mix, std::uint64_t llc_blocks,
              std::uint64_t seed, compression::Scheme scheme)
 {
     replay::LlcTrace trace;
-    TraceRecorder recorder(&trace);
-    MixSimulation sim(mix, llc_blocks, config, seed, scheme);
-    sim.run(refs_per_core, recorder);
-    sim.exportMeta(trace.meta());
+    const std::vector<std::unique_ptr<workload::AppModel>> apps =
+        workload::instantiateMix(mix, llc_blocks, seed, scheme);
+    std::vector<std::unique_ptr<CoreHierarchy>> cores;
+    for (std::size_t i = 0; i < apps.size(); ++i) {
+        cores.push_back(std::make_unique<CoreHierarchy>(
+            static_cast<CoreId>(i), config, apps[i].get(), &trace));
+    }
+
+    // Round-robin interleave: one reference per core per step, the usual
+    // approximation of four cores progressing in parallel.
+    for (std::uint64_t r = 0; r < refs_per_core; ++r) {
+        for (std::size_t i = 0; i < cores.size(); ++i)
+            cores[i]->access(apps[i]->next());
+    }
+
+    replay::TraceMeta &meta = trace.meta();
+    meta.mixName = mix.name;
+    for (std::size_t i = 0; i < cores.size() && i < replay::traceCores;
+         ++i) {
+        const CoreHierarchy &core = *cores[i];
+        const workload::AppProfile &profile = apps[i]->profile();
+        replay::CoreMeta &m = meta.cores[i];
+        m.instructions = static_cast<std::uint64_t>(
+            static_cast<double>(core.refs()) / profile.memIntensity);
+        m.refs = core.refs();
+        m.l1Hits = core.l1Hits();
+        m.l2Hits = core.l2Hits();
+        m.llcDemands = core.llcDemands();
+        m.baseCpi = profile.baseCpi;
+    }
     return trace;
 }
 

@@ -7,39 +7,29 @@ namespace hllc::hierarchy
 {
 
 using cache::Victim;
-using hybrid::AccessOutcome;
+using hybrid::LlcEvent;
+using hybrid::LlcEventType;
 
 CoreHierarchy::CoreHierarchy(CoreId core, const PrivateCacheConfig &config,
-                             workload::AppModel *app, LlcSink *sink)
-    : core_(core), app_(app), sink_(sink),
+                             workload::AppModel *app,
+                             replay::LlcTrace *trace)
+    : core_(core), app_(app), trace_(trace),
       l1_("l1_core" + formatU64(core), config.l1Bytes, config.l1Ways),
       l2_("l2_core" + formatU64(core), config.l2Bytes, config.l2Ways)
 {
-    HLLC_ASSERT(app != nullptr && sink != nullptr);
+    HLLC_ASSERT(app != nullptr && trace != nullptr);
 }
 
-ServiceLevel
-CoreHierarchy::recordDemand(AccessOutcome outcome, bool upgrade)
+void
+CoreHierarchy::demand(Addr block, bool getx)
 {
     ++llcDemands_;
-    switch (outcome) {
-      case AccessOutcome::HitSram:
-        ++llcHitsSram_;
-        return ServiceLevel::LlcSram;
-      case AccessOutcome::HitNvm:
-        ++llcHitsNvm_;
-        return ServiceLevel::LlcNvm;
-      case AccessOutcome::Miss:
-        if (upgrade) {
-            // Ownership upgrades that miss the LLC are resolved at the
-            // directory without a memory fetch (the data is local).
-            ++llcHitsSram_;
-            return ServiceLevel::LlcSram;
-        }
-        ++llcMisses_;
-        return ServiceLevel::Memory;
-    }
-    panic("unreachable");
+    trace_->append(LlcEvent{
+        block,
+        getx ? LlcEventType::GetX : LlcEventType::GetS,
+        static_cast<std::uint8_t>(blockBytes),
+        core_,
+    });
 }
 
 void
@@ -51,11 +41,15 @@ CoreHierarchy::handleL2Victim(const Victim &victim)
         dirty = dirty || *l1_dirty;
 
     // Non-inclusive LLC: the victim is written there if absent.
-    sink_->put(victim.blockNum, dirty, core_,
-               app_->ecbSizeOf(victim.blockNum));
+    trace_->append(LlcEvent{
+        victim.blockNum,
+        dirty ? LlcEventType::PutDirty : LlcEventType::PutClean,
+        static_cast<std::uint8_t>(app_->ecbSizeOf(victim.blockNum)),
+        core_,
+    });
 }
 
-ServiceLevel
+void
 CoreHierarchy::access(const workload::MemRef &ref)
 {
     ++refs_;
@@ -65,56 +59,45 @@ CoreHierarchy::access(const workload::MemRef &ref)
     // --- L1 ---
     if (l1_.access(block, /*is_write=*/false)) {
         const bool writable = (*l1_.meta(block) & metaWritable) != 0;
-        if (!write) {
+        if (!write || writable) {
+            if (write)
+                l1_.setDirty(block);
             ++l1Hits_;
-            return ServiceLevel::L1;
-        }
-        if (writable) {
-            l1_.setDirty(block);
-            ++l1Hits_;
-            return ServiceLevel::L1;
+            return;
         }
         // Store to a read-only copy: upgrade below. The copy stays; only
         // permissions are acquired.
         const bool l2_writable =
             l2_.contains(block) && (*l2_.meta(block) & metaWritable);
         if (l2_writable) {
-            l1_.setMeta(block, metaWritable);
-            l1_.setDirty(block);
             ++l2Hits_;
-            return ServiceLevel::L2;
+        } else {
+            demand(block, /*getx=*/true);
+            if (l2_.contains(block))
+                l2_.setMeta(block, metaWritable);
         }
-        const AccessOutcome outcome =
-            sink_->demand(block, /*getx=*/true, core_);
-        if (l2_.contains(block))
-            l2_.setMeta(block, metaWritable);
         l1_.setMeta(block, metaWritable);
         l1_.setDirty(block);
-        return recordDemand(outcome, /*upgrade=*/true);
+        return;
     }
 
     // --- L2 ---
-    ServiceLevel level;
     std::uint32_t fill_meta = 0;
 
     if (l2_.access(block, /*is_write=*/false)) {
         const bool writable = (*l2_.meta(block) & metaWritable) != 0;
         if (write && !writable) {
             // Upgrade: GetX towards the LLC (invalidates its copy).
-            const AccessOutcome outcome =
-                sink_->demand(block, /*getx=*/true, core_);
+            demand(block, /*getx=*/true);
             l2_.setMeta(block, metaWritable);
-            level = recordDemand(outcome, /*upgrade=*/true);
         } else {
             ++l2Hits_;
-            level = ServiceLevel::L2;
         }
         fill_meta = *l2_.meta(block);
     } else {
         // L2 miss: GetS/GetX to the LLC; on an LLC miss the block comes
         // from memory straight into the private levels (Sec. III-A).
-        const AccessOutcome outcome = sink_->demand(block, write, core_);
-        level = recordDemand(outcome, /*upgrade=*/false);
+        demand(block, write);
 
         fill_meta = write ? metaWritable : 0;
         if (auto victim = l2_.fill(block, /*dirty=*/false, fill_meta))
@@ -130,7 +113,6 @@ CoreHierarchy::access(const workload::MemRef &ref)
                         victim->meta | metaWritable);
         }
     }
-    return level;
 }
 
 } // namespace hllc::hierarchy

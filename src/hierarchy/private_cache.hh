@@ -10,13 +10,19 @@
  * towards the LLC, which invalidates its copy (invalidate-on-hit,
  * Sec. III-A). Every L2 eviction is sent to the LLC as a clean or dirty
  * Put, carrying the block's compressed size.
+ *
+ * The stack never sees an LLC answer: its LLC-bound GetS/GetX/Put
+ * events are appended to a replay::LlcTrace, which any LLC
+ * configuration replays later (Sec. V-A). The private levels are
+ * LLC-independent (Sec. III-A), so the captured stream is the one a
+ * live LLC would have received.
  */
 
 #ifndef HLLC_HIERARCHY_PRIVATE_CACHE_HH
 #define HLLC_HIERARCHY_PRIVATE_CACHE_HH
 
 #include "cache/set_assoc.hh"
-#include "hierarchy/llc_sink.hh"
+#include "replay/llc_trace.hh"
 #include "workload/app_model.hh"
 
 namespace hllc::hierarchy
@@ -31,42 +37,30 @@ struct PrivateCacheConfig
     std::uint32_t l2Ways = 16;
 };
 
-/** Level that serviced a memory reference (timing classification). */
-enum class ServiceLevel : std::uint8_t
-{
-    L1,
-    L2,
-    LlcSram,
-    LlcNvm,
-    Memory
-};
-
 class CoreHierarchy
 {
   public:
     /**
      * @param app the application bound to this core (owns block contents)
-     * @param sink where LLC-bound traffic goes
+     * @param trace where LLC-bound events are appended; must outlive the
+     *        stack
      */
     CoreHierarchy(CoreId core, const PrivateCacheConfig &config,
-                  workload::AppModel *app, LlcSink *sink);
+                  workload::AppModel *app, replay::LlcTrace *trace);
 
-    /** Process one memory reference through L1/L2/LLC. */
-    ServiceLevel access(const workload::MemRef &ref);
+    /**
+     * Process one memory reference through L1/L2, appending any GetS,
+     * GetX or Put it sends towards the LLC to the trace.
+     */
+    void access(const workload::MemRef &ref);
 
-    /** @name Counters for the timing model */
+    /** @name Counters for the trace metadata */
     ///@{
     std::uint64_t refs() const { return refs_; }
     std::uint64_t l1Hits() const { return l1Hits_; }
     std::uint64_t l2Hits() const { return l2Hits_; }
     std::uint64_t llcDemands() const { return llcDemands_; }
-    std::uint64_t llcHitsSram() const { return llcHitsSram_; }
-    std::uint64_t llcHitsNvm() const { return llcHitsNvm_; }
-    std::uint64_t llcMisses() const { return llcMisses_; }
     ///@}
-
-    CoreId core() const { return core_; }
-    const workload::AppModel &app() const { return *app_; }
 
     cache::SetAssocCache &l1() { return l1_; }
     cache::SetAssocCache &l2() { return l2_; }
@@ -75,15 +69,15 @@ class CoreHierarchy
     /** Line metadata bit: the copy has write permission (M/E-like). */
     static constexpr std::uint32_t metaWritable = 1u << 0;
 
+    /** Append a GetS or GetX for @p block (an L2 miss or upgrade). */
+    void demand(Addr block, bool getx);
+
     /** Evict handling for an L2 victim: back-invalidate L1, Put to LLC. */
     void handleL2Victim(const cache::Victim &victim);
 
-    /** Record the sink outcome of a demand/upgrade in the counters. */
-    ServiceLevel recordDemand(hybrid::AccessOutcome outcome, bool upgrade);
-
     CoreId core_;
     workload::AppModel *app_;
-    LlcSink *sink_;
+    replay::LlcTrace *trace_;
     cache::SetAssocCache l1_;
     cache::SetAssocCache l2_;
 
@@ -91,9 +85,6 @@ class CoreHierarchy
     std::uint64_t l1Hits_ = 0;
     std::uint64_t l2Hits_ = 0;
     std::uint64_t llcDemands_ = 0;
-    std::uint64_t llcHitsSram_ = 0;
-    std::uint64_t llcHitsNvm_ = 0;
-    std::uint64_t llcMisses_ = 0;
 };
 
 } // namespace hllc::hierarchy

@@ -493,7 +493,8 @@ HybridLlc::onPut(Addr block, bool dirty, unsigned ecb_bytes)
 AccessOutcome
 HybridLlc::handle(const LlcEvent &event)
 {
-    tick(config_.cyclesPerEvent);
+    if (dueling_)
+        dueling_->tick(cyclesPerEvent);
     switch (event.type) {
       case LlcEventType::GetS:
         return onGetS(event.blockNum);
@@ -507,13 +508,6 @@ HybridLlc::handle(const LlcEvent &event)
         return AccessOutcome::Miss;
     }
     panic("unknown LLC event type");
-}
-
-void
-HybridLlc::tick(Cycle cycles)
-{
-    if (dueling_)
-        dueling_->tick(cycles);
 }
 
 bool

@@ -105,6 +105,12 @@ class LlcProbe
     }
 };
 
+/**
+ * Cycles handle() charges the Set Dueling epoch clock per LLC event, so
+ * epochs close at fixed event indices of a trace.
+ */
+inline constexpr Cycle cyclesPerEvent = 20;
+
 /** Static configuration of one hybrid LLC instance. */
 struct HybridLlcConfig
 {
@@ -114,11 +120,6 @@ struct HybridLlcConfig
     PolicyKind policy = PolicyKind::CpSd;
     PolicyParams params;            //!< policy tunables
     Cycle epochCycles = 2'000'000;  //!< Set Dueling epoch (Sec. IV-C)
-    /**
-     * Cycles charged per LLC event when the caller paces epochs through
-     * handle(); the trace replayer sets this from capture metadata.
-     */
-    Cycle cyclesPerEvent = 20;
 
     std::uint32_t totalWays() const { return sramWays + nvmWays; }
 };
@@ -147,11 +148,11 @@ class HybridLlc
     void onPut(Addr block, bool dirty, unsigned ecb_bytes);
     ///@}
 
-    /** Dispatch one trace event and advance the epoch clock. */
+    /**
+     * Dispatch one trace event, after advancing the Set Dueling epoch
+     * clock by cyclesPerEvent.
+     */
     AccessOutcome handle(const LlcEvent &event);
-
-    /** Advance the Set Dueling epoch clock by @p cycles. */
-    void tick(Cycle cycles);
 
     /** @name Introspection */
     ///@{

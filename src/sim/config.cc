@@ -64,7 +64,6 @@ SystemConfig::llcConfig(hybrid::PolicyKind policy,
     cfg.policy = policy;
     cfg.params = params;
     cfg.epochCycles = epochCycles;
-    cfg.cyclesPerEvent = 20;
 
     if (policy == hybrid::PolicyKind::SramOnly) {
         // SRAM bounds keep the total associativity, all in SRAM.

@@ -32,8 +32,8 @@ Experiment::Experiment(SystemConfig config, std::size_t num_mixes)
 
     // Every mix captures into its own pre-sized slot with a child seed
     // keyed on (master seed, mix index): the traces are bit-identical
-    // for any jobs value. MixSimulation instances share no mutable
-    // state (workload tables are immutable after first use).
+    // for any jobs value. Captures share no mutable state (workload
+    // tables are immutable after first use).
     traces_.resize(num_mixes);
     parallelFor(jobs, num_mixes, [&](std::size_t i) {
         traces_[i] = hierarchy::captureTrace(

@@ -12,7 +12,6 @@
 #include "hierarchy/hierarchy.hh"
 #include "hierarchy/private_cache.hh"
 #include "hierarchy/timing.hh"
-#include "hierarchy/trace_recorder.hh"
 #include "workload/spec_profiles.hh"
 
 namespace
@@ -20,45 +19,50 @@ namespace
 
 using namespace hllc;
 using namespace hllc::hierarchy;
-using hybrid::AccessOutcome;
 using hybrid::LlcEvent;
 using hybrid::LlcEventType;
 
-/** Sink capturing demands/puts for inspection. */
-class SpySink : public LlcSink
+bool
+isPut(const LlcEvent &ev)
 {
-  public:
-    struct Demand { Addr block; bool getx; };
-    struct Put { Addr block; bool dirty; unsigned ecb; };
+    return ev.type == LlcEventType::PutClean ||
+           ev.type == LlcEventType::PutDirty;
+}
 
-    AccessOutcome
-    demand(Addr block, bool getx, CoreId) override
-    {
-        demands.push_back({ block, getx });
-        return AccessOutcome::Miss;
-    }
-
-    void
-    put(Addr block, bool dirty, CoreId, unsigned ecb) override
-    {
-        puts.push_back({ block, dirty, ecb });
-    }
-
-    std::vector<Demand> demands;
-    std::vector<Put> puts;
-};
-
+/** One core's stack recording into its own trace. */
 struct CoreRig
 {
     workload::AppModel app;
-    SpySink sink;
+    replay::LlcTrace trace;
     CoreHierarchy core;
 
     explicit CoreRig(const PrivateCacheConfig &config)
         : app(workload::profileByName("zeusmp06"), 0, 2048,
               Xoshiro256StarStar(1)),
-          core(0, config, &app, &sink)
+          core(0, config, &app, &trace)
     {
+    }
+
+    /** The captured GetS/GetX events, in order. */
+    std::vector<LlcEvent>
+    demands() const
+    {
+        std::vector<LlcEvent> out;
+        for (const LlcEvent &ev : trace.events())
+            if (!isPut(ev))
+                out.push_back(ev);
+        return out;
+    }
+
+    /** The captured Put events, in order. */
+    std::vector<LlcEvent>
+    puts() const
+    {
+        std::vector<LlcEvent> out;
+        for (const LlcEvent &ev : trace.events())
+            if (isPut(ev))
+                out.push_back(ev);
+        return out;
     }
 };
 
@@ -72,29 +76,32 @@ tinyConfig()
 TEST(CoreHierarchy, ColdReadMissesToLlcAsGetS)
 {
     CoreRig rig(tinyConfig());
-    const auto level = rig.core.access({ 100, false });
-    EXPECT_EQ(level, ServiceLevel::Memory); // spy answers Miss
-    ASSERT_EQ(rig.sink.demands.size(), 1u);
-    EXPECT_EQ(rig.sink.demands[0].block, 100u);
-    EXPECT_FALSE(rig.sink.demands[0].getx);
+    rig.core.access({ 100, false });
+    ASSERT_EQ(rig.trace.size(), 1u);
+    const LlcEvent &ev = rig.trace.events()[0];
+    EXPECT_EQ(ev.blockNum, 100u);
+    EXPECT_EQ(ev.type, LlcEventType::GetS);
+    EXPECT_EQ(ev.ecbBytes, blockBytes);
+    EXPECT_EQ(ev.core, 0u);
+    EXPECT_EQ(rig.core.llcDemands(), 1u);
 }
 
 TEST(CoreHierarchy, ColdWriteMissesToLlcAsGetX)
 {
     CoreRig rig(tinyConfig());
     rig.core.access({ 100, true });
-    ASSERT_EQ(rig.sink.demands.size(), 1u);
-    EXPECT_TRUE(rig.sink.demands[0].getx);
+    ASSERT_EQ(rig.trace.size(), 1u);
+    EXPECT_EQ(rig.trace.events()[0].type, LlcEventType::GetX);
 }
 
 TEST(CoreHierarchy, L1HitIsSilent)
 {
     CoreRig rig(tinyConfig());
     rig.core.access({ 100, false });
-    const auto level = rig.core.access({ 100, false });
-    EXPECT_EQ(level, ServiceLevel::L1);
-    EXPECT_EQ(rig.sink.demands.size(), 1u);
+    rig.core.access({ 100, false });
+    EXPECT_EQ(rig.trace.size(), 1u);
     EXPECT_EQ(rig.core.l1Hits(), 1u);
+    EXPECT_EQ(rig.core.refs(), 2u);
 }
 
 TEST(CoreHierarchy, WriteToReadOnlyCopyUpgradesWithGetX)
@@ -102,11 +109,14 @@ TEST(CoreHierarchy, WriteToReadOnlyCopyUpgradesWithGetX)
     CoreRig rig(tinyConfig());
     rig.core.access({ 100, false }); // GetS fill, read-only
     rig.core.access({ 100, true }); // store: needs ownership
-    ASSERT_EQ(rig.sink.demands.size(), 2u);
-    EXPECT_TRUE(rig.sink.demands[1].getx);
+    const auto demands = rig.demands();
+    ASSERT_EQ(demands.size(), 2u);
+    EXPECT_EQ(demands[1].type, LlcEventType::GetX);
+    EXPECT_EQ(demands[1].blockNum, 100u);
     // Subsequent stores are silent (writable now).
     rig.core.access({ 100, true });
-    EXPECT_EQ(rig.sink.demands.size(), 2u);
+    EXPECT_EQ(rig.trace.size(), 2u);
+    EXPECT_EQ(rig.core.llcDemands(), 2u);
 }
 
 TEST(CoreHierarchy, L2EvictionGeneratesPut)
@@ -115,11 +125,14 @@ TEST(CoreHierarchy, L2EvictionGeneratesPut)
     // Fill the single 16-way L2 set plus one: evicts block 0.
     for (Addr b = 0; b <= 16; ++b)
         rig.core.access({ b, false });
-    ASSERT_GE(rig.sink.puts.size(), 1u);
-    EXPECT_EQ(rig.sink.puts[0].block, 0u);
-    EXPECT_FALSE(rig.sink.puts[0].dirty);
-    EXPECT_GE(rig.sink.puts[0].ecb, 2u);
-    EXPECT_LE(rig.sink.puts[0].ecb, 64u);
+    const auto puts = rig.puts();
+    ASSERT_GE(puts.size(), 1u);
+    EXPECT_EQ(puts[0].blockNum, 0u);
+    EXPECT_EQ(puts[0].type, LlcEventType::PutClean);
+    EXPECT_GE(puts[0].ecbBytes, 2u);
+    EXPECT_LE(puts[0].ecbBytes, 64u);
+    // The Put follows the GetS whose fill evicted block 0.
+    EXPECT_EQ(rig.trace.events().back().blockNum, 0u);
 }
 
 TEST(CoreHierarchy, DirtyBlocksPutDirtyWithL1Merge)
@@ -128,10 +141,11 @@ TEST(CoreHierarchy, DirtyBlocksPutDirtyWithL1Merge)
     rig.core.access({ 0, true }); // dirty in L1
     for (Addr b = 1; b <= 16; ++b)
         rig.core.access({ b, false });
-    ASSERT_GE(rig.sink.puts.size(), 1u);
+    const auto puts = rig.puts();
+    ASSERT_GE(puts.size(), 1u);
     // Block 0's dirtiness lived in L1; the Put must carry it.
-    EXPECT_EQ(rig.sink.puts[0].block, 0u);
-    EXPECT_TRUE(rig.sink.puts[0].dirty);
+    EXPECT_EQ(puts[0].blockNum, 0u);
+    EXPECT_EQ(puts[0].type, LlcEventType::PutDirty);
 }
 
 TEST(CoreHierarchy, InclusionMaintainedUnderPressure)
@@ -151,15 +165,14 @@ TEST(CoreHierarchy, InclusionMaintainedUnderPressure)
 
 TEST(MixSimulation, CountersCoverAllCores)
 {
-    MixSimulation sim(workload::tableVMixes()[0], 2048,
-                      PrivateCacheConfig{ 2048, 4, 8192, 16 }, 42);
-    SpySink sink;
-    sim.run(2000, sink);
-    for (std::size_t c = 0; c < sim.numCores(); ++c) {
-        const CoreActivity a = sim.activityOf(c);
-        EXPECT_EQ(a.refs, 2000u) << c;
-        EXPECT_GT(a.instructions, a.refs); // memIntensity < 1
-        EXPECT_GT(a.l1Hits, 0u);
+    const replay::LlcTrace trace =
+        captureTrace(workload::tableVMixes()[0], 2048,
+                     PrivateCacheConfig{ 2048, 4, 8192, 16 }, 2000, 42);
+    for (std::size_t c = 0; c < replay::traceCores; ++c) {
+        const replay::CoreMeta &m = trace.meta().cores[c];
+        EXPECT_EQ(m.refs, 2000u) << c;
+        EXPECT_GT(m.instructions, m.refs) << c; // memIntensity < 1
+        EXPECT_GT(m.l1Hits, 0u) << c;
     }
 }
 
@@ -200,7 +213,7 @@ TEST(TraceCapture, PutsCarryRealEcbSizes)
     EXPECT_TRUE(saw_put);
 }
 
-TEST(Timing, DeeperServiceLevelsCostMore)
+TEST(Timing, DeeperLevelsCostMore)
 {
     const TimingParams params;
     CoreActivity base;

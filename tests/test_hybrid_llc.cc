@@ -463,15 +463,24 @@ TEST(HybridLlc, CpSdLeaderSetsUseTheirCandidate)
 
 TEST(HybridLlc, HandleDispatchesAndTicksEpochs)
 {
-    LlcRig rig = makeRig(PolicyKind::CpSd);
+    HybridLlcConfig config;
+    config.numSets = kSets;
+    config.sramWays = 2;
+    config.nvmWays = 2;
+    config.policy = PolicyKind::CpSd;
+    config.epochCycles = 3 * cyclesPerEvent; // one epoch per 3 events
+    LlcRig rig = buildPristineRig(config);
+    const SetDueling &duel = *rig.llc->dueling();
+
     LlcEvent ev{ blk(1), LlcEventType::GetS, 64, 0 };
     EXPECT_EQ(rig.llc->handle(ev), AccessOutcome::Miss);
     ev.type = LlcEventType::PutClean;
     ev.ecbBytes = 30;
     rig.llc->handle(ev);
+    EXPECT_EQ(duel.epochsCompleted(), 0u);
     ev.type = LlcEventType::GetS;
     EXPECT_NE(rig.llc->handle(ev), AccessOutcome::Miss);
-    // Epoch clock advanced 3 * cyclesPerEvent.
+    EXPECT_EQ(duel.epochsCompleted(), 1u);
     EXPECT_EQ(rig.llc->demandAccesses(), 2u);
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * sim-layer tests: configuration scaling, System assembly, Experiment
- * phase studies and capacity degradation helpers.
+ * sim-layer tests: configuration scaling, Experiment phase studies and
+ * capacity degradation helpers.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 
 #include "common/thread_pool.hh"
 #include "sim/experiment.hh"
-#include "sim/system.hh"
 
 namespace
 {
@@ -94,30 +93,6 @@ TEST(Config, StudyEntryLabelsFollowThePolicyTable)
     EXPECT_EQ(th8.llc.params.thPercent, 8.0);
     EXPECT_EQ(th8.llc.numSets, cfg.llcSets);
     EXPECT_EQ(studyEntry(cfg, PolicyKind::CpSdTh).label, "CP_SD_Th4");
-}
-
-TEST(System, RunsAMixEndToEnd)
-{
-    const SystemConfig cfg = SystemConfig::tableIV(0.5);
-    System system(cfg, workload::tableVMixes()[0], PolicyKind::CpSd);
-    system.run(20'000);
-    EXPECT_GT(system.llc().demandAccesses(), 0u);
-    EXPECT_GT(system.meanIpc(), 0.0);
-    EXPECT_LT(system.meanIpc(), 8.0); // core width bound
-    // Wear was recorded against the fault map.
-    double pending = 0.0;
-    const auto frames = system.faultMap().geometry().numFrames();
-    for (std::uint32_t f = 0; f < frames; ++f)
-        pending += system.faultMap().pendingWrites(f);
-    EXPECT_GT(pending, 0.0);
-}
-
-TEST(System, SramOnlyNeedsNoFaultMap)
-{
-    const SystemConfig cfg = SystemConfig::tableIV(0.5);
-    System system(cfg, workload::tableVMixes()[1], PolicyKind::SramOnly);
-    system.run(5'000);
-    EXPECT_EQ(system.llc().nvmBytesWritten(), 0u);
 }
 
 TEST(DegradeUniform, ReachesTargetCapacity)
