@@ -1,15 +1,19 @@
 /**
  * @file
- * A minimal fixed-size thread pool for the embarrassingly parallel
- * policy×mix grids the experiments run.
+ * Thread pools for the policy×mix grids the experiments run.
  *
- * Design constraints (see DESIGN.md §7):
- *  - no work stealing: one mutex-protected FIFO queue shared by all
- *    workers, because grid cells are seconds-long and queue contention
- *    is irrelevant at that granularity;
- *  - determinism is the caller's job: tasks must derive any randomness
- *    from their grid coordinates (never from thread id or execution
- *    order) and write results into pre-sized slots;
+ * Two schedulers share one set of rules (see DESIGN.md §7):
+ *  - parallelFor / ThreadPool: a fixed-size pool with one
+ *    mutex-protected FIFO queue, iterations dispatched in index order
+ *    and no work stealing; the replay and phase grids and the capture
+ *    use it, as their cells are independent and seconds-long;
+ *  - runJobs: the forecast grid's scheduler. Jobs start in a caller-
+ *    given order (longest first), and a running job may fork a batch of
+ *    tasks (ForkJoin) that idle workers help run once no job is left to
+ *    start;
+ *  - determinism is the caller's job either way: tasks must derive any
+ *    randomness from their grid coordinates (never from thread id or
+ *    execution order) and write results into pre-sized slots;
  *  - jobs == 1 bypasses the workers entirely, so the serial path stays
  *    exercisable (and debuggable) with the same code.
  */
@@ -124,6 +128,58 @@ unsigned defaultJobs();
  */
 void parallelFor(unsigned jobs, std::size_t n,
                  const std::function<void(std::size_t)> &body);
+
+/**
+ * Fork-join for one job of runJobs(): run() hands a batch of tasks to
+ * the scheduler and returns once all of them have finished.
+ */
+class ForkJoin
+{
+  public:
+    /**
+     * One task: its index, and a slot in [0, width()) that no other
+     * task of the batch holds while this one runs (per-slot scratch
+     * state needs no lock).
+     */
+    using Body = std::function<void(std::size_t task, unsigned slot)>;
+
+    /** Most tasks of one batch in flight at once. */
+    virtual unsigned width() const = 0;
+
+    /**
+     * Run body(i, slot) for every i in [0, n), claimed in index order,
+     * and wait for them. Once a task throws, tasks not yet claimed are
+     * skipped; after the claimed ones finish, the lowest-index
+     * exception is rethrown (the one a serial loop would have hit).
+     */
+    virtual void run(std::size_t n, const Body &body) = 0;
+
+  protected:
+    ~ForkJoin() = default;
+};
+
+/**
+ * The serial fork-join: body(0, 0) .. body(n - 1, 0) in order on the
+ * calling thread, width 1.
+ */
+ForkJoin &inlineForkJoin();
+
+/**
+ * Run job(order[0], fj), job(order[1], fj), ... on @p jobs workers,
+ * each worker starting the next job of @p order (a permutation of
+ * [0, order.size())), and wait for all of them. A job may fork batches through its ForkJoin (width jobs):
+ *  - the job's own thread runs the batch's unclaimed tasks, and once
+ *    none is left blocks until the others finish; it never starts
+ *    another job meanwhile;
+ *  - a worker with no job left to start helps run any open batch.
+ *
+ * jobs <= 1 runs the jobs inline in @p order with inlineForkJoin().
+ * Like parallelFor, if a job throws, the exception of the lowest job
+ * index is rethrown after every job has finished, and each job body
+ * passes the threadpool.task.* chaos sites first.
+ */
+void runJobs(unsigned jobs, const std::vector<std::size_t> &order,
+             const std::function<void(std::size_t, ForkJoin &)> &job);
 
 } // namespace hllc
 

@@ -11,6 +11,23 @@
 namespace hllc::fault
 {
 
+void
+PendingWear::add(const PendingWear &other)
+{
+    HLLC_ASSERT(other.bytes.size() == bytes.size());
+    for (std::size_t f = 0; f < bytes.size(); ++f) {
+        bytes[f] += other.bytes[f];
+        blockWrites[f] += other.blockWrites[f];
+    }
+}
+
+void
+PendingWear::clear(std::size_t begin, std::size_t end)
+{
+    std::fill(bytes.begin() + begin, bytes.begin() + end, 0.0);
+    std::fill(blockWrites.begin() + begin, blockWrites.begin() + end, 0.0);
+}
+
 FaultMap::FaultMap(const EnduranceModel &endurance,
                    DisableGranularity granularity,
                    WearDistribution distribution)
@@ -23,8 +40,7 @@ FaultMap::FaultMap(const EnduranceModel &endurance,
 
     liveMask_.assign(frames, ~std::uint64_t{0});
     liveCount_.assign(frames, static_cast<std::uint8_t>(64));
-    pendingBytes_.assign(frames, 0.0);
-    pendingCount_.assign(frames, 0.0);
+    pending_ = PendingWear(frames);
     writes_.assign(geometry().numBytes(), 0.0);
     totalLive_ = geometry().numBytes();
 }
@@ -78,10 +94,10 @@ FaultMap::age(double scale)
     const unsigned frame_bytes = geometry().frameBytes;
     const auto frames = geometry().numFrames();
     for (std::uint32_t f = 0; f < frames; ++f) {
-        const double pending = pendingBytes_[f] * scale;
-        const double count = pendingCount_[f] * scale;
-        pendingBytes_[f] = 0.0;
-        pendingCount_[f] = 0.0;
+        const double pending = pending_.bytes[f] * scale;
+        const double count = pending_.blockWrites[f] * scale;
+        pending_.bytes[f] = 0.0;
+        pending_.blockWrites[f] = 0.0;
         if (pending <= 0.0)
             continue;
         const unsigned live = liveCount_[f];
@@ -140,8 +156,8 @@ FaultMap::snapshot(serial::Encoder &enc) const
     enc.u32(geometry().frameBytes);
     enc.u64Vec(liveMask_);
     enc.f64Vec(writes_);
-    enc.f64Vec(pendingBytes_);
-    enc.f64Vec(pendingCount_);
+    enc.f64Vec(pending_.bytes);
+    enc.f64Vec(pending_.blockWrites);
 }
 
 void
@@ -171,8 +187,8 @@ FaultMap::restore(serial::Decoder &dec)
 
     liveMask_ = std::move(live_mask);
     writes_ = std::move(writes);
-    pendingBytes_ = std::move(pending_bytes);
-    pendingCount_ = std::move(pending_count);
+    pending_.bytes = std::move(pending_bytes);
+    pending_.blockWrites = std::move(pending_count);
 
     // The derived aggregates are recomputed rather than trusted.
     totalLive_ = 0;
@@ -191,10 +207,7 @@ FaultMap::restore(serial::Decoder &dec)
 void
 FaultMap::discardPending()
 {
-    for (auto &p : pendingBytes_)
-        p = 0.0;
-    for (auto &c : pendingCount_)
-        c = 0.0;
+    pending_.clear();
 }
 
 } // namespace hllc::fault

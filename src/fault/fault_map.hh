@@ -36,6 +36,37 @@ namespace hllc::fault
 enum class DisableGranularity { Byte, Frame };
 
 /**
+ * Wear recorded against NVM frames since the last age(): byte writes and
+ * block writes per frame. Every recorded value is integer-valued and far
+ * below 2^53, so any order of additions gives the same bits; that is
+ * what lets the forecast's mix tasks record into private accumulators
+ * and fold them into the map afterwards.
+ */
+struct PendingWear
+{
+    std::vector<double> bytes;       //!< per frame: byte writes
+    std::vector<double> blockWrites; //!< per frame: block writes
+
+    explicit PendingWear(std::size_t frames = 0)
+        : bytes(frames, 0.0), blockWrites(frames, 0.0)
+    {
+    }
+
+    void add(std::uint32_t frame, double byte_writes, double block_writes)
+    {
+        bytes[frame] += byte_writes;
+        blockWrites[frame] += block_writes;
+    }
+
+    /** Add every frame of @p other (same frame count). */
+    void add(const PendingWear &other);
+
+    /** Zero frames [begin, end). */
+    void clear(std::size_t begin, std::size_t end);
+    void clear() { clear(0, bytes.size()); }
+};
+
+/**
  * How a frame's write traffic distributes over its bytes (ablation knob;
  * the paper assumes the rotation-based intra-frame leveling of [24]).
  */
@@ -111,31 +142,25 @@ class FaultMap
      */
     void recordWrite(std::uint32_t frame, unsigned ecb_bytes)
     {
-        addPending(frame, ecb_bytes, 1.0);
+        pending_.add(frame, ecb_bytes, 1.0);
     }
 
     /**
-     * Record @p bytes byte writes in @p block_writes block writes against
-     * @p frame at once (the forecast's memo replays a set's cached wear).
-     * Pending wear is integer-valued and far below 2^53, so any order of
-     * additions gives the same bits.
+     * The map's own pending-wear accumulator: where an LLC records its
+     * writes unless given another sink (HybridLlc::setWearSink).
      */
-    void addPending(std::uint32_t frame, double bytes, double block_writes)
-    {
-        pendingBytes_[frame] += bytes;
-        pendingCount_[frame] += block_writes;
-    }
+    PendingWear &pending() { return pending_; }
 
     /** Pending (un-aged) byte writes recorded against @p frame. */
     double pendingWrites(std::uint32_t frame) const
     {
-        return pendingBytes_[frame];
+        return pending_.bytes[frame];
     }
 
     /** Pending (un-aged) block writes recorded against @p frame. */
     double pendingBlockWrites(std::uint32_t frame) const
     {
-        return pendingCount_[frame];
+        return pending_.blockWrites[frame];
     }
 
     /**
@@ -195,8 +220,7 @@ class FaultMap
 
     std::vector<std::uint64_t> liveMask_;   //!< per frame
     std::vector<std::uint8_t> liveCount_;   //!< per frame (0..64)
-    std::vector<double> pendingBytes_;      //!< per frame, since last age()
-    std::vector<double> pendingCount_;      //!< block writes per frame
+    PendingWear pending_;                   //!< since last age()
     std::vector<double> writes_;            //!< per byte, cumulative
     std::uint64_t totalLive_ = 0;
     std::uint32_t deadFrames_ = 0;

@@ -144,80 +144,76 @@ replayAllTraces(const std::vector<const LlcTrace *> &traces,
 
 /**
  * Per-(mix, set) results of one run(), for an LLC with NVM ways and no
- * Set Dueling. A set's outcome for one mix is a function of the set's
- * events and its NVM frames' live-byte counts alone (see
- * replay/replayer.hh), so a mix replays only the sets whose frame
- * capacities changed since that set was last replayed; every other set
- * contributes its cached tally and re-adds its cached pending wear.
+ * Set Dueling, and the LLCs its mix tasks replay on. A set's outcome
+ * for one mix is a function of the set's events and its NVM frames'
+ * live-byte counts alone (see replay/replayer.hh), so a mix replays
+ * only the sets whose frame capacities changed since that set was last
+ * replayed; every other set contributes its cached tally and its
+ * cached wear. The fault map is read-only while a phase replays, so the
+ * mixes of a phase are independent: each runs as a task on its own LLC
+ * and records into its own pending wear, and the phase folds the wear
+ * into the map in mix order (integer-valued sums: any order, same
+ * bits).
  */
 class SetMemo
 {
   public:
-    SetMemo(std::size_t mixes, std::uint32_t sets, std::uint32_t ways)
-        : sets_(sets), ways_(ways), mixes_(mixes)
+    /**
+     * @param mixes mixes that go through the memo (all but the last)
+     * @param llc the engine's LLC: slot 0's lane, and the LLC whose
+     *        counters a phase leaves as the last mix's full replay
+     * @param width slots of the fork-join the phases run on
+     */
+    SetMemo(std::size_t mixes, hybrid::HybridLlc &llc,
+            fault::FaultMap &map, unsigned width)
+        : sets_(llc.config().numSets), ways_(llc.config().nvmWays),
+          mixes_(mixes), lastWear_(map.geometry().numFrames()),
+          llc_(llc), map_(map), lanes_(width)
     {
-        const std::size_t frames = static_cast<std::size_t>(sets) * ways;
+        const std::size_t frames = static_cast<std::size_t>(sets_) * ways_;
         for (Mix &mix : mixes_) {
             // No live-byte count reaches 0xff: every set starts stale.
             mix.key.assign(frames, 0xff);
-            mix.pendingBytes.assign(frames, 0.0);
-            mix.pendingWrites.assign(frames, 0.0);
-            mix.filter.replaySet.assign(sets, 0);
+            mix.wear = fault::PendingWear(frames);
+            mix.filter.replaySet.assign(sets_, 0);
         }
     }
 
     /**
-     * Replay mix @p mix of @p trace against @p llc, re-simulating only
-     * its stale sets; returns the full-trace result and leaves the
-     * whole trace's pending wear in @p map, as an unfiltered replay.
+     * Replay every trace of @p traces as one batch of @p tasks: the last
+     * in full, the others through the memo. Returns the results in mix
+     * order and adds the phase's wear to the map's pending wear in mix
+     * order.
      */
-    replay::ReplayResult
-    replay(std::size_t mix_index, const LlcTrace &trace,
-           const TraceReplayer &replayer, hybrid::HybridLlc &llc,
-           fault::FaultMap &map)
+    std::vector<replay::ReplayResult>
+    replayPhase(const std::vector<const LlcTrace *> &traces,
+                const TraceReplayer &replayer, ForkJoin &tasks)
     {
-        Mix &mix = mixes_[mix_index];
-        for (std::uint32_t s = 0; s < sets_; ++s) {
-            const std::size_t f0 = static_cast<std::size_t>(s) * ways_;
-            bool stale = false;
-            for (std::size_t f = f0; f < f0 + ways_; ++f) {
-                const auto live = static_cast<std::uint8_t>(
-                    map.liveBytes(static_cast<std::uint32_t>(f)));
-                stale = stale || mix.key[f] != live;
-                mix.key[f] = live;
+        const std::size_t last = traces.size() - 1;
+        std::vector<replay::ReplayResult> results(traces.size());
+        serial::Encoder last_stats;
+        // Task 0 is the last mix's full replay, the longest task: it is
+        // claimed first, so it does not trail the batch.
+        tasks.run(traces.size(), [&](std::size_t task, unsigned slot) {
+            hybrid::HybridLlc &llc = lane(slot);
+            if (task == 0) {
+                lastWear_.clear();
+                llc.setWearSink(&lastWear_);
+                results[last] = replayer.replay(*traces[last], llc);
+                llc.stats().snapshot(last_stats);
+            } else {
+                const std::size_t m = task - 1;
+                results[m] = replayMix(m, *traces[m], replayer, llc);
             }
-            mix.filter.replaySet[s] = stale ? 1 : 0;
-            // A stale set's wear is the growth of its frames' pending
-            // counts over the replay: note where they start.
-            for (std::size_t f = f0; stale && f < f0 + ways_; ++f) {
-                const auto frame = static_cast<std::uint32_t>(f);
-                mix.pendingBytes[f] = map.pendingWrites(frame);
-                mix.pendingWrites[f] = map.pendingBlockWrites(frame);
-            }
-        }
-
-        replay::ReplayResult res =
-            replayer.replay(trace, llc, nullptr, 0, &mix.filter);
-
-        for (std::uint32_t s = 0; s < sets_; ++s) {
-            const std::size_t f0 = static_cast<std::size_t>(s) * ways_;
-            const bool stale = mix.filter.replaySet[s] != 0;
-            if (!stale)
-                replay::addTally(res, mix.filter.tallies[s]);
-            for (std::size_t f = f0; f < f0 + ways_; ++f) {
-                const auto frame = static_cast<std::uint32_t>(f);
-                if (stale) {
-                    mix.pendingBytes[f] =
-                        map.pendingWrites(frame) - mix.pendingBytes[f];
-                    mix.pendingWrites[f] = map.pendingBlockWrites(frame) -
-                                           mix.pendingWrites[f];
-                } else {
-                    map.addPending(frame, mix.pendingBytes[f],
-                                   mix.pendingWrites[f]);
-                }
-            }
-        }
-        return res;
+        });
+        for (const Mix &mix : mixes_)
+            map_.pending().add(mix.wear);
+        map_.pending().add(lastWear_);
+        // The engine's LLC ends the phase with the last mix's counters,
+        // as if it had replayed that mix last.
+        serial::Decoder dec(last_stats.bytes());
+        llc_.stats().restore(dec);
+        return results;
     }
 
   private:
@@ -225,16 +221,69 @@ class SetMemo
     {
         /** Live bytes of every NVM frame when its set was last replayed. */
         std::vector<std::uint8_t> key;
-        /** Per frame: pending bytes / block writes of the last replay. */
-        std::vector<double> pendingBytes;
-        std::vector<double> pendingWrites;
+        /** Per frame: the wear of the mix's last replay of its set. */
+        fault::PendingWear wear;
         /** Which sets replay; its tallies are the per-set cache. */
         replay::SetFilter filter;
     };
 
+    /** The LLC of fork-join slot @p slot, built on first use. */
+    hybrid::HybridLlc &
+    lane(unsigned slot)
+    {
+        if (slot == 0)
+            return llc_;
+        if (!lanes_[slot]) {
+            lanes_[slot] =
+                std::make_unique<hybrid::HybridLlc>(llc_.config(), &map_);
+        }
+        return *lanes_[slot];
+    }
+
+    /**
+     * Replay mix @p mix_index of @p trace against @p llc, re-simulating
+     * only its stale sets; returns the full-trace result and leaves the
+     * whole trace's wear in the mix's accumulator.
+     */
+    replay::ReplayResult
+    replayMix(std::size_t mix_index, const LlcTrace &trace,
+              const TraceReplayer &replayer, hybrid::HybridLlc &llc)
+    {
+        Mix &mix = mixes_[mix_index];
+        for (std::uint32_t s = 0; s < sets_; ++s) {
+            const std::size_t f0 = static_cast<std::size_t>(s) * ways_;
+            bool stale = false;
+            for (std::size_t f = f0; f < f0 + ways_; ++f) {
+                const auto live = static_cast<std::uint8_t>(
+                    map_.liveBytes(static_cast<std::uint32_t>(f)));
+                stale = stale || mix.key[f] != live;
+                mix.key[f] = live;
+            }
+            mix.filter.replaySet[s] = stale ? 1 : 0;
+            // A stale set's frames record this replay's wear afresh.
+            if (stale)
+                mix.wear.clear(f0, f0 + ways_);
+        }
+
+        llc.setWearSink(&mix.wear);
+        replay::ReplayResult res =
+            replayer.replay(trace, llc, nullptr, 0, &mix.filter);
+        for (std::uint32_t s = 0; s < sets_; ++s) {
+            if (mix.filter.replaySet[s] == 0)
+                replay::addTally(res, mix.filter.tallies[s]);
+        }
+        return res;
+    }
+
     std::uint32_t sets_;
     std::uint32_t ways_;
     std::vector<Mix> mixes_;
+    /** The last mix's wear (it replays in full every phase). */
+    fault::PendingWear lastWear_;
+    hybrid::HybridLlc &llc_;
+    fault::FaultMap &map_;
+    /** Per slot but 0: a lane LLC over the same map, or null. */
+    std::vector<std::unique_ptr<hybrid::HybridLlc>> lanes_;
 };
 
 ForecastEngine::ForecastEngine(const fault::EnduranceModel &endurance,
@@ -263,22 +312,20 @@ ForecastEngine::ForecastEngine(const fault::EnduranceModel &endurance,
 ForecastPoint
 ForecastEngine::simulatePhase(hybrid::HybridLlc &llc,
                               fault::FaultMap &map, SetMemo *memo,
-                              Seconds now, Seconds &window_seconds,
+                              ForkJoin &tasks, Seconds now,
+                              Seconds &window_seconds,
                               PhaseAggregate &agg_out)
 {
     if (memo == nullptr) {
         agg_out = replayAllTraces(traces_, llc, timing_,
                                   config_.warmupFraction);
     } else {
-        // Every mix but the last goes through the memo. The last one
-        // replays in full, so the LLC's counters after the phase (the
-        // checkpoint's "lstat" chunk) are those of a full replay.
         const TraceReplayer replayer(config_.warmupFraction);
+        const std::vector<replay::ReplayResult> results =
+            memo->replayPhase(traces_, replayer, tasks);
         PhaseFold fold(timing_, config_.warmupFraction);
-        for (std::size_t m = 0; m + 1 < traces_.size(); ++m)
-            fold.add(*traces_[m],
-                     memo->replay(m, *traces_[m], replayer, llc, map));
-        fold.add(*traces_.back(), replayer.replay(*traces_.back(), llc));
+        for (std::size_t m = 0; m < traces_.size(); ++m)
+            fold.add(*traces_[m], results[m]);
         agg_out = fold.finish();
     }
     const PhaseAggregate &agg = agg_out;
@@ -503,11 +550,12 @@ ForecastEngine::run(const RunOptions &options)
 
     // The memo is not checkpointed: a resumed run starts with every set
     // stale, which gives the same bits as a warm memo.
+    ForkJoin &tasks =
+        options.tasks != nullptr ? *options.tasks : inlineForkJoin();
     std::unique_ptr<SetMemo> memo;
     if (llcConfig_.nvmWays > 0 && rig.llc->dueling() == nullptr) {
-        memo = std::make_unique<SetMemo>(traces_.size() - 1,
-                                         llcConfig_.numSets,
-                                         llcConfig_.nvmWays);
+        memo = std::make_unique<SetMemo>(traces_.size() - 1, *rig.llc,
+                                         *rig.map, tasks.width());
     }
 
     const std::size_t every = std::max<std::size_t>(
@@ -564,7 +612,7 @@ ForecastEngine::run(const RunOptions &options)
         Seconds window_seconds = 0.0;
         PhaseAggregate agg;
         series.push_back(
-            simulatePhase(*rig.llc, *rig.map, memo.get(), now,
+            simulatePhase(*rig.llc, *rig.map, memo.get(), tasks, now,
                           window_seconds, agg));
         ++stats_.counter("simulate_phases");
         samplePoint(step, series.back(), agg, *rig.llc, *rig.map);

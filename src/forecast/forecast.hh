@@ -10,8 +10,11 @@
  * whose NVM frame capacities changed since that set was last replayed;
  * the other sets reuse their cached tallies and pending wear (SetMemo,
  * DESIGN.md §6). The last mix of a phase always replays in full, so
- * the LLC's counters after a phase are those of a full replay. Every
- * output is bit-identical to replaying every set.
+ * the LLC's counters after a phase are those of a full replay. The
+ * mixes of such a phase are independent given the fault map, so they
+ * run as fork-join tasks (RunOptions::tasks), each on its own LLC and
+ * into its own pending wear, folded into the map in mix order. Every
+ * output is bit-identical to replaying every set of every mix in turn.
  */
 
 #ifndef HLLC_FORECAST_FORECAST_HH
@@ -23,6 +26,7 @@
 
 #include "common/metrics.hh"
 #include "common/stats.hh"
+#include "common/thread_pool.hh"
 #include "fault/endurance.hh"
 #include "forecast/aging.hh"
 #include "hierarchy/timing.hh"
@@ -82,6 +86,13 @@ struct RunOptions
      * like the interrupt path but per-run instead of process-wide.
      */
     const std::atomic<bool> *cancel = nullptr;
+    /**
+     * Runs the mix tasks of a simulation phase of an LLC with NVM ways
+     * and no Set Dueling (the forecast grid hands its scheduler's);
+     * null runs them inline in mix order. Any width gives the same
+     * bits.
+     */
+    ForkJoin *tasks = nullptr;
 };
 
 /** One sample of the forecast output. */
@@ -183,12 +194,14 @@ class ForecastEngine
   private:
     /**
      * One simulation phase; returns the sampled point (capacity at t).
-     * With @p memo set, mixes re-simulate only the sets whose NVM frames
-     * changed since their last replay (same bits as a full replay).
+     * With @p memo set, the mixes run as @p tasks and re-simulate only
+     * the sets whose NVM frames changed since their last replay (same
+     * bits as a full replay).
      */
     ForecastPoint simulatePhase(hybrid::HybridLlc &llc,
                                 fault::FaultMap &map, SetMemo *memo,
-                                Seconds now, Seconds &window_seconds,
+                                ForkJoin &tasks, Seconds now,
+                                Seconds &window_seconds,
                                 PhaseAggregate &agg_out);
 
     /** Append one forecast step's observability samples to metrics_. */

@@ -49,6 +49,8 @@ HybridLlc::HybridLlc(const HybridLlcConfig &config,
                     policy_.usesCompression() ? "byte" : "frame");
     }
 
+    setWearSink(nullptr);
+
     if (policy_.usesSetDueling()) {
         dueling_ = std::make_unique<SetDueling>(
             config.numSets, compression::cpthCandidates(),
@@ -219,7 +221,7 @@ HybridLlc::writeLine(std::uint32_t set, std::uint32_t way, Addr block,
     lru_.touch(set, way);
 
     if (nvm) {
-        faultMap_->recordWrite(frameOf(set, way), stored);
+        wear_->add(frameOf(set, way), stored, 1.0);
         ++*ctr_.nvmWrites;
         *ctr_.nvmBytesWritten += stored;
         ++*ctr_.insertsNvm;
@@ -465,7 +467,7 @@ HybridLlc::onPut(Addr block, bool dirty, unsigned ecb_bytes)
             dirty_[i] = 1;
             ecb_[i] = static_cast<std::uint8_t>(ecb_bytes);
             if (isNvmWay(uway)) {
-                faultMap_->recordWrite(frameOf(set, uway), stored);
+                wear_->add(frameOf(set, uway), stored, 1.0);
                 ++*ctr_.nvmWrites;
                 *ctr_.nvmBytesWritten += stored;
                 if (dueling_)

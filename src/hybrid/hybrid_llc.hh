@@ -12,8 +12,9 @@
  * NVM frames backed by a FaultMap. Compression-enabled policies store the
  * ECB in NVM frames (Fit-LRU victim search over frames with enough
  * effective capacity); SRAM always stores blocks uncompressed. Every
- * byte deposited in an NVM frame is recorded against the fault map for
- * the forecast's aging phases.
+ * byte deposited in an NVM frame is recorded as pending wear for the
+ * forecast's aging phases: in the fault map's own accumulator, or in
+ * the sink setWearSink() names.
  *
  * Implementation notes for the replay hot path: the tag store is kept as
  * structure-of-arrays (tags / valid / dirty / ecb / reuse / hits in
@@ -196,6 +197,19 @@ class HybridLlc
     }
     ///@}
 
+    /**
+     * Record NVM wear into @p sink instead of the fault map's own
+     * accumulator (nullptr restores the map's). The fault map still
+     * supplies the frame capacities. The forecast's mix tasks replay on
+     * separate LLCs over one map, each into its own sink.
+     */
+    void setWearSink(fault::PendingWear *sink)
+    {
+        wear_ = sink != nullptr || faultMap_ == nullptr
+            ? sink
+            : &faultMap_->pending();
+    }
+
     /** Attach (or detach with nullptr) a decision-stream observer. */
     void setProbe(LlcProbe *probe) { probe_ = probe; }
 
@@ -350,6 +364,8 @@ class HybridLlc
     std::unique_ptr<SetDueling> dueling_;
     StatGroup stats_;
     HotCounters ctr_;
+    /** Where NVM writes are recorded (see setWearSink()). */
+    fault::PendingWear *wear_ = nullptr;
 };
 
 } // namespace hllc::hybrid

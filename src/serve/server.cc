@@ -170,7 +170,9 @@ Server::drain()
     draining_.store(true, std::memory_order_release);
     tickerWake_.notifyAll();
 
-    // 1. No new connections.
+    // 1. No new connections: the listener admits the connections its
+    //    backlog already holds (their clients may have sent requests),
+    //    then stops accepting.
     if (listenerThread_.joinable())
         listenerThread_.join();
 
@@ -239,30 +241,46 @@ Server::listenerLoop()
             accepted = listener_->accept(recvPollMs);
         } catch (const IoError &e) {
             warn("hllc-serve: listener failed: %s", e.what());
-            break;
+            return;
         }
-        if (!accepted)
-            continue;
-        if (failpoint::shouldFail("serve.accept")) {
-            // Injected accept failure: the connection is dropped before
-            // any frame could be read, so nothing is "accepted work".
-            counters_.acceptInjectedDrops.fetch_add(1);
-            continue;
-        }
-
-        counters_.connectionsAccepted.fetch_add(1);
-        auto slot = std::make_unique<ReaderSlot>();
-        slot->conn = std::make_shared<Connection>(std::move(*accepted));
-        ReaderSlot *raw = slot.get();
-        {
-            MutexLock lock(readersMutex_);
-            readers_.push_back(std::move(slot));
-        }
-        raw->thread = std::thread([this, raw] {
-            readerLoop(raw->conn);
-            raw->finished.store(true, std::memory_order_release);
-        });
+        if (accepted)
+            admit(std::move(*accepted));
     }
+
+    // A client whose connect completed before the drain may already have
+    // sent requests into its socket. Accept what the backlog holds, so
+    // those frames are read and answered: closing the listener with them
+    // still queued would reset the connections, unread.
+    try {
+        while (std::optional<Fd> accepted = listener_->accept(0))
+            admit(std::move(*accepted));
+    } catch (const IoError &e) {
+        warn("hllc-serve: listener failed: %s", e.what());
+    }
+}
+
+void
+Server::admit(Fd fd)
+{
+    if (failpoint::shouldFail("serve.accept")) {
+        // Injected accept failure: the connection is dropped before any
+        // frame could be read, so nothing is "accepted work".
+        counters_.acceptInjectedDrops.fetch_add(1);
+        return;
+    }
+
+    counters_.connectionsAccepted.fetch_add(1);
+    auto slot = std::make_unique<ReaderSlot>();
+    slot->conn = std::make_shared<Connection>(std::move(fd));
+    ReaderSlot *raw = slot.get();
+    {
+        MutexLock lock(readersMutex_);
+        readers_.push_back(std::move(slot));
+    }
+    raw->thread = std::thread([this, raw] {
+        readerLoop(raw->conn);
+        raw->finished.store(true, std::memory_order_release);
+    });
 }
 
 void

@@ -122,6 +122,8 @@ class Server
     struct ReaderSlot;
 
     void listenerLoop();
+    /** Start a reader for an accepted connection. */
+    void admit(Fd fd);
     void readerLoop(std::shared_ptr<Connection> conn);
     void shardLoop(Shard &shard);
     void tickerLoop();

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <numeric>
 #include <string_view>
 #include <sys/stat.h>
 
@@ -103,25 +104,33 @@ checkpointCellPath(const CheckpointOptions &checkpoint, std::size_t index,
            ".ckpt";
 }
 
-std::vector<ForecastSummary>
-runForecastGrid(const Experiment &experiment,
-                const std::vector<StudyEntry> &entries,
-                const forecast::ForecastConfig &fc,
-                unsigned jobs)
-{
-    if (jobs == 0)
-        jobs = experiment.config().jobs;
-    return runGrid(
-        entries.size(),
-        [&](std::size_t i) {
-            return experiment.runForecast(entries[i].llc,
-                                          entries[i].label, fc);
-        },
-        jobs);
-}
-
 namespace
 {
+
+/**
+ * The order a parallel forecast grid starts @p entries in: longest
+ * expected cell first, by policyTable traits. Set Dueling cells come
+ * first (their mixes cannot split into tasks), then the byte-disabled
+ * ones (a byte lost makes a set stale, so more sets replay per phase),
+ * then the rest, which split into mix tasks and fill the tail. Stable
+ * within a rank.
+ */
+std::vector<std::size_t>
+costOrder(const std::vector<StudyEntry> &entries)
+{
+    const auto rank = [&](std::size_t i) {
+        const hybrid::PolicyTraits &traits = hybrid::policyTable
+            [static_cast<std::size_t>(entries[i].llc.policy)];
+        return traits.usesSetDueling ? 0 : traits.usesCompression ? 1 : 2;
+    };
+    std::vector<std::size_t> order(entries.size());
+    std::iota(order.begin(), order.end(), std::size_t{ 0 });
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return rank(a) < rank(b);
+                     });
+    return order;
+}
 
 /** Per-cell result of the checkpointed grid (collected off-thread). */
 struct CellOutcome
@@ -196,59 +205,65 @@ runForecastGridCheckpointed(const Experiment &experiment,
 
     GridWatchdog watchdog(resilience.cellTimeoutMs);
 
-    std::vector<CellOutcome> cells = runGrid(
-        entries.size(),
-        [&](std::size_t i) {
-            CellOutcome out;
-            CellHeartbeat heartbeat("forecast", i, entries.size(),
-                                    entries[i].label);
-            const RetryResult rr = runWithRetry(
-                resilience.retry, i, [&](std::size_t attempt) {
-                    // The deadline covers the whole attempt, the chaos
-                    // sites included, so an injected stall overruns it
-                    // however fast the forecast itself is.
-                    GridWatchdog::Scope scope(watchdog, i,
-                                              entries[i].label);
-                    // Chaos sites inside the retry boundary: an injected
-                    // throw exercises per-cell quarantine/recovery, an
-                    // injected stall overruns the watchdog deadline.
-                    HLLC_FAILPOINT("grid.cell.throw");
-                    if (failpoint::shouldFail("grid.cell.stall")) {
-                        const std::uint64_t stall =
-                            resilience.cellTimeoutMs > 0
-                                ? std::min<std::uint64_t>(
-                                      resilience.cellTimeoutMs * 2, 5000)
-                                : 100;
-                        interruptibleSleepMs(stall);
-                    }
-                    forecast::RunOptions run_options;
-                    if (checkpoint.enabled()) {
-                        run_options.checkpointPath = checkpointCellPath(
-                            checkpoint, i, entries[i].label);
-                        run_options.checkpointEvery = checkpoint.every;
-                        // A retry resumes from whatever the failed
-                        // attempt managed to checkpoint (falling back to
-                        // scratch when nothing valid landed) — both are
-                        // byte-identical to never having failed.
-                        run_options.resume =
-                            checkpoint.resume || attempt > 0;
-                    }
-                    run_options.cancel = scope.cancelFlag();
-                    out.summary = experiment.runForecast(
-                        entries[i].llc, entries[i].label, fc,
-                        run_options);
-                });
-            out.report.index = i;
-            out.report.label = entries[i].label;
-            out.report.attempts = rr.attempts;
-            out.report.status = rr.status;
-            out.report.error = rr.error;
-            out.report.errorKind = rr.errorKind;
-            out.report.failpoints = rr.failpoints;
-            heartbeat.done(cellStatusName(rr.status));
-            return out;
-        },
-        jobs);
+    // Longest cells first; serially, entry order (the reference path,
+    // whose failpoint hit order the chaos tests pin).
+    jobs = resolveJobs(jobs);
+    std::vector<std::size_t> order(entries.size());
+    std::iota(order.begin(), order.end(), std::size_t{ 0 });
+    if (jobs > 1)
+        order = costOrder(entries);
+
+    std::vector<CellOutcome> cells(entries.size());
+    runJobs(jobs, order, [&](std::size_t i, ForkJoin &tasks) {
+        CellOutcome &out = cells[i];
+        CellHeartbeat heartbeat("forecast", i, entries.size(),
+                                entries[i].label);
+        const RetryResult rr = runWithRetry(
+            resilience.retry, i, [&](std::size_t attempt) {
+                // The deadline covers the whole attempt, the chaos
+                // sites included, so an injected stall overruns it
+                // however fast the forecast itself is.
+                GridWatchdog::Scope scope(watchdog, i,
+                                          entries[i].label);
+                // Chaos sites inside the retry boundary: an injected
+                // throw exercises per-cell quarantine/recovery, an
+                // injected stall overruns the watchdog deadline.
+                HLLC_FAILPOINT("grid.cell.throw");
+                if (failpoint::shouldFail("grid.cell.stall")) {
+                    const std::uint64_t stall =
+                        resilience.cellTimeoutMs > 0
+                            ? std::min<std::uint64_t>(
+                                  resilience.cellTimeoutMs * 2, 5000)
+                            : 100;
+                    interruptibleSleepMs(stall);
+                }
+                forecast::RunOptions run_options;
+                if (checkpoint.enabled()) {
+                    run_options.checkpointPath = checkpointCellPath(
+                        checkpoint, i, entries[i].label);
+                    run_options.checkpointEvery = checkpoint.every;
+                    // A retry resumes from whatever the failed
+                    // attempt managed to checkpoint (falling back to
+                    // scratch when nothing valid landed) — both are
+                    // byte-identical to never having failed.
+                    run_options.resume =
+                        checkpoint.resume || attempt > 0;
+                }
+                run_options.cancel = scope.cancelFlag();
+                run_options.tasks = &tasks;
+                out.summary = experiment.runForecast(
+                    entries[i].llc, entries[i].label, fc,
+                    run_options);
+            });
+        out.report.index = i;
+        out.report.label = entries[i].label;
+        out.report.attempts = rr.attempts;
+        out.report.status = rr.status;
+        out.report.error = rr.error;
+        out.report.errorKind = rr.errorKind;
+        out.report.failpoints = rr.failpoints;
+        heartbeat.done(cellStatusName(rr.status));
+    });
 
     ForecastGridOutcome outcome;
     for (std::size_t i = 0; i < cells.size(); ++i) {

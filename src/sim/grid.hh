@@ -5,14 +5,18 @@
  * The paper's evaluation is an embarrassingly parallel policy×mix grid:
  * every bench driver forecasts or replays a handful of independent LLC
  * configurations over the captured mixes. runGrid() runs such a grid on
- * a fixed-size thread pool while keeping the results — and therefore
- * every stats dump — byte-identical to the serial run:
+ * a fixed-size thread pool (parallelFor: index order), and the forecast
+ * grid runs on runJobs() (longest cell first, mix tasks helped by idle
+ * workers), while keeping the results — and therefore every stats
+ * dump — byte-identical to the serial run:
  *
- *  - cells are dispatched in index order and collected into a pre-sized
- *    vector, so output ordering never depends on completion order;
- *  - any cell randomness is derived with childStream(seed, mix, policy)
- *    (see common/rng.hh), never from thread id or submission order;
- *  - jobs == 1 runs the cells inline (the serial reference path).
+ *  - results are collected into pre-sized slots in entry order, so
+ *    output ordering never depends on dispatch or completion order;
+ *  - any cell randomness (retry jitter included) is keyed on the cell
+ *    index, derived with childStream(seed, mix, policy) (see
+ *    common/rng.hh), never from thread id or submission order;
+ *  - jobs == 1 runs the cells inline in entry order (the serial
+ *    reference path).
  *
  * The jobs knob resolves, in order: explicit argument > --jobs N on the
  * command line (parseBenchArgs) > HLLC_JOBS environment variable >
@@ -114,23 +118,17 @@ struct PhaseCell
 };
 
 /**
- * Forecast every entry of @p entries (each over all captured mixes) in
- * parallel; results are in entry order, identical to calling
- * Experiment::runForecast serially.
- */
-std::vector<ForecastSummary>
-runForecastGrid(const Experiment &experiment,
-                const std::vector<StudyEntry> &entries,
-                const forecast::ForecastConfig &fc = {},
-                unsigned jobs = 0);
-
-/**
- * Forecast grid with crash containment: every cell checkpoints under
- * @p checkpoint (when enabled), a throwing cell becomes a CellFailure
- * while the other cells complete, and a pending SIGINT/SIGTERM (see
+ * Forecast every entry of @p entries (each over all captured mixes) on
+ * @p jobs workers: runJobs() starts the longest expected cells first
+ * (entry order when serial), and a cell without Set Dueling runs the mixes of each
+ * simulation phase as tasks that idle workers help with. With crash
+ * containment: every cell checkpoints under @p checkpoint (when
+ * enabled), a throwing cell (or mix task) becomes a CellFailure while
+ * the other cells complete, and a pending SIGINT/SIGTERM (see
  * common/interrupt.hh) marks the outcome interrupted after each running
- * cell has written its final checkpoint. Successful summaries keep
- * entry order, so the output stays byte-identical for any jobs value.
+ * cell has written its final checkpoint at a step boundary. Results
+ * keep entry order, so the output stays byte-identical for any jobs
+ * value.
  *
  * @p resilience adds self-healing on top (see sim/resilience.hh):
  * failing cells retry up to their attempt budget (resuming from their

@@ -530,7 +530,8 @@ class CheckpointedGrid : public ::testing::Test
 
 TEST_F(CheckpointedGrid, MatchesPlainGridAndResumesIdentically)
 {
-    const auto plain = sim::runForecastGrid(experiment(), entries());
+    const auto plain =
+        sim::runForecastGridCheckpointed(experiment(), entries()).summaries;
 
     const auto outcome = sim::runForecastGridCheckpointed(
         experiment(), entries(), {}, checkpoint());
@@ -570,7 +571,8 @@ TEST_F(CheckpointedGrid, FailingCellIsContainedAndReported)
 
 TEST_F(CheckpointedGrid, InterruptStopsGridWithCheckpointsInPlace)
 {
-    const auto plain = sim::runForecastGrid(experiment(), entries());
+    const auto plain =
+        sim::runForecastGridCheckpointed(experiment(), entries()).summaries;
 
     requestInterrupt(SIGINT);
     const auto outcome = sim::runForecastGridCheckpointed(

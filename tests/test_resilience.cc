@@ -352,7 +352,8 @@ class ResilientGrid : public ::testing::Test
 
 TEST_F(ResilientGrid, InjectedCellFaultRecoversByteIdentically)
 {
-    const auto plain = sim::runForecastGrid(experiment(), entries());
+    const auto plain =
+        sim::runForecastGridCheckpointed(experiment(), entries()).summaries;
 
     // jobs=1 pins the failpoint hit order: cell 0 takes the injected
     // fault on its first attempt and must recover on its second.
@@ -372,7 +373,8 @@ TEST_F(ResilientGrid, InjectedCellFaultRecoversByteIdentically)
 
 TEST_F(ResilientGrid, CheckpointSaveFaultRecoversViaResume)
 {
-    const auto plain = sim::runForecastGrid(experiment(), entries());
+    const auto plain =
+        sim::runForecastGridCheckpointed(experiment(), entries()).summaries;
 
     // The first checkpoint save of the grid fails; the retry resumes
     // the cell (from nothing, the failed save landed no file) and the
@@ -418,7 +420,8 @@ TEST_F(ResilientGrid, ExhaustedBudgetQuarantinesAndWritesReport)
 TEST_F(ResilientGrid, WatchdogCancelsStalledCellAndResumeCompletes)
 {
     const std::vector<sim::StudyEntry> one = { entries()[0] };
-    const auto plain = sim::runForecastGrid(experiment(), one);
+    const auto plain =
+        sim::runForecastGridCheckpointed(experiment(), one).summaries;
 
     // The stall site sleeps past the 200 ms deadline, the watchdog
     // sets the cancel flag, and the cell unwinds at its first step

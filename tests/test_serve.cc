@@ -530,32 +530,44 @@ TEST_F(ServeSpec, DrainUnderPipelinedLoadLosesZeroAcceptedRequests)
     constexpr unsigned perClient = 25;
     std::atomic<unsigned> sent{ 0 };
     std::atomic<unsigned> received{ 0 };
+    // A client's I/O error is recorded and asserted below: thrown out of
+    // a std::thread it would abort the whole test binary.
+    std::vector<std::string> errors(clients);
+    std::atomic<unsigned> failed{ 0 };
     std::vector<std::thread> threads;
     threads.reserve(clients);
     for (unsigned c = 0; c < clients; ++c) {
         threads.emplace_back([&, c] {
-            const Fd fd = connectPort(port);
-            // Fire the whole pipeline without reading a single reply
-            // (loopback sendAll returns once the bytes are in the
-            // server's receive buffer, so after this loop every frame
-            // is guaranteed to be read and accepted by a reader).
-            for (unsigned i = 0; i < perClient; ++i) {
-                sendRequest(fd, replayRequest(
-                                    1 + c + i * clients, 150));
-                sent.fetch_add(1);
+            try {
+                const Fd fd = connectPort(port);
+                // Fire the whole pipeline without reading a single
+                // reply. Once sendAll returns, the frames are the
+                // kernel's: the connection may even still wait in the
+                // listener's backlog, and the drain must read and
+                // answer them all the same.
+                for (unsigned i = 0; i < perClient; ++i) {
+                    sendRequest(fd, replayRequest(
+                                        1 + c + i * clients, 150));
+                    sent.fetch_add(1);
+                }
+                // Then count replies until the drain closes the stream.
+                while (recvResponse(fd))
+                    received.fetch_add(1);
+            } catch (const std::exception &e) {
+                errors[c] = e.what();
+                failed.fetch_add(1);
             }
-            // Then count replies until the drain closes the stream.
-            while (recvResponse(fd))
-                received.fetch_add(1);
         });
     }
 
     // Begin the drain while requests are still queued and in flight.
-    while (sent.load() < clients * perClient)
+    while (sent.load() < clients * perClient && failed.load() == 0)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
     server.drain();
     for (auto &thread : threads)
         thread.join();
+    for (unsigned c = 0; c < clients; ++c)
+        EXPECT_EQ(errors[c], "") << "client " << c;
 
     const ServerStats stats = server.stats();
     EXPECT_EQ(stats.framesAccepted, clients * perClient);

@@ -210,8 +210,12 @@ TEST(GridDeterminism, ForecastAndPhaseGridsIdenticalAcrossJobCounts)
         { "LHybrid", config.llcConfig(PolicyKind::LHybrid) },
         { "CP_SD", config.llcConfig(PolicyKind::CpSd) },
     };
-    const auto s = runForecastGrid(serial, entries, {}, 1);
-    const auto p = runForecastGrid(parallel, entries, {}, 8);
+    const auto s =
+        runForecastGridCheckpointed(serial, entries, {}, {}, {}, 1)
+            .summaries;
+    const auto p =
+        runForecastGridCheckpointed(parallel, entries, {}, {}, {}, 8)
+            .summaries;
     ASSERT_EQ(s.size(), p.size());
     for (std::size_t i = 0; i < s.size(); ++i) {
         EXPECT_EQ(s[i].label, p[i].label);
