@@ -185,8 +185,8 @@ allFailpoints()
         "trace.decode",            // LlcTrace::load: .hlt decode
         "forecast.checkpoint.save", // ForecastEngine::saveCheckpoint
         "forecast.checkpoint.load", // ForecastEngine::loadCheckpoint
-        "threadpool.task.throw",   // parallelFor body: injected throw
-        "threadpool.task.stall",   // parallelFor body: injected stall
+        "threadpool.task.throw",   // runJobs job: injected throw
+        "threadpool.task.stall",   // runJobs job: injected stall
         "grid.cell.throw",         // forecast grid cell body: throw
         "grid.cell.stall",         // forecast grid cell body: stall
         "stats.export",            // metrics::writeStatsFile

@@ -42,7 +42,6 @@ class HLLC_CAPABILITY("mutex") Mutex
 
     void lock() HLLC_ACQUIRE() { mutex_.lock(); }
     void unlock() HLLC_RELEASE() { mutex_.unlock(); }
-    bool tryLock() HLLC_TRY_ACQUIRE(true) { return mutex_.try_lock(); }
 
     /** The wrapped mutex, for CondVar only. */
     std::mutex &native() { return mutex_; }

@@ -37,17 +37,12 @@
 /** Caller must hold the listed capabilities. */
 #define HLLC_REQUIRES(...) \
     HLLC_TS_ATTR(requires_capability(__VA_ARGS__))
-/** Caller must NOT hold them (deadlock prevention). */
-#define HLLC_EXCLUDES(...) HLLC_TS_ATTR(locks_excluded(__VA_ARGS__))
 /** Function acquires the capability and holds it on return. */
 #define HLLC_ACQUIRE(...) \
     HLLC_TS_ATTR(acquire_capability(__VA_ARGS__))
 /** Function releases the capability. */
 #define HLLC_RELEASE(...) \
     HLLC_TS_ATTR(release_capability(__VA_ARGS__))
-/** Function acquires when it returns the given value. */
-#define HLLC_TRY_ACQUIRE(...) \
-    HLLC_TS_ATTR(try_acquire_capability(__VA_ARGS__))
 /** Escape hatch: the analysis is wrong or too weak here. */
 #define HLLC_NO_THREAD_SAFETY_ANALYSIS \
     HLLC_TS_ATTR(no_thread_safety_analysis)

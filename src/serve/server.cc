@@ -1,5 +1,7 @@
 #include "serve/server.hh"
 
+#include <system_error>
+
 #include "common/failpoint.hh"
 #include "common/interrupt.hh"
 #include "common/logging.hh"
@@ -56,7 +58,7 @@ struct Server::WorkItem
     Request request;
 };
 
-/** One shard: a bounded FIFO drained by one ThreadPool worker. */
+/** One shard: a bounded FIFO drained by one shard thread. */
 struct Server::Shard
 {
     explicit Shard(std::uint32_t index) : index(index) {}
@@ -125,17 +127,27 @@ Server::start()
     for (std::uint32_t i = 0; i < config_.shards; ++i)
         shards_.push_back(std::make_unique<Shard>(i));
 
-    // One pool worker per shard: the pool owns the threads, the shard
-    // loops own the queues. drain() leans on ThreadPool::stop()'s
-    // all-accepted-tasks-run guarantee.
-    shardPool_ = std::make_unique<ThreadPool>(config_.shards);
-    for (auto &shard : shards_) {
-        Shard *raw = shard.get();
-        shardPool_->submit([this, raw] { shardLoop(*raw); });
+    // One thread per shard. shardLoop returns only once its queue is
+    // empty and shardsMayExit_ is set, so drain() joining these threads
+    // means every accepted request was answered. A thread that cannot
+    // start ends start() with an IoError naming it; drain() joins the
+    // ones that did (emplace_back leaves shardThreads_ unchanged when
+    // it throws).
+    shardThreads_.reserve(config_.shards);
+    const char *starting = "shard";
+    try {
+        for (auto &shard : shards_) {
+            Shard *raw = shard.get();
+            shardThreads_.emplace_back([this, raw] { shardLoop(*raw); });
+        }
+        starting = "listener";
+        listenerThread_ = std::thread([this] { listenerLoop(); });
+        starting = "ticker";
+        tickerThread_ = std::thread([this] { tickerLoop(); });
+    } catch (const std::system_error &e) {
+        throw IoError(std::string("hllc-serve: cannot start a ") +
+                      starting + " thread: " + e.what());
     }
-
-    listenerThread_ = std::thread([this] { listenerLoop(); });
-    tickerThread_ = std::thread([this] { tickerLoop(); });
 }
 
 std::uint16_t
@@ -189,14 +201,15 @@ Server::drain()
             slot->thread.join();
     }
 
-    // 3. Shards run their queues dry. ThreadPool::stop() returns only
-    //    after every shard loop finished, i.e. every accepted request
-    //    was evaluated and its reply attempted.
+    // 3. Shards run their queues dry. A shard thread ends only after
+    //    its loop found the queue empty with shardsMayExit_ set, so once
+    //    all are joined every accepted request was evaluated and its
+    //    reply attempted.
     shardsMayExit_.store(true, std::memory_order_release);
     for (auto &shard : shards_)
         shard->wake.notifyAll();
-    if (shardPool_)
-        shardPool_->stop();
+    for (std::thread &t : shardThreads_)
+        t.join();
 
     if (tickerThread_.joinable())
         tickerThread_.join();

@@ -11,7 +11,7 @@
  *        │                              │ bounded queue; full ⇒
  *        │                              │ OVERLOADED reply, never
  *        ▼                              ▼ unbounded growth
- *   stats ticker            N shard workers on one ThreadPool
+ *   stats ticker            N shard threads, one per shard
  *   (interval series)          batch-pop up to batchMax items,
  *                              evaluate, reply (serve.reply)
  *
@@ -43,7 +43,6 @@
 #include "common/metrics.hh"
 #include "common/sync.hh"
 #include "common/thread_annotations.hh"
-#include "common/thread_pool.hh"
 #include "serve/eval.hh"
 #include "serve/protocol.hh"
 #include "serve/socket.hh"
@@ -87,7 +86,11 @@ class Server
     Server(const Server &) = delete;
     Server &operator=(const Server &) = delete;
 
-    /** Bind, then spawn the listener, shard workers and stats ticker. */
+    /**
+     * Bind, then spawn the shard threads, listener and stats ticker.
+     * Throws IoError naming the thread that could not start; the
+     * destructor then joins the ones that did.
+     */
     void start();
 
     /** The resolved TCP port (ephemeral binds); 0 for Unix sockets. */
@@ -144,7 +147,7 @@ class Server
     std::atomic<bool> shardsMayExit_{ false };
 
     std::thread listenerThread_;
-    std::unique_ptr<ThreadPool> shardPool_;
+    std::vector<std::thread> shardThreads_; //!< only threads that started
     std::vector<std::unique_ptr<Shard>> shards_;
 
     Mutex readersMutex_;

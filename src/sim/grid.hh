@@ -4,10 +4,10 @@
  *
  * The paper's evaluation is an embarrassingly parallel policy×mix grid:
  * every bench driver forecasts or replays a handful of independent LLC
- * configurations over the captured mixes. runGrid() runs such a grid on
- * a fixed-size thread pool (parallelFor: index order), and the forecast
- * grid runs on runJobs() (longest cell first, mix tasks helped by idle
- * workers), while keeping the results — and therefore every stats
+ * configurations over the captured mixes. Both grids run on runJobs()
+ * (common/thread_pool.hh): runGrid() through parallelFor (index order),
+ * the forecast grid directly (longest cell first, mix tasks helped by
+ * idle workers). Either keeps the results — and therefore every stats
  * dump — byte-identical to the serial run:
  *
  *  - results are collected into pre-sized slots in entry order, so

@@ -1,13 +1,14 @@
 /**
  * @file
- * The forecast grid's scheduler (runJobs) and the mix tasks a forecast
+ * The library's one scheduler (runJobs) and the mix tasks a forecast
  * cell without Set Dueling forks every simulation phase.
  *
  * RunJobs.*: jobs start in the given order, a job waiting on its batch
  * never starts another job or runs another job's task, slots are
  * exclusive, and a task's exception fails its own job only (retry and
  * quarantine behave as for a throwing cell). MixTasks.*: a ForecastEngine
- * whose phases run on 2, 4 or 8 workers gives the serial loop's series,
+ * whose phases run on 2, 4 or 8 workers (4 alone for a Set Dueling
+ * policy, which forks nothing) gives the serial loop's series,
  * checkpoint bytes and export bit for bit, a throwing mix task retries
  * to the same series, and a watchdog cancel or an interrupt raised
  * inside a mix task stops the run at the next step boundary.
@@ -35,6 +36,7 @@
 #include "common/serialize.hh"
 #include "common/thread_pool.hh"
 #include "forecast/forecast.hh"
+#include "hybrid/insertion_policy.hh"
 #include "sim/experiment.hh"
 #include "sim/resilience.hh"
 
@@ -391,7 +393,15 @@ TEST_P(MixTasks, AnyWidthMatchesTheSerialLoop)
     if (GetParam().capacityFloor > 0.0) {
         EXPECT_LE(serial.series.back().capacity, GetParam().capacityFloor);
     }
-    for (unsigned jobs : { 2u, 4u, 8u }) {
+    // A Set Dueling run forks no mix tasks, so every width above 1 runs
+    // the same single job on the same path: one such width is enough.
+    const bool forks =
+        !hybrid::policyTable[static_cast<std::size_t>(GetParam().policy)]
+             .usesSetDueling;
+    const std::vector<unsigned> widths =
+        forks ? std::vector<unsigned>{ 2u, 4u, 8u }
+              : std::vector<unsigned>{ 4u };
+    for (unsigned jobs : widths) {
         const RunOutput parallel = runOn(jobs, options);
         EXPECT_TRUE(sameBits(parallel.series, serial.series))
             << "series, jobs " << jobs;

@@ -1,10 +1,10 @@
 /**
  * @file
- * ThreadPool / parallelFor / runGrid contract tests: completion,
- * exception propagation out of submit() and parallelFor(), destruction
- * with work still queued, the jobs-resolution knobs, and the
- * determinism guarantee — jobs=1 and jobs=8 grids must be
- * byte-identical (traces, forecasts, phase replays and stats dumps).
+ * parallelFor / runGrid contract tests: completion, exception
+ * propagation out of parallelFor() (on runJobs, the one scheduler;
+ * tests/test_mix_tasks.cc covers runJobs itself), the jobs-resolution
+ * knobs, and the determinism guarantee — jobs=1 and jobs=8 grids must
+ * be byte-identical (traces, forecasts, phase replays and stats dumps).
  */
 
 #include <gtest/gtest.h>
@@ -24,92 +24,6 @@ namespace
 using namespace hllc;
 using hybrid::PolicyKind;
 
-TEST(ThreadPool, RunsSubmittedTasks)
-{
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.numWorkers(), 4u);
-
-    std::vector<std::future<int>> futures;
-    for (int i = 0; i < 32; ++i)
-        futures.push_back(pool.submit([i] { return i * i; }));
-    for (int i = 0; i < 32; ++i)
-        EXPECT_EQ(futures[static_cast<std::size_t>(i)].get(), i * i);
-}
-
-TEST(ThreadPool, ZeroWorkersClampsToOne)
-{
-    ThreadPool pool(0);
-    EXPECT_EQ(pool.numWorkers(), 1u);
-    EXPECT_EQ(pool.submit([] { return 7; }).get(), 7);
-}
-
-TEST(ThreadPool, ExceptionPropagatesThroughFuture)
-{
-    ThreadPool pool(2);
-    auto future = pool.submit([]() -> int {
-        throw std::runtime_error("boom");
-    });
-    EXPECT_THROW(future.get(), std::runtime_error);
-
-    // The worker that ran the throwing task must still be alive.
-    EXPECT_EQ(pool.submit([] { return 1; }).get(), 1);
-}
-
-TEST(ThreadPool, DestructionDrainsQueuedWork)
-{
-    std::atomic<int> completed{ 0 };
-    {
-        // One worker, many queued tasks: most are still in the queue
-        // when the destructor runs, and all must execute before join.
-        ThreadPool pool(1);
-        for (int i = 0; i < 64; ++i)
-            pool.submit([&completed] { ++completed; });
-    }
-    EXPECT_EQ(completed.load(), 64);
-}
-
-TEST(ThreadPool, StopDrainsEveryAcceptedTask)
-{
-    // Regression (PR 8): the daemon's graceful drain submits shard work
-    // right up to stop(); every task accepted before the stop must run,
-    // deterministically — never "some ran, some were dropped".
-    std::atomic<int> completed{ 0 };
-    ThreadPool pool(2);
-    std::vector<std::future<void>> futures;
-    for (int i = 0; i < 128; ++i)
-        futures.push_back(pool.submit([&completed] { ++completed; }));
-    pool.stop();
-    EXPECT_EQ(completed.load(), 128);
-    for (auto &f : futures)
-        EXPECT_NO_THROW(f.get());
-}
-
-TEST(ThreadPool, SubmitAfterStopThrowsInsteadOfHanging)
-{
-    // Regression (PR 8): submit() after stop() used to enqueue onto a
-    // pool whose workers were gone — the future never became ready and
-    // the caller deadlocked. It must fail loudly instead.
-    ThreadPool pool(2);
-    pool.stop();
-    EXPECT_THROW(pool.submit([] { return 1; }), std::runtime_error);
-    // stop() is idempotent, and the pool stays rejecting.
-    pool.stop();
-    EXPECT_THROW(pool.submit([] {}), std::runtime_error);
-}
-
-TEST(ThreadPool, StopIsSafeBeforeDestruction)
-{
-    std::atomic<int> completed{ 0 };
-    {
-        ThreadPool pool(1);
-        for (int i = 0; i < 16; ++i)
-            pool.submit([&completed] { ++completed; });
-        pool.stop(); // destructor's implicit stop() must be a no-op
-        EXPECT_EQ(completed.load(), 16);
-    }
-    EXPECT_EQ(completed.load(), 16);
-}
-
 TEST(ParallelFor, CoversEveryIndexOnce)
 {
     for (const unsigned jobs : { 1u, 4u }) {
@@ -124,8 +38,11 @@ TEST(ParallelFor, CoversEveryIndexOnce)
 TEST(ParallelFor, RethrowsLowestIndexException)
 {
     for (const unsigned jobs : { 1u, 4u }) {
+        // Every iteration runs, at any width, before the rethrow.
+        std::vector<std::atomic<int>> ran(8);
         try {
-            parallelFor(jobs, 8, [](std::size_t i) {
+            parallelFor(jobs, ran.size(), [&](std::size_t i) {
+                ran[i] = 1;
                 if (i % 2 == 1)
                     throw std::out_of_range(formatU64(i));
             });
@@ -133,6 +50,8 @@ TEST(ParallelFor, RethrowsLowestIndexException)
         } catch (const std::out_of_range &e) {
             EXPECT_STREQ(e.what(), "1");
         }
+        for (std::size_t i = 0; i < ran.size(); ++i)
+            EXPECT_EQ(ran[i].load(), 1) << "jobs=" << jobs << " i=" << i;
     }
 }
 
