@@ -34,7 +34,7 @@ beladyHits(const replay::LlcTrace &trace, std::uint32_t num_sets,
                 "num_sets must be a power of two");
     HLLC_ASSERT(ways_per_set > 0);
 
-    const std::vector<LlcEvent> &events = trace.events();
+    const auto events = trace.events();
 
     // Backward pass: next demand use of each event's block after it.
     std::vector<std::uint64_t> next_demand(events.size(), kNever);
@@ -56,7 +56,7 @@ beladyHits(const replay::LlcTrace &trace, std::uint32_t num_sets,
     std::vector<std::unordered_map<Addr, std::uint64_t>> sets(num_sets);
 
     for (std::size_t i = 0; i < events.size(); ++i) {
-        const LlcEvent &ev = events[i];
+        const LlcEvent ev = events[i];
         const std::uint32_t s =
             static_cast<std::uint32_t>(ev.blockNum) & (num_sets - 1);
         auto &res = sets[s];

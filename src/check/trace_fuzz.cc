@@ -47,6 +47,17 @@ randomEcb(Xoshiro256StarStar &rng)
     return static_cast<std::uint8_t>(2 + rng.nextBounded(63));
 }
 
+/** The events of @p trace as a vector (the view cannot build one). */
+std::vector<LlcEvent>
+eventsOf(const LlcTrace &trace)
+{
+    std::vector<LlcEvent> events;
+    events.reserve(trace.size());
+    for (const LlcEvent &ev : trace.events())
+        events.push_back(ev);
+    return events;
+}
+
 LlcTrace
 traceWithMeta(std::vector<LlcEvent> events, const replay::TraceMeta &meta)
 {
@@ -115,7 +126,7 @@ LlcTrace
 mutateTrace(const LlcTrace &trace, std::uint64_t seed)
 {
     Xoshiro256StarStar rng(seed);
-    std::vector<LlcEvent> events = trace.events();
+    std::vector<LlcEvent> events = eventsOf(trace);
     if (events.empty())
         return traceWithMeta(std::move(events), trace.meta());
 
@@ -161,7 +172,7 @@ mutateTrace(const LlcTrace &trace, std::uint64_t seed)
 LlcTrace
 shrinkTrace(const LlcTrace &trace, const FailPredicate &fails)
 {
-    std::vector<LlcEvent> current = trace.events();
+    std::vector<LlcEvent> current = eventsOf(trace);
     const replay::TraceMeta meta = trace.meta();
 
     // Classic ddmin over the event sequence: try dropping each of n

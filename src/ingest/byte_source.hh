@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -49,19 +50,24 @@ class ByteSource
     virtual std::size_t read(std::uint8_t *out, std::size_t n) = 0;
 };
 
-/** A ByteSource over an in-memory byte vector (tests, fuzz corpora). */
+/**
+ * A ByteSource over bytes in memory (tests, fuzz corpora, benchmarks).
+ * It views the caller's buffer without copying it, so the buffer must
+ * outlive the source; a temporary vector is rejected at compile time.
+ */
 class MemorySource : public ByteSource
 {
   public:
-    explicit MemorySource(std::vector<std::uint8_t> bytes)
-        : bytes_(std::move(bytes))
+    explicit MemorySource(std::span<const std::uint8_t> bytes)
+        : bytes_(bytes)
     {
     }
+    explicit MemorySource(std::vector<std::uint8_t> &&) = delete;
 
     std::size_t read(std::uint8_t *out, std::size_t n) override;
 
   private:
-    std::vector<std::uint8_t> bytes_;
+    std::span<const std::uint8_t> bytes_;
     std::size_t pos_ = 0;
 };
 

@@ -110,7 +110,7 @@ convertChampSim(ByteSource &source, const ConvertOptions &options,
             pos += champSimRecordBytes;
             ++local.records;
 
-            LlcEvent event;
+            LlcEvent event{}; // ecbBytes is filled in by fillEcbs below
             event.blockNum = rec.addr >> blockOffsetBits;
             event.core = rec.cpu;
             bool emit = true;
@@ -161,7 +161,7 @@ convertChampSim(ByteSource &source, const ConvertOptions &options,
         workload::ContentMix::fromClassFractions(options.hcrFraction,
                                                  options.lcrFraction),
         options.seed);
-    synth.fillEcbs(trace.mutableEvents());
+    synth.fillEcbs(trace.blocks(), trace.mutableEcbs());
     synthesizeCaptureMeta(trace, options.mixName);
     local.events = trace.size();
     local.distinctBlocks = synth.distinctBlocks();

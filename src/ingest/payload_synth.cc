@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
 
@@ -87,16 +88,20 @@ PayloadSynth::ecbOf(Addr block)
 }
 
 void
-PayloadSynth::fillEcbs(std::span<hybrid::LlcEvent> events)
+PayloadSynth::fillEcbs(std::span<const Addr> blocks,
+                       std::span<std::uint8_t> ecbs)
 {
+    HLLC_ASSERT(blocks.size() == ecbs.size(),
+                "%zu blocks but %zu ECB slots", blocks.size(), ecbs.size());
+
     // Pass 1: dedupe. Every block new to the cache is claimed once and
     // listed in first-seen order.
     std::vector<Addr> fresh;
-    for (const hybrid::LlcEvent &event : events) {
+    for (const Addr block : blocks) {
         const std::size_t before = size_;
-        slotFor(event.blockNum);
+        slotFor(block);
         if (size_ != before)
-            fresh.push_back(event.blockNum);
+            fresh.push_back(block);
     }
 
     // The table keeps its shape from here on, so findSlot (which reads
@@ -116,12 +121,10 @@ PayloadSynth::fillEcbs(std::span<hybrid::LlcEvent> events)
         throw;
     }
 
-    // Pass 3: write the verdicts back into the events.
-    forChunks(parallel, events.size(), chunkEvents,
-              [&](std::size_t i) {
-                  events[i].ecbBytes =
-                      ecbs_[findSlot(events[i].blockNum)];
-              });
+    // Pass 3: write the verdicts into the events' ECB column.
+    forChunks(parallel, blocks.size(), chunkEvents, [&](std::size_t i) {
+        ecbs[i] = ecbs_[findSlot(blocks[i])];
+    });
 }
 
 std::size_t

@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "common/types.hh"
-#include "hybrid/types.hh"
 #include "workload/block_synth.hh"
 
 namespace hllc::ingest
@@ -60,15 +59,17 @@ class PayloadSynth
     std::uint8_t ecbOf(Addr block);
 
     /**
-     * Set every event's ecbBytes to ecbOf(event.blockNum), in three
+     * Set ecbs[i] to ecbOf(blocks[i]) for every event (a trace's block
+     * and ECB columns; the spans must be the same length), in three
      * passes: record the blocks not yet cached in first-seen order,
-     * synthesize those, then write the verdicts into the events. The
+     * synthesize those, then write the verdicts into @p ecbs. The
      * last two passes run on defaultJobs() workers when at least
      * parallelThreshold blocks are new, inline otherwise. Should a
      * synthesis worker throw, the cache is dropped (it only ever holds
      * recomputable values) and the exception propagates.
      */
-    void fillEcbs(std::span<hybrid::LlcEvent> events);
+    void fillEcbs(std::span<const Addr> blocks,
+                  std::span<std::uint8_t> ecbs);
 
     /** Number of distinct blocks synthesized so far. */
     std::size_t distinctBlocks() const { return size_; }

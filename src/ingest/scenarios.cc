@@ -141,11 +141,8 @@ class World
     {
         if (done())
             return;
-        LlcEvent e;
-        e.blockNum = block;
-        e.type = type;
-        e.core = core;
-        trace_.append(e);
+        // The ECB size is filled in by fillEcbs once the trace is done.
+        trace_.append({ block, type, 0, core });
     }
 
     std::uint64_t target_;
@@ -387,7 +384,7 @@ generateScenario(const std::string &name, const ScenarioOptions &options)
                 hostile ? 0.0 : options.hcrFraction,
                 hostile ? 0.0 : options.lcrFraction),
             options.seed);
-        synth.fillEcbs(trace.mutableEvents());
+        synth.fillEcbs(trace.blocks(), trace.mutableEcbs());
         synthesizeCaptureMeta(trace, name);
         return trace;
     }

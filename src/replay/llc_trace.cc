@@ -69,20 +69,24 @@ decodeEventRecords(serial::Decoder &dec, std::uint64_t count,
  * Append the v2 event stream to @p enc: the u64 count, then one
  * v2EventStride-byte record per event. The mirror of
  * decodeEventRecords(): the chunk grows once and records are packed
- * with plain pointer stores instead of four Encoder calls per event.
+ * from the trace's columns with plain pointer stores instead of four
+ * Encoder calls per event.
  */
 void
-encodeEventRecords(serial::Encoder &enc,
-                   const std::vector<hybrid::LlcEvent> &events)
+encodeEventRecords(serial::Encoder &enc, const LlcTrace &trace)
 {
-    enc.u64(events.size());
-    std::uint8_t *p = enc.grow(events.size() * v2EventStride);
-    for (const hybrid::LlcEvent &ev : events) {
-        serial::storeLe(p, ev.blockNum);
-        p[8] = static_cast<std::uint8_t>(ev.type);
-        p[9] = ev.ecbBytes;
-        p[10] = ev.core;
-        p += v2EventStride;
+    const std::size_t n = trace.size();
+    const Addr *blocks = trace.blocks().data();
+    const std::uint8_t *types = trace.types().data();
+    const std::uint8_t *ecbs = trace.ecbs().data();
+    const std::uint8_t *cores = trace.cores().data();
+    enc.u64(n);
+    std::uint8_t *p = enc.grow(n * v2EventStride);
+    for (std::size_t i = 0; i < n; ++i, p += v2EventStride) {
+        serial::storeLe(p, blocks[i]);
+        p[8] = types[i];
+        p[9] = ecbs[i];
+        p[10] = cores[i];
     }
 }
 
@@ -188,7 +192,7 @@ LlcTrace::save(const std::string &path) const
         meta.f64(core.baseCpi);
     }
 
-    encodeEventRecords(container.add("evts"), events_);
+    encodeEventRecords(container.add("evts"), *this);
 
     container.save(path, traceMagicV2, traceVersionV2);
 }

@@ -16,6 +16,7 @@
 
 #include <array>
 #include <cstdint>
+#include <ranges>
 #include <span>
 #include <string>
 #include <vector>
@@ -74,20 +75,71 @@ struct TraceMeta
     std::string mixName;
 };
 
+/**
+ * A captured LLC event stream plus its capture metadata.
+ *
+ * Events are stored as four columns (block number, type, ECB size,
+ * core): 11 bytes per event, the size of a .hlt v2 record, where a
+ * vector of hybrid::LlcEvent would spend 16 (5 of them padding). Every
+ * field keeps its full range. Readers get events by value, through
+ * event(i) or the random-access view events(); the replay loop and the
+ * writers use the raw columns.
+ */
 class LlcTrace
 {
   public:
-    void append(const hybrid::LlcEvent &event) { events_.push_back(event); }
+    void
+    append(const hybrid::LlcEvent &event)
+    {
+        blocks_.push_back(event.blockNum);
+        types_.push_back(static_cast<std::uint8_t>(event.type));
+        ecbs_.push_back(event.ecbBytes);
+        cores_.push_back(event.core);
+    }
 
-    const std::vector<hybrid::LlcEvent> &events() const { return events_; }
-    /** In-place access for batch fills of a field (e.g. ECB sizes). */
-    std::span<hybrid::LlcEvent> mutableEvents() { return events_; }
-    std::size_t size() const { return events_.size(); }
+    /** Event @p i, rebuilt from the columns. */
+    hybrid::LlcEvent
+    event(std::size_t i) const
+    {
+        return { blocks_[i], static_cast<hybrid::LlcEventType>(types_[i]),
+                 ecbs_[i], cores_[i] };
+    }
+
+    /**
+     * Sized random-access view of the events, by value: range-for,
+     * operator[], front() and back() work; building a std::vector from
+     * its iterator pair does not (copy with a loop). The view refers to
+     * this trace and must not outlive it.
+     */
+    auto
+    events() const
+    {
+        return std::views::iota(std::size_t{ 0 }, size()) |
+               std::views::transform(
+                   [this](std::size_t i) { return event(i); });
+    }
+
+    std::size_t size() const { return blocks_.size(); }
+
+    /** The columns, index-aligned with event(i). */
+    std::span<const Addr> blocks() const { return blocks_; }
+    std::span<const std::uint8_t> types() const { return types_; }
+    std::span<const std::uint8_t> ecbs() const { return ecbs_; }
+    std::span<const std::uint8_t> cores() const { return cores_; }
+    /** In-place access for batch fills of the ECB sizes. */
+    std::span<std::uint8_t> mutableEcbs() { return ecbs_; }
 
     TraceMeta &meta() { return meta_; }
     const TraceMeta &meta() const { return meta_; }
 
-    void reserve(std::size_t n) { events_.reserve(n); }
+    void
+    reserve(std::size_t n)
+    {
+        blocks_.reserve(n);
+        types_.reserve(n);
+        ecbs_.reserve(n);
+        cores_.reserve(n);
+    }
 
     /**
      * Serialise to a binary .hlt file. Writes the v2 format: a
@@ -107,7 +159,10 @@ class LlcTrace
     static LlcTrace load(const std::string &path);
 
   private:
-    std::vector<hybrid::LlcEvent> events_;
+    std::vector<Addr> blocks_;
+    std::vector<std::uint8_t> types_;
+    std::vector<std::uint8_t> ecbs_;
+    std::vector<std::uint8_t> cores_;
     TraceMeta meta_;
 };
 

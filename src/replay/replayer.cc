@@ -64,14 +64,20 @@ TraceReplayer::replay(const LlcTrace &trace, hybrid::HybridLlc &llc,
         }
     }
 
-    const auto &events = trace.events();
+    // The hottest loop of a forecast reads the trace's columns through
+    // raw pointers, not through the by-value events() view.
+    const std::size_t num_events = trace.size();
+    const Addr *blocks = trace.blocks().data();
+    const std::uint8_t *types = trace.types().data();
+    const std::uint8_t *ecbs = trace.ecbs().data();
+    const std::uint8_t *cores = trace.cores().data();
     const std::size_t warmup_end = static_cast<std::size_t>(
-        warmupFraction_ * static_cast<double>(events.size()));
+        warmupFraction_ * static_cast<double>(num_events));
 
     // Interval boundaries split the measured window into equal event
     // ranges (the final boundary is exactly the last measured event, so
     // the last snapshot carries the replay totals).
-    const std::size_t measured = events.size() - warmup_end;
+    const std::size_t measured = num_events - warmup_end;
     const bool sampling =
         on_interval && num_intervals > 0 && measured > 0;
     std::size_t next_interval = 0;
@@ -84,7 +90,7 @@ TraceReplayer::replay(const LlcTrace &trace, hybrid::HybridLlc &llc,
     std::uint64_t nvm_writes_seen = 0;
     std::uint64_t nvm_bytes_seen = 0;
 
-    for (std::size_t i = 0; i < events.size(); ++i) {
+    for (std::size_t i = 0; i < num_events; ++i) {
         if (i == warmup_end) {
             // Keep contents (that is the point of the warm-up) but drop
             // the statistics accumulated so far. This fires even when
@@ -94,7 +100,8 @@ TraceReplayer::replay(const LlcTrace &trace, hybrid::HybridLlc &llc,
             nvm_bytes_seen = 0;
         }
 
-        const LlcEvent &ev = events[i];
+        const LlcEvent ev{ blocks[i], static_cast<LlcEventType>(types[i]),
+                           ecbs[i], cores[i] };
         SetTally *tally = nullptr;
         if (sets != nullptr) {
             const std::uint32_t set = llc.setOf(ev.blockNum);

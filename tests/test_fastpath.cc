@@ -164,8 +164,8 @@ TEST(FastPath, BatchedDecodeRoundTripsAcrossBatchBoundary)
     ASSERT_EQ(loaded.size(), trace.size());
     EXPECT_EQ(loaded.meta().mixName, trace.meta().mixName);
     for (std::size_t i = 0; i < trace.size(); ++i) {
-        const hybrid::LlcEvent &a = trace.events()[i];
-        const hybrid::LlcEvent &b = loaded.events()[i];
+        const hybrid::LlcEvent a = trace.event(i);
+        const hybrid::LlcEvent b = loaded.event(i);
         ASSERT_EQ(a.blockNum, b.blockNum) << "event " << i;
         ASSERT_EQ(static_cast<int>(a.type), static_cast<int>(b.type))
             << "event " << i;

@@ -78,7 +78,7 @@ TEST(CoreHierarchy, ColdReadMissesToLlcAsGetS)
     CoreRig rig(tinyConfig());
     rig.core.access({ 100, false });
     ASSERT_EQ(rig.trace.size(), 1u);
-    const LlcEvent &ev = rig.trace.events()[0];
+    const LlcEvent ev = rig.trace.event(0);
     EXPECT_EQ(ev.blockNum, 100u);
     EXPECT_EQ(ev.type, LlcEventType::GetS);
     EXPECT_EQ(ev.ecbBytes, blockBytes);

@@ -60,11 +60,11 @@ stream(const std::vector<std::vector<std::uint8_t>> &records)
 }
 
 replay::LlcTrace
-convert(std::vector<std::uint8_t> bytes,
+convert(const std::vector<std::uint8_t> &bytes,
         const ingest::ConvertOptions &options = {},
         ingest::ConvertStats *stats = nullptr)
 {
-    ingest::MemorySource source(std::move(bytes));
+    ingest::MemorySource source(bytes);
     return ingest::convertChampSim(source, options, stats);
 }
 

@@ -137,8 +137,8 @@ TEST(IngestParallel, ConversionIsIdenticalAtEveryJobCount)
         expectSameStats(stats, base_stats);
         ASSERT_EQ(trace.size(), base.size()) << n << " jobs";
         for (std::size_t i = 0; i < trace.size(); ++i) {
-            const hybrid::LlcEvent &a = trace.events()[i];
-            const hybrid::LlcEvent &b = base.events()[i];
+            const hybrid::LlcEvent a = trace.event(i);
+            const hybrid::LlcEvent b = base.event(i);
             ASSERT_EQ(a.blockNum, b.blockNum) << n << " jobs, event " << i;
             ASSERT_EQ(a.type, b.type) << n << " jobs, event " << i;
             ASSERT_EQ(a.ecbBytes, b.ecbBytes) << n << " jobs, event " << i;
@@ -149,7 +149,7 @@ TEST(IngestParallel, ConversionIsIdenticalAtEveryJobCount)
     const ingest::ConvertOptions options;
     const ingest::PayloadSynth synth(defaultMix(), options.seed);
     for (std::size_t i = 0; i < base.size(); ++i) {
-        const hybrid::LlcEvent &e = base.events()[i];
+        const hybrid::LlcEvent e = base.event(i);
         ASSERT_EQ(e.ecbBytes, uncachedEcb(synth, options.seed, e.blockNum))
             << "event " << i;
     }
@@ -179,16 +179,13 @@ TEST(IngestParallel, FlatTableReturnsTheUncachedVerdictAcrossGrowths)
 
     // A batch mixing cached and new blocks fills both correctly and
     // claims only the new ones.
-    std::vector<hybrid::LlcEvent> events;
-    for (std::uint64_t i = 0; i < 4'000; ++i) {
-        hybrid::LlcEvent e{};
-        e.blockNum = i % 2 == 0 ? blocks[i] : (Addr{1} << 40) + i;
-        events.push_back(e);
-    }
-    synth.fillEcbs(events);
-    for (const hybrid::LlcEvent &e : events)
-        ASSERT_EQ(e.ecbBytes, uncachedEcb(synth, seed, e.blockNum))
-            << e.blockNum;
+    std::vector<Addr> batch;
+    for (std::uint64_t i = 0; i < 4'000; ++i)
+        batch.push_back(i % 2 == 0 ? blocks[i] : (Addr{1} << 40) + i);
+    std::vector<std::uint8_t> ecbs(batch.size());
+    synth.fillEcbs(batch, ecbs);
+    for (std::size_t i = 0; i < batch.size(); ++i)
+        ASSERT_EQ(ecbs[i], uncachedEcb(synth, seed, batch[i])) << batch[i];
     EXPECT_EQ(synth.distinctBlocks(), blocks.size() + 2'000);
 }
 

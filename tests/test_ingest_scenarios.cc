@@ -246,7 +246,9 @@ TEST(IngestScenarios, ScenarioAndConvertShareTheFractionRule)
     ingest::ConvertOptions convert;
     convert.hcrFraction = 0.9;
     convert.lcrFraction = 0.9;
-    ingest::MemorySource source(ingest::synthesizeChampSimFixture(64, 1));
+    const std::vector<std::uint8_t> fixture =
+        ingest::synthesizeChampSimFixture(64, 1);
+    ingest::MemorySource source(fixture);
     EXPECT_THROW(ingest::convertChampSim(source, convert), IoError);
 }
 
@@ -296,7 +298,8 @@ TEST(IngestScenarios, ServeBatchEvaluationMatchesADirectReplay)
     request.type = serve::RequestType::Batch;
     request.id = 1;
     request.batch.policy = "CP_SD";
-    request.batch.events = trace.events();
+    for (const hybrid::LlcEvent &e : trace.events())
+        request.batch.events.push_back(e);
     serve::Evaluator evaluator(system, {});
     const serve::EvalResult served = evaluator.evaluate(request);
 

@@ -20,6 +20,7 @@
 #include "common/rng.hh"
 #include "common/serialize.hh"
 #include "replay/llc_trace.hh"
+#include "serve/protocol.hh"
 
 namespace
 {
@@ -479,6 +480,79 @@ TEST_F(TraceCorpus, LegacyV1FilesStillLoad)
                   original.events()[i].blockNum);
         EXPECT_EQ(loaded.events()[i].type, original.events()[i].type);
     }
+}
+
+/**
+ * Field extremes the column layout must keep exact: block numbers
+ * beyond 2^53 (where a double would round) up to the full u64 range,
+ * every event type, both ECB bounds and the first and last core.
+ */
+std::vector<hybrid::LlcEvent>
+extremeEvents()
+{
+    constexpr Addr blocks[] = { 0, Addr{ 1 } << 53,
+                                (Addr{ 1 } << 63) + 5,
+                                std::numeric_limits<Addr>::max() };
+    std::vector<hybrid::LlcEvent> events;
+    for (std::size_t i = 0; i < 16; ++i) {
+        events.push_back({ blocks[i % 4],
+                           static_cast<hybrid::LlcEventType>(i / 4),
+                           static_cast<std::uint8_t>(i % 2 == 0 ? 2 : 64),
+                           static_cast<CoreId>((i / 2) % 2 == 0 ? 0 : 3) });
+    }
+    return events;
+}
+
+void
+expectSameEvent(const hybrid::LlcEvent &got, const hybrid::LlcEvent &want,
+                const char *via, std::size_t i)
+{
+    EXPECT_EQ(got.blockNum, want.blockNum) << via << ", event " << i;
+    EXPECT_EQ(got.type, want.type) << via << ", event " << i;
+    EXPECT_EQ(got.ecbBytes, want.ecbBytes) << via << ", event " << i;
+    EXPECT_EQ(got.core, want.core) << via << ", event " << i;
+}
+
+TEST_F(TraceCorpus, ColumnsKeepEveryFieldExact)
+{
+    const std::vector<hybrid::LlcEvent> want = extremeEvents();
+    replay::LlcTrace trace;
+    for (const hybrid::LlcEvent &e : want)
+        trace.append(e);
+    ASSERT_EQ(trace.size(), want.size());
+
+    const auto events = trace.events();
+    ASSERT_EQ(events.size(), want.size());
+    std::size_t i = 0;
+    for (const hybrid::LlcEvent &e : trace.events()) {
+        expectSameEvent(e, want[i], "range-for", i);
+        ++i;
+    }
+    EXPECT_EQ(i, want.size());
+    for (i = 0; i < want.size(); ++i) {
+        expectSameEvent(trace.event(i), want[i], "event(i)", i);
+        expectSameEvent(events[i], want[i], "events()[i]", i);
+    }
+    expectSameEvent(events.front(), want.front(), "front()", 0);
+    expectSameEvent(events.back(), want.back(), "back()", want.size() - 1);
+
+    trace.save(path());
+    const replay::LlcTrace loaded = replay::LlcTrace::load(path());
+    ASSERT_EQ(loaded.size(), want.size());
+    for (i = 0; i < want.size(); ++i)
+        expectSameEvent(loaded.event(i), want[i], ".hlt v2", i);
+
+    serve::Request request;
+    request.type = serve::RequestType::Batch;
+    request.batch.policy = "CP_SD";
+    for (const hybrid::LlcEvent &e : trace.events())
+        request.batch.events.push_back(e);
+    const std::vector<std::uint8_t> payload = serve::encodeRequest(request);
+    const serve::Request parsed =
+        serve::parseRequest(payload.data(), payload.size(), 4'096);
+    ASSERT_EQ(parsed.batch.events.size(), want.size());
+    for (i = 0; i < want.size(); ++i)
+        expectSameEvent(parsed.batch.events[i], want[i], "hllc-req-v1", i);
 }
 
 TEST_F(TraceCorpus, V1HeaderLiesAreRejected)

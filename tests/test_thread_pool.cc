@@ -107,8 +107,8 @@ TEST(GridDeterminism, CaptureIdenticalAcrossJobCounts)
         ASSERT_EQ(a.size(), b.size()) << "mix " << m;
         EXPECT_EQ(a.meta().mixName, b.meta().mixName);
         for (std::size_t e = 0; e < a.size(); ++e) {
-            const auto &ea = a.events()[e];
-            const auto &eb = b.events()[e];
+            const auto ea = a.event(e);
+            const auto eb = b.event(e);
             ASSERT_TRUE(ea.blockNum == eb.blockNum &&
                         ea.type == eb.type &&
                         ea.ecbBytes == eb.ecbBytes && ea.core == eb.core)
