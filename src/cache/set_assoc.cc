@@ -7,26 +7,17 @@
 namespace hllc::cache
 {
 
-SetAssocCache::SetAssocCache(std::string name, std::size_t size_bytes,
+SetAssocCache::SetAssocCache(std::size_t size_bytes,
                              std::uint32_t num_ways)
     : numSets_(static_cast<std::uint32_t>(
           size_bytes / (static_cast<std::size_t>(num_ways) * blockBytes))),
       numWays_(num_ways),
       lines_(static_cast<std::size_t>(numSets_) * num_ways),
-      lru_(numSets_ ? numSets_ : 1, num_ways),
-      stats_(std::move(name))
+      lru_(numSets_ ? numSets_ : 1, num_ways)
 {
     HLLC_ASSERT(numSets_ > 0, "cache smaller than one set");
     HLLC_ASSERT(std::has_single_bit(numSets_),
                 "set count %u must be a power of two", numSets_);
-
-    // Pre-register every counter this cache can bump: a counter that
-    // stays zero must still exist for counterValue() lookups.
-    for (const char *c : { "read_hits", "read_misses", "write_hits",
-                           "write_misses", "evictions", "fills",
-                           "invalidations" }) {
-        stats_.counter(c);
-    }
 }
 
 int
@@ -52,15 +43,12 @@ SetAssocCache::access(Addr block, bool is_write)
 {
     const std::uint32_t set = setOf(block);
     const int way = findWay(block);
-    if (way < 0) {
-        ++stats_.counter(is_write ? "write_misses" : "read_misses");
+    if (way < 0)
         return false;
-    }
     Line &l = line(set, static_cast<std::uint32_t>(way));
     if (is_write)
         l.dirty = true;
     lru_.touch(set, static_cast<std::uint32_t>(way));
-    ++stats_.counter(is_write ? "write_hits" : "read_hits");
     return true;
 }
 
@@ -87,7 +75,6 @@ SetAssocCache::fill(Addr block, bool dirty, std::uint32_t meta)
         HLLC_ASSERT(way >= 0);
         Line &v = line(set, static_cast<std::uint32_t>(way));
         victim = Victim{ v.blockNum, v.dirty, v.meta };
-        ++stats_.counter("evictions");
     }
 
     Line &l = line(set, static_cast<std::uint32_t>(way));
@@ -96,7 +83,6 @@ SetAssocCache::fill(Addr block, bool dirty, std::uint32_t meta)
     l.dirty = dirty;
     l.meta = meta;
     lru_.touch(set, static_cast<std::uint32_t>(way));
-    ++stats_.counter("fills");
     return victim;
 }
 
@@ -110,7 +96,6 @@ SetAssocCache::invalidate(Addr block)
     const bool dirty = l.dirty;
     l.valid = false;
     l.dirty = false;
-    ++stats_.counter("invalidations");
     return dirty;
 }
 

@@ -14,10 +14,9 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
+#include <vector>
 
 #include "cache/lru.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace hllc::cache
@@ -35,12 +34,10 @@ class SetAssocCache
 {
   public:
     /**
-     * @param name stat-group prefix
      * @param size_bytes total data capacity
      * @param num_ways associativity; sets = size / (ways * 64)
      */
-    SetAssocCache(std::string name, std::size_t size_bytes,
-                  std::uint32_t num_ways);
+    SetAssocCache(std::size_t size_bytes, std::uint32_t num_ways);
 
     std::uint32_t numSets() const { return numSets_; }
     std::uint32_t numWays() const { return numWays_; }
@@ -74,9 +71,6 @@ class SetAssocCache
     /** Mark @p block dirty (must be present). */
     void setDirty(Addr block);
 
-    StatGroup &stats() { return stats_; }
-    const StatGroup &stats() const { return stats_; }
-
   private:
     struct Line
     {
@@ -107,7 +101,6 @@ class SetAssocCache
     std::uint32_t numWays_;
     std::vector<Line> lines_;
     LruState lru_;
-    StatGroup stats_;
 };
 
 } // namespace hllc::cache

@@ -41,8 +41,8 @@ class IoError : public Error
 };
 
 /**
- * A grid cell overran its watchdog deadline and was cooperatively
- * cancelled. Deliberately NOT retried: a cell that is too slow once
+ * A grid cell attempt passed its deadline and stopped at a step
+ * boundary. Deliberately NOT retried: a cell that is too slow once
  * will be too slow again, so the grid quarantines it immediately
  * instead of burning the retry budget.
  */

@@ -52,8 +52,8 @@ void clearInterrupt();
  * Sleep for @p ms milliseconds, waking early when an interrupt arrives
  * (checked at most 50 ms apart; requestInterrupt() wakes immediately).
  * Returns true when the sleep was cut short by a pending interrupt.
- * Retry/backoff delays and watchdog cadences must use this instead of
- * plain sleeps so SIGINT/SIGTERM drains a retrying grid promptly.
+ * Retry/backoff delays must use this instead of plain sleeps so
+ * SIGINT/SIGTERM drains a retrying grid promptly.
  */
 bool interruptibleSleepMs(std::uint64_t ms);
 

@@ -23,7 +23,7 @@ namespace
  * Chaos instrumentation before every runJobs job, so before every
  * parallelFor body too: an injected throw proves worker exceptions stay
  * contained to their index, an injected stall (25 ms, interruptible)
- * widens scheduling windows so watchdog/drain races actually happen
+ * widens scheduling windows so deadline/drain races actually happen
  * under test.
  */
 void

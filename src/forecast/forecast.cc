@@ -1,6 +1,7 @@
 #include "forecast/forecast.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
 
 #include "common/error.hh"
@@ -564,15 +565,14 @@ ForecastEngine::run(const RunOptions &options)
 
     for (std::size_t step = step0; step < config_.maxSteps; ++step) {
         // One stop path: a pending interrupt (checkpointed runs only),
-        // a watchdog cancel or the step budget persists the state at
+        // a passed deadline or the step budget persists the state at
         // this boundary, then unwinds or returns.
-        enum class Stop { None, Interrupt, Cancel, Budget };
+        enum class Stop { None, Interrupt, Deadline, Budget };
         Stop stop = Stop::None;
         if (checkpointing && interruptRequested())
             stop = Stop::Interrupt;
-        else if (options.cancel != nullptr &&
-                 options.cancel->load(std::memory_order_relaxed))
-            stop = Stop::Cancel;
+        else if (std::chrono::steady_clock::now() >= options.deadline)
+            stop = Stop::Deadline;
         else if (options.stopAfterSteps > 0 &&
                  executed >= options.stopAfterSteps)
             stop = Stop::Budget;
@@ -592,9 +592,9 @@ ForecastEngine::run(const RunOptions &options)
             }
             if (stop == Stop::Interrupt)
                 throw InterruptedError();
-            if (stop == Stop::Cancel) {
+            if (stop == Stop::Deadline) {
                 throw DeadlineExceededError(
-                    "forecast run cancelled by watchdog at step " +
+                    "forecast run passed its deadline at step " +
                     formatU64(step));
             }
             return series;

@@ -20,7 +20,7 @@
 #ifndef HLLC_FORECAST_FORECAST_HH
 #define HLLC_FORECAST_FORECAST_HH
 
-#include <atomic>
+#include <chrono>
 #include <string>
 #include <vector>
 
@@ -80,12 +80,14 @@ struct RunOptions
      */
     std::size_t stopAfterSteps = 0;
     /**
-     * Cooperative cancellation token (grid watchdogs). When non-null
-     * and set, the step loop writes a final checkpoint (when
-     * checkpointing) and unwinds with DeadlineExceededError, exactly
-     * like the interrupt path but per-run instead of process-wide.
+     * Time limit of this invocation (the grid's --cell-timeout-ms);
+     * max() means none. A step boundary reached at or after it writes
+     * a final checkpoint (when checkpointing) and unwinds with
+     * DeadlineExceededError, exactly like the interrupt path but
+     * per-run instead of process-wide.
      */
-    const std::atomic<bool> *cancel = nullptr;
+    std::chrono::steady_clock::time_point deadline =
+        std::chrono::steady_clock::time_point::max();
     /**
      * Runs the mix tasks of a simulation phase of an LLC with NVM ways
      * and no Set Dueling (the forecast grid hands its scheduler's);

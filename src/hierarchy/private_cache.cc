@@ -1,7 +1,6 @@
 #include "hierarchy/private_cache.hh"
 
 #include "common/logging.hh"
-#include "common/numfmt.hh"
 
 namespace hllc::hierarchy
 {
@@ -14,8 +13,7 @@ CoreHierarchy::CoreHierarchy(CoreId core, const PrivateCacheConfig &config,
                              workload::AppModel *app,
                              replay::LlcTrace *trace)
     : core_(core), app_(app), trace_(trace),
-      l1_("l1_core" + formatU64(core), config.l1Bytes, config.l1Ways),
-      l2_("l2_core" + formatU64(core), config.l2Bytes, config.l2Ways)
+      l1_(config.l1Bytes, config.l1Ways), l2_(config.l2Bytes, config.l2Ways)
 {
     HLLC_ASSERT(app != nullptr && trace != nullptr);
 }

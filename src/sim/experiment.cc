@@ -1,7 +1,10 @@
 #include "sim/experiment.hh"
 
+#include <algorithm>
 #include <cstdio>
+#include <functional>
 
+#include "common/error.hh"
 #include "common/interrupt.hh"
 #include "common/logging.hh"
 #include "common/metrics.hh"
@@ -204,6 +207,13 @@ fmt(double value, int decimals)
     return formatFixed(value, decimals);
 }
 
+bool
+ForecastGridOutcome::ok() const
+{
+    return !interrupted && std::none_of(reports.begin(), reports.end(),
+                                        std::mem_fn(&CellReport::failed));
+}
+
 int
 ForecastGridOutcome::exitCode() const
 {
@@ -211,7 +221,7 @@ ForecastGridOutcome::exitCode() const
         const int code = interruptExitCode();
         return code != 0 ? code : 130;
     }
-    return failures.empty() ? 0 : 1;
+    return ok() ? 0 : 1;
 }
 
 namespace
@@ -305,8 +315,14 @@ runAndPrintForecastStudy(const Experiment &experiment,
            resolveJobs(config.jobs));
     if (resilience.retry.maxAttempts > 1 || resilience.cellTimeoutMs > 0)
         installInterruptHandlers(); // retry sleeps must stay drainable
-    const ForecastGridOutcome outcome = runForecastGridCheckpointed(
-        experiment, entries, fc, checkpoint, resilience);
+    ForecastGridOutcome outcome;
+    try {
+        outcome = runForecastGridCheckpointed(experiment, entries, fc,
+                                              checkpoint, resilience);
+    } catch (const IoError &e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+        return 1;
+    }
 
     if (outcome.interrupted) {
         // A partial grid is not the study: skip the result tables, keep
@@ -365,10 +381,12 @@ runAndPrintForecastStudy(const Experiment &experiment,
                          report.attempts);
         }
     }
-    for (const CellFailure &failure : outcome.failures) {
-        std::fprintf(stderr, "error: cell %zu (%s) failed: %s\n",
-                     failure.index, failure.label.c_str(),
-                     failure.error.c_str());
+    for (const CellReport &report : outcome.reports) {
+        if (report.failed()) {
+            std::fprintf(stderr, "error: cell %zu (%s) failed: %s\n",
+                         report.index, report.label.c_str(),
+                         report.error.c_str());
+        }
     }
     if (!resilience.failuresOut.empty()) {
         inform("wrote failure report to '%s'",

@@ -52,30 +52,22 @@ struct CheckpointOptions
     bool enabled() const { return !dir.empty(); }
 };
 
-/** A grid cell whose forecast threw: recorded, not fatal to the grid. */
-struct CellFailure
-{
-    std::size_t index = 0;
-    std::string label;
-    std::string error;
-};
-
 /** Everything a checkpointed forecast grid produced. */
 struct ForecastGridOutcome
 {
     /** Successful cells, in entry order (failed cells are absent). */
     std::vector<ForecastSummary> summaries;
-    std::vector<CellFailure> failures;
     /**
-     * Per-cell resilience reports in entry order (every cell, including
-     * clean ones): attempts, outcome, error kind, fired failpoints —
-     * the rows of the hllc-failures-v1 report.
+     * Per-cell reports in entry order (every cell, including clean
+     * ones): attempts, outcome, error, fired failpoints — the rows of
+     * the hllc-failures-v1 report.
      */
     std::vector<CellReport> reports;
     /** True when a SIGINT/SIGTERM stopped the grid mid-run. */
     bool interrupted = false;
 
-    bool ok() const { return failures.empty() && !interrupted; }
+    /** No cell failed and no signal stopped the grid. */
+    bool ok() const;
     /** 0 on success, 1 on cell failures, 128+signal when interrupted. */
     int exitCode() const;
 };
@@ -221,11 +213,12 @@ StudyEntry studyEntry(const SystemConfig &config, hybrid::PolicyKind kind,
  *
  * With @p resilience configured (CLI: sim::parseBenchArgs), failing
  * cells retry with deterministic backoff and quarantine after their
- * attempt budget, slow cells are cancelled by a watchdog, and the
- * per-cell hllc-failures-v1 report lands at resilience.failuresOut —
- * see sim/resilience.hh.
+ * attempt budget, a cell attempt that passes its deadline stops at its
+ * next step boundary, and the per-cell hllc-failures-v1 report lands
+ * at resilience.failuresOut — see sim/resilience.hh.
  *
- * @return the process exit code: 0 clean, 1 if any cell failed,
+ * @return the process exit code: 0 clean, 1 if any cell failed or the
+ *         checkpoint directory cannot be created (reported on stderr),
  *         128+signal when interrupted (see ForecastGridOutcome).
  */
 int runAndPrintForecastStudy(const Experiment &experiment,

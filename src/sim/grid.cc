@@ -10,6 +10,7 @@
 #include <sys/stat.h>
 
 #include "common/argparse.hh"
+#include "common/error.hh"
 #include "common/failpoint.hh"
 #include "common/interrupt.hh"
 #include "common/logging.hh"
@@ -74,8 +75,6 @@ parseBenchArgs(int argc, char **argv, FlagGroups accepted, int first,
               } },
             { "--retry-delay-ms", "", "MS", "base retry backoff",
               storeNumber(retry.baseDelayMs) },
-            { "--retry-jitter-seed", "", "SEED", "retry jitter seed",
-              storeNumber(retry.jitterSeed) },
             { "--cell-timeout-ms", "", "MS", "cancel a cell after MS",
               storeNumber(a.resilience.cellTimeoutMs, 1) },
             { "--failures-out", "", "FILE.json",
@@ -130,6 +129,24 @@ costOrder(const std::vector<StudyEntry> &entries)
                          return rank(a) < rank(b);
                      });
     return order;
+}
+
+/**
+ * steady_clock::now() plus @p ms, or no deadline (max()) when that lies
+ * past the clock's range: a huge --cell-timeout-ms must not wrap into
+ * the past.
+ */
+std::chrono::steady_clock::time_point
+deadlineAfterMs(std::uint64_t ms)
+{
+    using std::chrono::milliseconds;
+    using std::chrono::steady_clock;
+    const steady_clock::time_point now = steady_clock::now();
+    const milliseconds headroom = std::chrono::duration_cast<milliseconds>(
+        steady_clock::time_point::max() - now);
+    if (ms >= static_cast<std::uint64_t>(headroom.count()))
+        return steady_clock::time_point::max();
+    return now + milliseconds(ms);
 }
 
 /** Per-cell result of the checkpointed grid (collected off-thread). */
@@ -197,13 +214,12 @@ runForecastGridCheckpointed(const Experiment &experiment,
 {
     if (jobs == 0)
         jobs = experiment.config().jobs;
-    if (checkpoint.enabled()) {
-        if (::mkdir(checkpoint.dir.c_str(), 0777) != 0 && errno != EEXIST)
-            fatal("cannot create checkpoint directory '%s': %s",
-                  checkpoint.dir.c_str(), std::strerror(errno));
+    if (checkpoint.enabled() &&
+        ::mkdir(checkpoint.dir.c_str(), 0777) != 0 && errno != EEXIST) {
+        const int err = errno;
+        throw IoError("cannot create checkpoint directory '" +
+                      checkpoint.dir + "': " + std::strerror(err));
     }
-
-    GridWatchdog watchdog(resilience.cellTimeoutMs);
 
     // Longest cells first; serially, entry order (the reference path,
     // whose failpoint hit order the chaos tests pin).
@@ -218,16 +234,18 @@ runForecastGridCheckpointed(const Experiment &experiment,
         CellOutcome &out = cells[i];
         CellHeartbeat heartbeat("forecast", i, entries.size(),
                                 entries[i].label);
-        const RetryResult rr = runWithRetry(
+        out.report = runWithRetry(
             resilience.retry, i, [&](std::size_t attempt) {
+                forecast::RunOptions run_options;
                 // The deadline covers the whole attempt, the chaos
                 // sites included, so an injected stall overruns it
                 // however fast the forecast itself is.
-                GridWatchdog::Scope scope(watchdog, i,
-                                          entries[i].label);
+                if (resilience.cellTimeoutMs > 0)
+                    run_options.deadline =
+                        deadlineAfterMs(resilience.cellTimeoutMs);
                 // Chaos sites inside the retry boundary: an injected
                 // throw exercises per-cell quarantine/recovery, an
-                // injected stall overruns the watchdog deadline.
+                // injected stall overruns the deadline.
                 HLLC_FAILPOINT("grid.cell.throw");
                 if (failpoint::shouldFail("grid.cell.stall")) {
                     const std::uint64_t stall =
@@ -237,7 +255,6 @@ runForecastGridCheckpointed(const Experiment &experiment,
                             : 100;
                     interruptibleSleepMs(stall);
                 }
-                forecast::RunOptions run_options;
                 if (checkpoint.enabled()) {
                     run_options.checkpointPath = checkpointCellPath(
                         checkpoint, i, entries[i].label);
@@ -249,54 +266,34 @@ runForecastGridCheckpointed(const Experiment &experiment,
                     run_options.resume =
                         checkpoint.resume || attempt > 0;
                 }
-                run_options.cancel = scope.cancelFlag();
                 run_options.tasks = &tasks;
                 out.summary = experiment.runForecast(
                     entries[i].llc, entries[i].label, fc,
                     run_options);
             });
-        out.report.index = i;
         out.report.label = entries[i].label;
-        out.report.attempts = rr.attempts;
-        out.report.status = rr.status;
-        out.report.error = rr.error;
-        out.report.errorKind = rr.errorKind;
-        out.report.failpoints = rr.failpoints;
-        heartbeat.done(cellStatusName(rr.status));
+        heartbeat.done(cellStatusName(out.report.status));
     });
 
     ForecastGridOutcome outcome;
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        outcome.reports.push_back(cells[i].report);
-        switch (cells[i].report.status) {
-        case CellStatus::Ok:
-        case CellStatus::Recovered:
-            outcome.summaries.push_back(std::move(cells[i].summary));
-            break;
-        case CellStatus::Interrupted:
+    for (CellOutcome &cell : cells) {
+        if (cell.report.succeeded())
+            outcome.summaries.push_back(std::move(cell.summary));
+        else if (cell.report.status == CellStatus::Interrupted)
             outcome.interrupted = true;
-            break;
-        case CellStatus::Quarantined:
-        case CellStatus::TimedOut:
-            // reports[i] already holds its own copy of the error text.
-            outcome.failures.push_back(
-                { i, entries[i].label,
-                  std::move(cells[i].report.error) });
-            break;
-        }
+        outcome.reports.push_back(std::move(cell.report));
     }
     if (!resilience.failuresOut.empty()) {
         // The report is diagnostics riding alongside the results: its
         // write retries under the same policy as the cells (write-site
         // chaos must not unwind a completed grid), and a persistent
         // failure degrades to a warning instead of discarding the run.
-        const RetryResult written = runWithRetry(
+        const CellReport written = runWithRetry(
             resilience.retry, entries.size(), [&](std::size_t) {
                 writeFailureReport(resilience.failuresOut,
                                    outcome.reports);
             });
-        if (!(written.status == CellStatus::Ok ||
-              written.status == CellStatus::Recovered)) {
+        if (!written.succeeded()) {
             warn("cannot write failure report '%s': %s",
                  resilience.failuresOut.c_str(), written.error.c_str());
         }

@@ -12,9 +12,9 @@
  *
  *  - results are collected into pre-sized slots in entry order, so
  *    output ordering never depends on dispatch or completion order;
- *  - any cell randomness (retry jitter included) is keyed on the cell
- *    index, derived with childStream(seed, mix, policy) (see
- *    common/rng.hh), never from thread id or submission order;
+ *  - any cell randomness is keyed on the cell index, derived with
+ *    childStream(seed, mix, policy) (see common/rng.hh), never from
+ *    thread id or submission order;
  *  - jobs == 1 runs the cells inline in entry order (the serial
  *    reference path).
  *
@@ -58,7 +58,7 @@ struct BenchArgs
     unsigned jobs = 0;            //!< 0 = auto (see resolveJobs)
     std::string statsOut;         //!< stats export path; "" = none
     CheckpointOptions checkpoint; //!< crash safety; off by default
-    ResilienceOptions resilience; //!< retry/watchdog; off by default
+    ResilienceOptions resilience; //!< retry/deadline; off by default
     std::string usage;            //!< "usage: prog <positional> [flags]"
 };
 
@@ -123,7 +123,7 @@ struct PhaseCell
  * (entry order when serial), and a cell without Set Dueling runs the mixes of each
  * simulation phase as tasks that idle workers help with. With crash
  * containment: every cell checkpoints under @p checkpoint (when
- * enabled), a throwing cell (or mix task) becomes a CellFailure while
+ * enabled), a throwing cell (or mix task) is reported as failed while
  * the other cells complete, and a pending SIGINT/SIGTERM (see
  * common/interrupt.hh) marks the outcome interrupted after each running
  * cell has written its final checkpoint at a step boundary. Results
@@ -133,9 +133,11 @@ struct PhaseCell
  * @p resilience adds self-healing on top (see sim/resilience.hh):
  * failing cells retry up to their attempt budget (resuming from their
  * checkpoint when checkpointing is on, which is byte-identical to never
- * having failed), a watchdog cancels cells overrunning cellTimeoutMs,
- * and every cell's outcome is recorded in ForecastGridOutcome::reports
- * (written to resilience.failuresOut as hllc-failures-v1 when set).
+ * having failed), an attempt that passes its cellTimeoutMs deadline
+ * stops at its next step boundary, and every cell's outcome is
+ * recorded in ForecastGridOutcome::reports (written to
+ * resilience.failuresOut as hllc-failures-v1 when set). Throws IoError
+ * when the checkpoint directory cannot be created.
  */
 ForecastGridOutcome
 runForecastGridCheckpointed(const Experiment &experiment,

@@ -6,7 +6,6 @@
 #include "common/interrupt.hh"
 #include "common/logging.hh"
 #include "common/numfmt.hh"
-#include "common/rng.hh"
 #include "common/serialize.hh"
 
 namespace hllc::sim
@@ -29,8 +28,7 @@ mergeNames(std::vector<std::string> &into,
 } // anonymous namespace
 
 std::uint64_t
-retryDelayMs(const RetryPolicy &policy, std::size_t retry,
-             std::size_t cell_index)
+retryDelayMs(const RetryPolicy &policy, std::size_t retry)
 {
     if (retry == 0)
         return 0;
@@ -41,16 +39,7 @@ retryDelayMs(const RetryPolicy &policy, std::size_t retry,
     std::uint64_t delay = policy.baseDelayMs << shift;
     if (policy.baseDelayMs != 0 && (delay >> shift) != policy.baseDelayMs)
         delay = policy.maxDelayMs;
-    delay = std::min(delay, policy.maxDelayMs);
-    // +-25% deterministic jitter: a pure function of (seed, cell,
-    // retry), so the schedule replays exactly while cells retrying the
-    // same broken resource stay desynchronised.
-    const std::uint64_t draw = mix64(
-        policy.jitterSeed ^ mix64(cell_index * 2654435761ULL + retry));
-    const std::uint64_t quarter = delay / 4;
-    if (quarter > 0)
-        delay = delay - quarter + draw % (2 * quarter + 1);
-    return delay;
+    return std::min(delay, policy.maxDelayMs);
 }
 
 const char *
@@ -89,13 +78,14 @@ extractFailpointNames(const std::string &error)
     return names;
 }
 
-RetryResult
+CellReport
 runWithRetry(const RetryPolicy &policy, std::size_t cell_index,
              const std::function<void(std::size_t)> &body)
 {
     const std::size_t max_attempts =
         std::max<std::size_t>(policy.maxAttempts, 1);
-    RetryResult result;
+    CellReport result;
+    result.index = cell_index;
     for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
         result.attempts = attempt + 1;
         try {
@@ -132,8 +122,7 @@ runWithRetry(const RetryPolicy &policy, std::size_t cell_index,
                    extractFailpointNames(result.error));
         if (attempt + 1 >= max_attempts)
             break;
-        const std::uint64_t delay =
-            retryDelayMs(policy, attempt + 1, cell_index);
+        const std::uint64_t delay = retryDelayMs(policy, attempt + 1);
         warn("cell %zu attempt %zu/%zu failed (%s); retrying in %llu ms",
              cell_index, attempt + 1, max_attempts, result.error.c_str(),
              static_cast<unsigned long long>(delay));
@@ -209,102 +198,6 @@ writeFailureReport(const std::string &path,
 {
     const std::string body = failureReportToJson(cells);
     serial::writeFileAtomic(path, body.data(), body.size());
-}
-
-// ---------------------------------------------------------------------
-// GridWatchdog
-// ---------------------------------------------------------------------
-
-GridWatchdog::GridWatchdog(std::uint64_t timeout_ms)
-    : timeoutMs_(timeout_ms)
-{
-    if (timeoutMs_ > 0)
-        monitor_ = std::thread([this] { monitorLoop(); });
-}
-
-GridWatchdog::~GridWatchdog()
-{
-    if (!monitor_.joinable())
-        return;
-    {
-        MutexLock lock(mutex_);
-        stopping_ = true;
-    }
-    wake_.notifyAll();
-    monitor_.join();
-}
-
-std::shared_ptr<std::atomic<bool>>
-GridWatchdog::watch(std::size_t index, const std::string &label)
-{
-    auto cancel = std::make_shared<std::atomic<bool>>(false);
-    if (timeoutMs_ == 0)
-        return cancel; // inert: flag exists but nothing ever sets it
-    Entry entry;
-    entry.index = index;
-    entry.label = label;
-    entry.deadline = std::chrono::steady_clock::now() +
-                     std::chrono::milliseconds(timeoutMs_);
-    entry.cancel = cancel;
-    {
-        MutexLock lock(mutex_);
-        entries_.push_back(std::move(entry));
-    }
-    wake_.notifyAll();
-    return cancel;
-}
-
-void
-GridWatchdog::unwatch(const std::atomic<bool> *token)
-{
-    if (timeoutMs_ == 0)
-        return;
-    MutexLock lock(mutex_);
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-        if (entries_[i].cancel.get() == token) {
-            entries_.erase(entries_.begin() +
-                           static_cast<std::ptrdiff_t>(i));
-            return;
-        }
-    }
-}
-
-void
-GridWatchdog::monitorLoop()
-{
-    // Wake at a quarter of the deadline (>= 10 ms, <= 250 ms): overruns
-    // are detected within ~25% of the timeout without busy-polling.
-    const std::uint64_t cadence =
-        std::max<std::uint64_t>(10,
-                                std::min<std::uint64_t>(timeoutMs_ / 4,
-                                                        250));
-    MutexLock lock(mutex_);
-    while (!stopping_) {
-        wake_.waitFor(mutex_, cadence);
-        if (stopping_)
-            return;
-        const auto now = std::chrono::steady_clock::now();
-        for (Entry &entry : entries_) {
-            if (entry.flagged || now < entry.deadline)
-                continue;
-            entry.flagged = true;
-            entry.cancel->store(true, std::memory_order_relaxed);
-            warn("watchdog: cell %zu (%s) exceeded %llu ms; cancelling",
-                 entry.index, entry.label.c_str(),
-                 static_cast<unsigned long long>(timeoutMs_));
-        }
-    }
-}
-
-GridWatchdog::Scope::Scope(GridWatchdog &watchdog, std::size_t index,
-                           const std::string &label)
-    : watchdog_(watchdog), cancel_(watchdog.watch(index, label))
-{
-}
-
-GridWatchdog::Scope::~Scope()
-{
-    watchdog_.unwatch(cancel_.get());
 }
 
 } // namespace hllc::sim

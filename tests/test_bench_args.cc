@@ -44,7 +44,6 @@ TEST(BenchArgs, DefaultsWhenNoFlagIsGiven)
     EXPECT_FALSE(args.checkpoint.resume);
     EXPECT_EQ(args.resilience.retry.maxAttempts, 1u);
     EXPECT_EQ(args.resilience.retry.baseDelayMs, 100u);
-    EXPECT_EQ(args.resilience.retry.jitterSeed, 0u);
     EXPECT_EQ(args.resilience.cellTimeoutMs, 0u);
     EXPECT_EQ(args.resilience.failuresOut, "");
 }
@@ -68,12 +67,11 @@ TEST(BenchArgs, EveryGroupRoundTripsItsValues)
     EXPECT_TRUE(ck.checkpoint.resume);
 
     const BenchArgs re = parse(
-        { "--retries", "2", "--retry-delay-ms", "50", "--retry-jitter-seed",
-          "9", "--cell-timeout-ms", "1000", "--failures-out", "f.json" },
+        { "--retries", "2", "--retry-delay-ms", "50", "--cell-timeout-ms",
+          "1000", "--failures-out", "f.json" },
         { .resilience = true });
     EXPECT_EQ(re.resilience.retry.maxAttempts, 3u); // 2 retries
     EXPECT_EQ(re.resilience.retry.baseDelayMs, 50u);
-    EXPECT_EQ(re.resilience.retry.jitterSeed, 9u);
     EXPECT_EQ(re.resilience.cellTimeoutMs, 1000u);
     EXPECT_EQ(re.resilience.failuresOut, "f.json");
 }
@@ -95,6 +93,10 @@ TEST(BenchArgsDeathTest, UnknownFlagIsAUsageError)
                         "--stats-out", "s.json" }),
                 ::testing::ExitedWithCode(2),
                 "unknown flag '--chekpoint-dir'\nusage: bench ");
+    // Retry backoff has no jitter, so there is no seed to set.
+    EXPECT_EXIT(parse({ "--retry-jitter-seed", "9" }),
+                ::testing::ExitedWithCode(2),
+                "unknown flag '--retry-jitter-seed'\nusage: bench ");
 }
 
 TEST(BenchArgsDeathTest, FlagOfAnUnacceptedGroupIsAUsageError)
@@ -138,7 +140,6 @@ TEST(BenchArgsDeathTest, BadValueIsAUsageError)
         { "--checkpoint-every", "0" },
         { "--retries", "101" },
         { "--retry-delay-ms", "-1" },
-        { "--retry-jitter-seed", "seed" },
         { "--cell-timeout-ms", "0" },
         { "--failures-out", "f.csv" },
     };

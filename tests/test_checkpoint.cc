@@ -9,8 +9,8 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -399,7 +399,7 @@ TEST_F(KillResume, CheckpointRejectsConfigMismatch)
 
 // The stop arms differ only in how a failing final save ends the run:
 // the step budget's save is the run's result and propagates; the
-// interrupt and watchdog saves are best-effort before they unwind.
+// interrupt and deadline saves are best-effort before they unwind.
 TEST_F(KillResume, FailedFinalSaveIsFatalOnlyForTheStepBudget)
 {
     RunOptions options;
@@ -413,8 +413,7 @@ TEST_F(KillResume, FailedFinalSaveIsFatalOnlyForTheStepBudget)
     EXPECT_THROW(run(PolicyKind::Bh, options), InterruptedError);
     clearInterrupt();
 
-    const std::atomic<bool> cancel{ true };
-    options.cancel = &cancel;
+    options.deadline = std::chrono::steady_clock::time_point::min();
     EXPECT_THROW(run(PolicyKind::Bh, options), DeadlineExceededError);
 }
 
@@ -561,12 +560,31 @@ TEST_F(CheckpointedGrid, FailingCellIsContainedAndReported)
         experiment(), entries(), {}, checkpoint());
     EXPECT_FALSE(outcome.ok());
     EXPECT_EQ(outcome.exitCode(), 1);
-    ASSERT_EQ(outcome.failures.size(), 1u);
-    EXPECT_EQ(outcome.failures[0].index, 0u);
-    EXPECT_EQ(outcome.failures[0].label, "BH");
-    EXPECT_FALSE(outcome.failures[0].error.empty());
+    ASSERT_EQ(outcome.reports.size(), 2u);
+    EXPECT_TRUE(outcome.reports[0].failed());
+    EXPECT_EQ(outcome.reports[0].index, 0u);
+    EXPECT_EQ(outcome.reports[0].label, "BH");
+    EXPECT_FALSE(outcome.reports[0].error.empty());
+    EXPECT_TRUE(outcome.reports[1].succeeded());
     ASSERT_EQ(outcome.summaries.size(), 1u);
     EXPECT_EQ(outcome.summaries[0].label, "CP_SD");
+}
+
+TEST_F(CheckpointedGrid, UncreatableCheckpointDirectoryThrowsIoError)
+{
+    sim::CheckpointOptions options;
+    options.dir = "/nonexistent-hllc/x";
+    try {
+        sim::runForecastGridCheckpointed(experiment(), entries(), {},
+                                         options);
+        ADD_FAILURE() << "the grid did not throw";
+    } catch (const IoError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("'/nonexistent-hllc/x'"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find(std::strerror(ENOENT)), std::string::npos)
+            << what;
+    }
 }
 
 TEST_F(CheckpointedGrid, InterruptStopsGridWithCheckpointsInPlace)

@@ -11,8 +11,8 @@
  * policy, which forks nothing, and under TSan for the rows run to the
  * 0.6 floor) gives the serial loop's series, checkpoint bytes and
  * export bit for bit, a throwing mix task retries to the same series,
- * and a watchdog cancel or an interrupt raised inside a mix task stops
- * the run at the next step boundary.
+ * an interrupt raised inside a mix task stops the run at the next step
+ * boundary, and so does a passed deadline.
  */
 
 #include <gtest/gtest.h>
@@ -202,7 +202,7 @@ TEST(RunJobs, TaskExceptionFailsItsJobOnlyAndRetries)
     sim::RetryPolicy retry;
     retry.maxAttempts = 2;
     retry.baseDelayMs = 1;
-    std::vector<sim::RetryResult> results(jobs);
+    std::vector<sim::CellReport> results(jobs);
     std::vector<std::size_t> order = { 0, 1, 2, 3 };
     runJobs(4, order, [&](std::size_t job, ForkJoin &fj) {
         results[job] = sim::runWithRetry(
@@ -528,7 +528,7 @@ TEST_F(MixTaskStops, ThrowingMixTaskRetriesToTheSameSeries)
     retry.maxAttempts = 2;
     retry.baseDelayMs = 1;
     std::vector<ForecastPoint> series;
-    const sim::RetryResult rr =
+    const sim::CellReport rr =
         sim::runWithRetry(retry, 0, [&](std::size_t attempt) {
             RunOptions options;
             options.checkpointPath = path();
@@ -549,19 +549,23 @@ TEST_F(MixTaskStops, WatchdogCancelStopsAtTheNextStepBoundary)
 {
     const std::vector<ForecastPoint> ref = reference();
     ASSERT_GE(ref.size(), 4u);
-    std::atomic<bool> cancel{ false };
     RunOptions options;
     options.checkpointPath = path();
-    options.cancel = &cancel;
-    EXPECT_THROW(run(options, 1,
-                     [&](std::size_t) { cancel.store(true); }),
-                 DeadlineExceededError);
-    // Step 1 completed with every task; the stop came before step 2.
-    EXPECT_EQ(checkpointStep(), 2u);
+    options.stopAfterSteps = 2;
+    run(options, noJob, [](std::size_t) {});
+    ASSERT_EQ(checkpointStep(), 2u);
 
+    // A deadline already passed stops the resumed run at its first
+    // boundary, before step 2 runs, and leaves the checkpoint there.
     RunOptions resume;
     resume.checkpointPath = path();
     resume.resume = true;
+    RunOptions expired = resume;
+    expired.deadline = std::chrono::steady_clock::time_point::min();
+    EXPECT_THROW(run(expired, noJob, [](std::size_t) {}),
+                 DeadlineExceededError);
+    EXPECT_EQ(checkpointStep(), 2u);
+
     EXPECT_TRUE(sameBits(run(resume, noJob, [](std::size_t) {}), ref));
 }
 

@@ -1,18 +1,20 @@
 /**
  * @file
  * Self-healing grid tests: deterministic retry backoff, the
- * runWithRetry failure taxonomy, the hllc-failures-v1 report, the
- * GridWatchdog cancellation flag, interruptible sleeps, and
- * end-to-end recovery in the checkpointed forecast grid (a recovered
- * or resumed cell is byte-identical to a fault-free run).
+ * runWithRetry failure taxonomy, the hllc-failures-v1 report,
+ * interruptible sleeps, and end-to-end recovery in the checkpointed
+ * forecast grid (a recovered or resumed cell is byte-identical to a
+ * fault-free run; a cell past its deadline stops with a checkpoint).
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <functional>
+#include <limits>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -40,23 +42,13 @@ TEST(GridRetryDelay, DeterministicExponentialAndBounded)
     sim::RetryPolicy policy;
     policy.baseDelayMs = 100;
     policy.maxDelayMs = 1000;
-    policy.jitterSeed = 7;
-    for (std::size_t retry = 1; retry <= 8; ++retry) {
-        for (std::size_t cell = 0; cell < 4; ++cell) {
-            const std::uint64_t delay =
-                sim::retryDelayMs(policy, retry, cell);
-            EXPECT_EQ(delay, sim::retryDelayMs(policy, retry, cell));
-            const std::uint64_t nominal = std::min<std::uint64_t>(
-                policy.baseDelayMs << (retry - 1), policy.maxDelayMs);
-            EXPECT_GE(delay, nominal - nominal / 4);
-            EXPECT_LE(delay, nominal + nominal / 4);
-        }
-    }
-    // Different cells desynchronise: not every delay may coincide.
-    const std::uint64_t a = sim::retryDelayMs(policy, 3, 0);
-    const std::uint64_t b = sim::retryDelayMs(policy, 3, 1);
-    const std::uint64_t c = sim::retryDelayMs(policy, 3, 2);
-    EXPECT_TRUE(a != b || b != c);
+    const std::uint64_t expected[] = { 0,   100,  200,  400, 800,
+                                       1000, 1000, 1000, 1000 };
+    for (std::size_t retry = 0; retry <= 8; ++retry)
+        EXPECT_EQ(sim::retryDelayMs(policy, retry), expected[retry]);
+    // A shift past the width of the delay saturates at the ceiling
+    // instead of wrapping to a short delay.
+    EXPECT_EQ(sim::retryDelayMs(policy, 1000), 1000u);
 }
 
 // --------------------------------------------------------------------
@@ -199,7 +191,7 @@ TEST(GridFailureReport, JsonCarriesSchemaOutcomesAndCounts)
 }
 
 // --------------------------------------------------------------------
-// Interruptible sleep and the watchdog.
+// Interruptible sleep.
 // --------------------------------------------------------------------
 
 class InterruptibleSleep : public ::testing::Test
@@ -227,27 +219,6 @@ TEST_F(InterruptibleSleep, WakesEarlyOnInterrupt)
         std::chrono::duration_cast<std::chrono::milliseconds>(
             std::chrono::steady_clock::now() - start);
     EXPECT_LT(elapsed.count(), 10'000);
-}
-
-TEST(GridWatchdogFlag, FlagsOverrunAndStaysInertAtTimeoutZero)
-{
-    sim::GridWatchdog inert(0);
-    sim::GridWatchdog::Scope idle(inert, 0, "idle");
-    ASSERT_NE(idle.cancelFlag(), nullptr);
-    EXPECT_FALSE(idle.cancelFlag()->load());
-
-    sim::GridWatchdog watchdog(30);
-    sim::GridWatchdog::Scope scope(watchdog, 1, "slow");
-    ASSERT_NE(scope.cancelFlag(), nullptr);
-    // The monitor wakes at a fraction of the 30 ms deadline; poll for
-    // the flag with a generous ceiling so slow machines stay green.
-    bool cancelled = false;
-    for (int i = 0; i < 2'000 && !cancelled; ++i) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        cancelled = scope.cancelFlag()->load();
-    }
-    EXPECT_TRUE(cancelled);
-    EXPECT_FALSE(idle.cancelFlag()->load());
 }
 
 // --------------------------------------------------------------------
@@ -329,6 +300,15 @@ class ResilientGrid : public ::testing::Test
         return e;
     }
 
+    /** Cells the grid quarantined or timed out. */
+    static std::size_t
+    failedCells(const sim::ForecastGridOutcome &outcome)
+    {
+        return static_cast<std::size_t>(
+            std::count_if(outcome.reports.begin(), outcome.reports.end(),
+                          std::mem_fn(&sim::CellReport::failed)));
+    }
+
     static void
     expectSummariesIdentical(const std::vector<sim::ForecastSummary> &a,
                              const std::vector<sim::ForecastSummary> &b)
@@ -356,10 +336,12 @@ TEST_F(ResilientGrid, InjectedCellFaultRecoversByteIdentically)
         sim::runForecastGridCheckpointed(experiment(), entries()).summaries;
 
     // jobs=1 pins the failpoint hit order: cell 0 takes the injected
-    // fault on its first attempt and must recover on its second.
+    // fault on its first attempt and must recover on its second. A
+    // timeout past the clock's range must never fire.
     failpoint::configure("grid.cell.throw=nth:1");
     const auto outcome = sim::runForecastGridCheckpointed(
-        experiment(), entries(), {}, {}, resilience(3), 1);
+        experiment(), entries(), {}, {},
+        resilience(3, std::numeric_limits<std::uint64_t>::max()), 1);
     EXPECT_TRUE(outcome.ok());
     ASSERT_EQ(outcome.reports.size(), 2u);
     EXPECT_EQ(outcome.reports[0].status, sim::CellStatus::Recovered);
@@ -401,7 +383,7 @@ TEST_F(ResilientGrid, ExhaustedBudgetQuarantinesAndWritesReport)
     EXPECT_FALSE(outcome.ok());
     EXPECT_EQ(outcome.exitCode(), 1);
     EXPECT_TRUE(outcome.summaries.empty());
-    ASSERT_EQ(outcome.failures.size(), 2u);
+    ASSERT_EQ(failedCells(outcome), 2u);
     ASSERT_EQ(outcome.reports.size(), 2u);
     for (const auto &report : outcome.reports) {
         EXPECT_EQ(report.status, sim::CellStatus::Quarantined);
@@ -423,15 +405,14 @@ TEST_F(ResilientGrid, WatchdogCancelsStalledCellAndResumeCompletes)
     const auto plain =
         sim::runForecastGridCheckpointed(experiment(), one).summaries;
 
-    // The stall site sleeps past the 200 ms deadline, the watchdog
-    // sets the cancel flag, and the cell unwinds at its first step
-    // boundary with a final checkpoint in place. Timeouts are never
-    // retried.
+    // The stall site sleeps past the 200 ms deadline, so the cell
+    // unwinds at its first step boundary with a final checkpoint in
+    // place. Timeouts are never retried.
     failpoint::configure("grid.cell.stall=nth:1");
     const auto outcome = sim::runForecastGridCheckpointed(
         experiment(), one, {}, checkpoint(), resilience(3, 200), 1);
     EXPECT_FALSE(outcome.ok());
-    ASSERT_EQ(outcome.failures.size(), 1u);
+    ASSERT_EQ(failedCells(outcome), 1u);
     ASSERT_EQ(outcome.reports.size(), 1u);
     EXPECT_EQ(outcome.reports[0].status, sim::CellStatus::TimedOut);
     EXPECT_EQ(outcome.reports[0].attempts, 1u);

@@ -197,13 +197,12 @@ runOnce(const std::string &dir, std::size_t retries)
         body += cellLine(outcome.summaries[i]);
     }
     body += outcome.summaries.empty() ? "]\n}\n" : "\n  ]\n}\n";
-    const sim::RetryResult write_result = sim::runWithRetry(
-        { 5, 5, 50, config.seed }, 0, [&](std::size_t) {
+    const sim::CellReport write_result = sim::runWithRetry(
+        { 5, 5, 50 }, 0, [&](std::size_t) {
             serial::writeFileAtomic(dir + "/stats.json", body.data(),
                                     body.size());
         });
-    if (!(write_result.status == sim::CellStatus::Ok ||
-          write_result.status == sim::CellStatus::Recovered))
+    if (!write_result.succeeded())
         fatal("cannot write stats: %s", write_result.error.c_str());
     return outcome.ok() ? 0 : 1;
 }
